@@ -9,17 +9,17 @@ packet's Wigner density for validation.
 
 from .dynamics import (ClassicalPhasePoint, Trajectory, bracket_rhs,
                        classical_hamiltonian, classical_rhs,
-                       corrected_potentials, rk4_integrate,
+                       corrected_potentials, rk4_integrate, rk4_step,
                        semiclassical_hamiltonian, semiclassical_rhs, simulate,
-                       zhou_rhs)
+                       time_grid, zhou_rhs)
 from .egorov import (EgorovEstimate, PhaseEnsemble, phase_error,
                      propagate_ensemble, wigner_sample)
 from .expectations import (QuadratureRule, asymptotic_expectation,
                            full_hamiltonian, gaussian_expectation,
                            polynomial_moment)
-from .observables import (ConvergenceReport, classical_angular_momentum,
-                          diamond, loglog_fit, semiclassical_angular_momentum)
-from .packet import (PacketState, SimConfig, WavePacketFull, evaluate_packet,
+from .observables import (classical_angular_momentum, diamond, loglog_fit,
+                          semiclassical_angular_momentum)
+from .packet import (PacketState, WavePacketFull, evaluate_packet,
                      make_packet_state, normalization_delta, normalized_packet,
                      packet_norm_squared, position_covariance)
 from .potentials import (DerivedSquares, FieldModel, cosine_1d, fd_cross_check,
@@ -31,15 +31,15 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassicalPhasePoint", "Trajectory", "bracket_rhs",
     "classical_hamiltonian", "classical_rhs", "corrected_potentials",
-    "rk4_integrate", "semiclassical_hamiltonian", "semiclassical_rhs",
-    "simulate", "zhou_rhs",
+    "rk4_integrate", "rk4_step", "semiclassical_hamiltonian",
+    "semiclassical_rhs", "simulate", "time_grid", "zhou_rhs",
     "EgorovEstimate", "PhaseEnsemble", "phase_error", "propagate_ensemble",
     "wigner_sample",
     "QuadratureRule", "asymptotic_expectation", "full_hamiltonian",
     "gaussian_expectation", "polynomial_moment",
-    "ConvergenceReport", "classical_angular_momentum", "diamond",
+    "classical_angular_momentum", "diamond",
     "loglog_fit", "semiclassical_angular_momentum",
-    "PacketState", "SimConfig", "WavePacketFull", "evaluate_packet",
+    "PacketState", "WavePacketFull", "evaluate_packet",
     "make_packet_state", "normalization_delta", "normalized_packet",
     "packet_norm_squared", "position_covariance",
     "DerivedSquares", "FieldModel", "cosine_1d", "fd_cross_check",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checks, dynamics, egorov
 from .observables import loglog_fit
-from .packet import SimConfig, make_packet_state
+from .packet import make_packet_state
 from .potentials import model_by_name
 
 PAPER_HBARS = (0.5, 0.3, 0.1, 0.05, 0.03, 0.01)
@@ -27,11 +27,11 @@ QUAD_KEYS = ("K", "b", "c", "M0", "a0", "mass")
 
 ALLOWED_KEYS = {
     "simulate": {"model", "potential", "q", "p", "A", "B", "hbar", "dt",
-                 "t_final", "gh_nodes", "out", *QUAD_KEYS},
+                 "t_final", "out", *QUAD_KEYS},
     "egorov": {"potential", "q", "p", "A", "B", "hbar", "dt", "t_final",
-               "samples", "seed", "gh_nodes", "out", *QUAD_KEYS},
+               "samples", "seed", "out", *QUAD_KEYS},
     "converge": {"potential", "q", "p", "A", "B", "hbars", "dt", "t_star",
-                 "samples", "seed", "gh_nodes", "out", *QUAD_KEYS},
+                 "samples", "seed", "out", *QUAD_KEYS},
     "check": {"samples", "seed", "gh_nodes"},
 }
 
@@ -167,8 +167,8 @@ def make_run_config(command: str, cfg: dict) -> RunConfig:
     )
     if rc.gh_nodes < 1:
         raise CliError(f"gh_nodes must be >= 1, got {rc.gh_nodes}")
-    if any(n < 1 for n in rc.samples):
-        raise CliError("samples must be >= 1")
+    if any(n < 2 for n in rc.samples):
+        raise CliError("samples must be >= 2 (a standard error needs two samples)")
     return rc
 
 
@@ -236,8 +236,6 @@ def cmd_simulate(cfg: dict) -> int:
         raise CliError(f"unknown model {rc.model!r}; choose from "
                        f"{', '.join(dynamics.FLAVORS)}")
     d = state.d
-    SimConfig(hbar=rc.hbar, dt=rc.dt, t_final=rc.t_final, d=d)
-
     traj = dynamics.simulate(model, rc.model, state, rc.hbar, rc.dt, rc.t_final)
 
     cols = ["t"]
@@ -278,8 +276,8 @@ def cmd_egorov(cfg: dict) -> int:
     rc = make_run_config("egorov", cfg).require("hbar", "t_final")
     model, state = build_model_and_state(rc)
     d = state.d
-    SimConfig(hbar=rc.hbar, dt=rc.dt, t_final=rc.t_final, d=d)
     n = rc.samples[0] if rc.samples else 10 ** 6
+    dynamics.time_grid(rc.dt, rc.t_final)  # reject a bad horizon before sampling
 
     obs = ("q", "p", "H0") + (("Lz",) if d == 2 else ())
     ens = egorov.wigner_sample(state, rc.hbar, seed=rc.seed, N=n)
@@ -306,7 +304,6 @@ def cmd_egorov(cfg: dict) -> int:
 def cmd_converge(cfg: dict) -> int:
     rc = make_run_config("converge", cfg).require("t_star")
     model, state = build_model_and_state(rc)
-    d = state.d
     hbars = list(rc.hbars) if rc.hbars else list(PAPER_HBARS)
     if len(hbars) < 2:
         raise CliError("converge needs at least two hbar values")
@@ -323,7 +320,6 @@ def cmd_converge(cfg: dict) -> int:
 
     err_c, err_s, ses = [], [], []
     for i, h in enumerate(hbars):
-        SimConfig(hbar=h, dt=rc.dt, t_final=rc.t_star, d=d)
         tc = dynamics.simulate(model, "classical", state, h, rc.dt, rc.t_star)
         ts = dynamics.simulate(model, "semiclassical", state, h, rc.dt, rc.t_star)
         for traj, label in ((tc, "classical"), (ts, "semiclassical")):
@@ -417,15 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("simulate", help="integrate one trajectory to CSV")
     _add_common(s, "model", "potential", "q", "p", "A", "B", "hbar", "dt",
-                "t-final", "gh-nodes", "out")
+                "t-final", "out")
 
     s = subs.add_parser("egorov", help="Monte-Carlo expectation time series")
     _add_common(s, "potential", "q", "p", "A", "B", "hbar", "dt", "t-final",
-                "samples", "seed", "gh-nodes", "out")
+                "samples", "seed", "out")
 
     s = subs.add_parser("converge", help="error-vs-hbar sweep with rate fits")
     _add_common(s, "potential", "q", "p", "A", "B", "hbars", "dt", "t-star",
-                "samples", "seed", "gh-nodes", "out")
+                "samples", "seed", "out")
 
     s = subs.add_parser("check", help="run the built-in consistency suite")
     _add_common(s, "samples", "seed", "gh-nodes")

@@ -27,10 +27,18 @@ Three right-hand-side families act on the packet parameters
     and the semiclassical flow also conserves the width-corrected
     angular momentum matrix when the fields are rotation-equivariant.
 
+classical_rhs, classical_hamiltonian and (in observables)
+classical_angular_momentum accept q and p with leading batch axes
+(..., d), so the same code moves one packet center and a whole Egorov
+ensemble of Wigner samples.
+
 bracket_rhs evaluates the bracket by central finite differences of an
 arbitrary scalar function of the state and is the arbiter used to
-validate the hand-derived field; rk4_integrate is a fixed-step RK4
-driver with positive-definiteness and finiteness guards.
+validate the hand-derived field.  rk4_step is one classic Runge-Kutta
+step over a tuple of arrays; rk4_integrate drives it on a packed state
+with positive-definiteness and finiteness guards.  time_grid is the one
+place that turns (dt, t_final) into grid times and rejects step sizes
+that do not divide the horizon.
 """
 
 from __future__ import annotations
@@ -54,6 +62,8 @@ __all__ = [
     "zhou_rhs",
     "semiclassical_rhs",
     "bracket_rhs",
+    "time_grid",
+    "rk4_step",
     "rk4_integrate",
     "standard_monitors",
     "simulate",
@@ -76,10 +86,12 @@ class ClassicalPhasePoint:
 # energies
 
 
-def classical_hamiltonian(z, model: FieldModel) -> float:
-    """H0 = |p - A(q)|^2 / 2m + V(q) at a phase point (packet or classical)."""
+def classical_hamiltonian(z, model: FieldModel):
+    """H0 = |p - A(q)|^2 / 2m + V(q) at phase points (packet or classical);
+    q and p may carry leading batch axes (..., d)."""
     v = z.p - np.asarray(model.A(z.q), dtype=float)
-    return float(v @ v) / (2.0 * model.mass) + float(model.V(z.q))
+    return 0.5 * np.einsum("...k,...k->...", v, v) / model.mass \
+        + np.asarray(model.V(z.q), dtype=float)
 
 
 def _width_coupling(state: PacketState, model: FieldModel) -> np.ndarray:
@@ -96,11 +108,9 @@ def _width_coupling(state: PacketState, model: FieldModel) -> np.ndarray:
 
 def semiclassical_hamiltonian(state: PacketState, model: FieldModel, hbar: float) -> float:
     """Order-hbar effective energy H_hbar (see module docstring)."""
-    q, p, B = state.q, state.p, state.B_mat
+    q, B = state.q, state.B_mat
     Binv = np.linalg.inv(B)
-    a = np.asarray(model.A(q), dtype=float)
-    v = p - a
-    h0 = float(v @ v) / (2.0 * model.mass) + float(model.V(q))
+    h0 = float(classical_hamiltonian(state, model))
     tr_width = float(np.trace(Binv @ _width_coupling(state, model)))
     tr_v = float(np.trace(Binv @ np.asarray(model.hessV(q), dtype=float)))
     return h0 + 0.25 * hbar * (tr_width / model.mass + tr_v)
@@ -130,14 +140,14 @@ def corrected_potentials(state: PacketState, model: FieldModel, hbar: float):
 
 
 def classical_rhs(z, model: FieldModel):
-    """Magnetic Hamiltonian flow: returns (dq, dp)."""
+    """Magnetic Hamiltonian flow: returns (dq, dp), batched over leading
+    axes of z.q and z.p."""
     m = model.mass
-    a = np.asarray(model.A(z.q), dtype=float)
+    v = z.p - np.asarray(model.A(z.q), dtype=float)
     ja = np.asarray(model.jacA(z.q), dtype=float)
-    v = z.p - a
-    dq = v / m
-    dp = (ja.T @ v) / m - np.asarray(model.gradV(z.q), dtype=float)
-    return dq, dp
+    dp = np.einsum("...ji,...j->...i", ja, v) / m \
+        - np.asarray(model.gradV(z.q), dtype=float)
+    return v / m, dp
 
 
 def _width_rhs(state: PacketState, model: FieldModel):
@@ -342,6 +352,41 @@ def _state_ok(y: np.ndarray, kind: str, d: int) -> str | None:
     return None
 
 
+def time_grid(dt: float, t_final: float) -> np.ndarray:
+    """Uniform grid times 0, dt, ..., t_final.
+
+    dt must be positive, t_final nonnegative, both finite, and t_final
+    a whole number of steps (to a relative tolerance of 1e-9), so that a
+    run never silently ends short of or past the requested horizon.
+    """
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (np.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError(f"t_final must be nonnegative and finite, got {t_final}")
+    n_steps = round(t_final / dt)
+    if abs(t_final / dt - n_steps) > 1e-9 * max(1, n_steps):
+        raise ValueError(f"t_final={t_final} is not a whole number of steps "
+                         f"of dt={dt} (t_final/dt = {t_final / dt:.12g})")
+    return np.arange(n_steps + 1) * dt
+
+
+def rk4_step(rhs, ys: tuple, dt: float) -> tuple:
+    """One classic Runge-Kutta step of dy/dt = rhs(y) for a tuple of arrays.
+
+    rhs maps the tuple to a tuple of derivatives of the same shapes;
+    every array may carry leading batch axes.
+    """
+    def shifted(ks, h):
+        return tuple(y + h * k for y, k in zip(ys, ks))
+
+    k1 = rhs(ys)
+    k2 = rhs(shifted(k1, 0.5 * dt))
+    k3 = rhs(shifted(k2, 0.5 * dt))
+    k4 = rhs(shifted(k3, dt))
+    return tuple(y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                 for y, a, b, c, d in zip(ys, k1, k2, k3, k4))
+
+
 def rk4_integrate(rhs, initial, dt: float, t_final: float,
                   monitors: dict | None = None) -> Trajectory:
     """Fixed-step classic Runge-Kutta over t in [0, t_final].
@@ -354,21 +399,17 @@ def rk4_integrate(rhs, initial, dt: float, t_final: float,
     monitors : optional dict name -> callable(state) -> float, evaluated
         at every accepted grid point including t = 0.
 
-    The step count is round(t_final / dt).  After each step the new
+    The grid comes from time_grid(dt, t_final).  After each step the new
     state must be finite and (for packets) keep B positive definite;
     otherwise integration stops and the trajectory holds the surviving
     prefix with completed=False.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_final < 0.0:
-        raise ValueError(f"t_final must be nonnegative, got {t_final}")
+    times = time_grid(dt, t_final)
+    n_steps = times.shape[0] - 1
     kind = "packet" if isinstance(initial, PacketState) else "classical"
     d = initial.d
     monitors = monitors or {}
 
-    n_steps = int(round(t_final / dt))
-    times = np.arange(n_steps + 1) * dt
     y = _pack(initial).astype(float)
     bad = _state_ok(y, kind, d)
     if bad is not None:
@@ -377,9 +418,9 @@ def rk4_integrate(rhs, initial, dt: float, t_final: float,
     ys = np.empty((n_steps + 1, y.shape[0]))
     mon = {name: np.empty(n_steps + 1) for name in monitors}
 
-    def f(yv):
-        return np.concatenate([np.asarray(part, dtype=float).ravel()
-                               for part in rhs(_unpack(yv, kind, d))])
+    def f(packed):
+        return (np.concatenate([np.asarray(part, dtype=float).ravel()
+                                for part in rhs(_unpack(packed[0], kind, d))]),)
 
     def record(i, yv):
         ys[i] = yv
@@ -390,11 +431,7 @@ def rk4_integrate(rhs, initial, dt: float, t_final: float,
 
     record(0, y)
     for i in range(n_steps):
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y_next = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        (y_next,) = rk4_step(f, (y,), dt)
         bad = _state_ok(y_next, kind, d)
         if bad is not None:
             return Trajectory(
@@ -433,6 +470,11 @@ def simulate(model: FieldModel, flavor: str, state0: PacketState, hbar: float,
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; choose from {FLAVORS}")
+    if not hbar > 0.0:
+        raise ValueError(f"hbar must be positive, got {hbar}")
+    if state0.d != model.dim:
+        raise ValueError(f"state has dimension {state0.d} but model "
+                         f"{model.name!r} is {model.dim}-dimensional")
     if flavor == "classical":
         initial = ClassicalPhasePoint(q=state0.q, p=state0.p)
         rhs = lambda s: classical_rhs(s, model)

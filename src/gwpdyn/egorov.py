@@ -12,6 +12,12 @@ and averaging O along the way.  Up to O(hbar^2) this reproduces the
 quantum evolution and is used here as the reference the packet
 propagators are measured against.
 
+The ensemble owns no equations of its own: it is moved by
+dynamics.rk4_step applied to the batched dynamics.classical_rhs, on the
+grid of dynamics.time_grid, and H0 and Lz are the batched
+dynamics.classical_hamiltonian and observables.classical_angular_momentum,
+so a sample row follows exactly the classical packet-center trajectory.
+
 Sampling is counter-based: sample i consumes exactly 2d fixed slots of
 the Philox stream, so ensembles are reproducible bit-for-bit regardless
 of generation chunking, and uniforms are mapped through the exact
@@ -25,6 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .dynamics import (ClassicalPhasePoint, classical_hamiltonian,
+                       classical_rhs, rk4_step, time_grid)
+from .observables import classical_angular_momentum
 from .packet import PacketState
 from .potentials import FieldModel
 
@@ -112,21 +121,8 @@ def wigner_sample(state0: PacketState, hbar: float, seed: int, N: int,
 
 def _classical_flow_step(x, xi, model: FieldModel, dt: float):
     """One RK4 step of the magnetic Hamiltonian flow, vectorized over rows."""
-    m = model.mass
-
-    def rhs(xc, xic):
-        v = xic - np.asarray(model.A(xc), dtype=float)
-        ja = np.asarray(model.jacA(xc), dtype=float)
-        dxi = np.einsum("...ji,...j->...i", ja, v) / m \
-            - np.asarray(model.gradV(xc), dtype=float)
-        return v / m, dxi
-
-    k1x, k1p = rhs(x, xi)
-    k2x, k2p = rhs(x + 0.5 * dt * k1x, xi + 0.5 * dt * k1p)
-    k3x, k3p = rhs(x + 0.5 * dt * k2x, xi + 0.5 * dt * k2p)
-    k4x, k4p = rhs(x + dt * k3x, xi + dt * k3p)
-    return (x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            xi + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+    return rk4_step(lambda ys: classical_rhs(ClassicalPhasePoint(*ys), model),
+                    (x, xi), dt)
 
 
 def _observe(name: str, x, xi, model: FieldModel):
@@ -135,11 +131,9 @@ def _observe(name: str, x, xi, model: FieldModel):
     if name == "p":
         return xi
     if name == "H0":
-        v = xi - np.asarray(model.A(x), dtype=float)
-        return 0.5 * np.einsum("nk,nk->n", v, v) / model.mass \
-            + np.asarray(model.V(x), dtype=float)
+        return classical_hamiltonian(ClassicalPhasePoint(x, xi), model)
     if name == "Lz":
-        return x[:, 0] * xi[:, 1] - x[:, 1] * xi[:, 0]
+        return classical_angular_momentum(ClassicalPhasePoint(x, xi))
     raise ValueError(f"unknown observable {name!r}; choose from {OBSERVABLES}")
 
 
@@ -154,10 +148,8 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
     Samples that blow up are zeroed, masked out from their failure time
     onward, and counted in `excluded`.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_final < 0.0:
-        raise ValueError(f"t_final must be nonnegative, got {t_final}")
+    times = time_grid(dt, t_final)
+    T = times.shape[0]
     d = ensemble.d
     observables = tuple(observables)
     for name in observables:
@@ -165,10 +157,6 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
             raise ValueError(f"unknown observable {name!r}; choose from {OBSERVABLES}")
         if name == "Lz" and d != 2:
             raise ValueError("observable Lz requires d = 2")
-
-    n_steps = int(round(t_final / dt))
-    times = np.arange(n_steps + 1) * dt
-    T = n_steps + 1
 
     def width(name):
         return (T, d) if name in ("q", "p") else (T,)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -11,7 +9,6 @@ __all__ = [
     "semiclassical_angular_momentum",
     "classical_angular_momentum",
     "loglog_fit",
-    "ConvergenceReport",
 ]
 
 
@@ -41,12 +38,13 @@ def semiclassical_angular_momentum(state, hbar: float) -> np.ndarray:
 
 
 def classical_angular_momentum(z) -> float | np.ndarray:
-    """q1 p2 - q2 p1 in 2D, the usual cross product in 3D."""
+    """q1 p2 - q2 p1 in 2D, the usual cross product in 3D; q and p may
+    carry leading batch axes (..., d)."""
     q = np.atleast_1d(np.asarray(z.q, dtype=float))
     p = np.atleast_1d(np.asarray(z.p, dtype=float))
-    d = q.shape[0]
+    d = q.shape[-1]
     if d == 2:
-        return float(q[0] * p[1] - q[1] * p[0])
+        return q[..., 0] * p[..., 1] - q[..., 1] * p[..., 0]
     if d == 3:
         return np.cross(q, p)
     raise ValueError(f"angular momentum undefined for d={d}")
@@ -68,18 +66,3 @@ def loglog_fit(hbars, errors) -> tuple[float, float]:
         raise ValueError("loglog_fit requires strictly positive values")
     slope, intercept = np.polyfit(np.log(h), np.log(e), 1)
     return float(intercept), float(slope)
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Per-hbar phase-space errors of both propagation flavors against a
-    Monte-Carlo reference, plus their fitted rates."""
-
-    hbars: np.ndarray
-    classical_errors: np.ndarray
-    semiclassical_errors: np.ndarray
-    egorov_ses: np.ndarray
-    fits: dict  # flavor -> (intercept, exponent)
-
-    def exponent(self, flavor: str) -> float:
-        return self.fits[flavor][1]

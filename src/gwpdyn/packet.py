@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "PacketState",
     "WavePacketFull",
-    "SimConfig",
     "make_packet_state",
     "normalized_packet",
     "packet_norm_squared",
@@ -68,26 +67,6 @@ class WavePacketFull:
     state: PacketState
     phi: float = 0.0
     delta: float = 0.0
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Validated scalar parameters shared by the propagation front ends."""
-
-    hbar: float
-    dt: float
-    t_final: float
-    d: int
-
-    def __post_init__(self):
-        if not self.hbar > 0.0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_final < 0.0:
-            raise ValueError(f"t_final must be nonnegative, got {self.t_final}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
 
 
 def _as_vector(v, name: str) -> np.ndarray:

@@ -299,6 +299,51 @@ def test_converge_samples_count_mismatch(capsys):
     assert "samples" in capsys.readouterr().err
 
 
+EG_1D = ["egorov", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
+         "--hbar", "0.1", "--samples", "500"]
+CONV_1D = ["converge", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
+           "--hbars", "0.5,0.3", "--t-star", "0.1"]
+
+
+@pytest.mark.parametrize("base", [SIM_1D[:-2], EG_1D], ids=["simulate", "egorov"])
+def test_t_final_must_be_whole_number_of_steps(base, tmp_path, capsys):
+    # 1 / 0.3 steps used to end silently at t = 0.9
+    out = tmp_path / "short.csv"
+    assert cli.main(base + ["--t-final", "1", "--dt", "0.3",
+                            "--out", str(out)]) == 2
+    assert "whole number of steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("base", [SIM_1D[:-2], EG_1D], ids=["simulate", "egorov"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_t_final_must_be_finite(base, value, tmp_path, capsys):
+    out = tmp_path / "inf.csv"
+    assert cli.main(base + ["--t-final", value, "--out", str(out)]) == 2
+    assert "t_final must be nonnegative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [EG_1D[:-1] + ["1", "--t-final", "0.1"],
+                                  CONV_1D + ["--samples", "1"],
+                                  CONV_1D + ["--samples", "100,1"]],
+                         ids=["egorov", "converge", "converge-list"])
+def test_samples_below_two_rejected(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "samples must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "egorov", "converge"])
+def test_gh_nodes_is_check_only(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--gh-nodes", "20"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gh_nodes = 20\n")
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert "unknown config key 'gh_nodes'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CLI: check
 

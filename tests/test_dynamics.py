@@ -6,9 +6,9 @@ import pytest
 from conftest import plane_wave_gauge_2d, random_packet
 from gwpdyn.dynamics import (ClassicalPhasePoint, bracket_rhs,
                              classical_hamiltonian, classical_rhs,
-                             corrected_potentials, rk4_integrate,
+                             corrected_potentials, rk4_integrate, rk4_step,
                              semiclassical_hamiltonian, semiclassical_rhs,
-                             simulate, zhou_rhs)
+                             simulate, time_grid, zhou_rhs)
 from gwpdyn.observables import semiclassical_angular_momentum
 from gwpdyn.packet import PacketState, make_packet_state
 from gwpdyn.potentials import quadratic_linear
@@ -246,6 +246,52 @@ def test_rk4_rejects_bad_arguments(cos_model, bench_state_1d):
         rk4_integrate(rhs, bench_state_1d, dt=0.0, t_final=1.0)
     with pytest.raises(ValueError):
         rk4_integrate(rhs, bench_state_1d, dt=0.1, t_final=-1.0)
+
+
+def test_time_grid_whole_steps():
+    assert np.array_equal(time_grid(0.25, 1.0), [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.array_equal(time_grid(0.01, 0.0), [0.0])
+    # t_final/dt = 6.999999999999999 in floating point: still 7 steps
+    times = time_grid(0.1, 0.7)
+    assert len(times) == 8 and times[-1] == pytest.approx(0.7, rel=1e-15)
+
+
+@pytest.mark.parametrize("dt, t_final, match", [
+    (0.0, 1.0, "dt"), (-0.01, 1.0, "dt"), (np.nan, 1.0, "dt"),
+    (np.inf, 1.0, "dt"), (0.01, -1.0, "t_final"), (0.01, np.inf, "t_final"),
+    (0.01, np.nan, "t_final"), (0.3, 1.0, "whole number"),
+    (0.01, 1.0 + 1e-6, "whole number"),
+])
+def test_time_grid_rejects_bad_arguments(dt, t_final, match):
+    with pytest.raises(ValueError, match=match):
+        time_grid(dt, t_final)
+
+
+def test_simulate_validates_scalar_arguments(cos_model, bench_state_1d):
+    traj = simulate(cos_model, "semiclassical", bench_state_1d, 0.1, 0.01, 1.0)
+    assert traj.completed and len(traj) == 101
+    with pytest.raises(ValueError, match="hbar"):
+        simulate(cos_model, "semiclassical", bench_state_1d, 0.0, 0.01, 1.0)
+    with pytest.raises(ValueError, match="dt"):
+        simulate(cos_model, "semiclassical", bench_state_1d, 0.1, -0.01, 1.0)
+    with pytest.raises(ValueError, match="t_final"):
+        simulate(cos_model, "semiclassical", bench_state_1d, 0.1, 0.01, -1.0)
+    empty = PacketState(q=np.zeros(0), p=np.zeros(0), A_mat=np.zeros((0, 0)),
+                        B_mat=np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="dimension"):
+        simulate(cos_model, "semiclassical", empty, 0.1, 0.01, 1.0)
+
+
+def test_rk4_step_on_linear_flow():
+    # y' = -y on a tuple of two arrays, one batched: one step multiplies
+    # by the degree-4 Taylor polynomial of exp(-dt)
+    dt = 0.1
+    ys = (np.array([1.0, 2.0]), np.array([[3.0], [-1.0]]))
+    out = rk4_step(lambda y: tuple(-v for v in y), ys, dt)
+    factor = 1 - dt + dt ** 2 / 2 - dt ** 3 / 6 + dt ** 4 / 24
+    for y, o in zip(ys, out):
+        assert o.shape == y.shape
+        assert np.allclose(o, factor * y, rtol=0, atol=1e-15)
 
 
 def test_classical_flavor_drops_widths(cos_model, bench_state_1d):

@@ -3,12 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_packet
-from gwpdyn.egorov import (EgorovEstimate, phase_error, propagate_ensemble,
-                           wigner_sample)
+from conftest import plane_wave_gauge_2d, random_packet
+from gwpdyn.dynamics import (ClassicalPhasePoint, classical_hamiltonian,
+                             classical_rhs, rk4_integrate)
+from gwpdyn.egorov import (EgorovEstimate, _classical_flow_step, _observe,
+                           phase_error, propagate_ensemble, wigner_sample)
 from gwpdyn.expectations import full_hamiltonian
+from gwpdyn.observables import classical_angular_momentum
 from gwpdyn.packet import evaluate_packet, make_packet_state, normalized_packet
-from gwpdyn.potentials import quadratic_linear
+from gwpdyn.potentials import quadratic_linear, quartic_rotational_2d
 
 
 def _harmonic_1d():
@@ -207,6 +210,31 @@ def test_runaway_samples_are_excluded_mid_flight():
     assert short.excluded < est.excluded
     assert chunked.excluded == est.excluded
     assert np.isfinite(est.means["q"][0]).all()
+
+
+@pytest.mark.parametrize("model", [quartic_rotational_2d(), plane_wave_gauge_2d()],
+                         ids=lambda m: m.name)
+def test_ensemble_moves_by_the_packet_classical_flow(model):
+    # one flow: a transport step of a stack of rows is, row by row and
+    # bitwise, one RK4 step of the single-point classical flavor
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1.5, 1.5, size=(7, 2))
+    xi = rng.uniform(-1.5, 1.5, size=(7, 2))
+    dt = 0.05
+    xs, xis = _classical_flow_step(x, xi, model, dt)
+    for i in range(x.shape[0]):
+        traj = rk4_integrate(lambda s: classical_rhs(s, model),
+                             ClassicalPhasePoint(q=x[i], p=xi[i]), dt, dt)
+        assert np.array_equal(traj.positions[1], xs[i])
+        assert np.array_equal(traj.momenta[1], xis[i])
+    # and the recorded energies and angular momenta are the single-point ones
+    h0 = _observe("H0", x, xi, model)
+    lz = _observe("Lz", x, xi, model)
+    assert h0.shape == lz.shape == (x.shape[0],)
+    for i in range(x.shape[0]):
+        z = ClassicalPhasePoint(q=x[i], p=xi[i])
+        assert h0[i] == classical_hamiltonian(z, model)
+        assert lz[i] == classical_angular_momentum(z)
 
 
 def test_too_few_survivors_is_an_error(cos_model, bench_state_1d):

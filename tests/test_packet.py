@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gwpdyn.packet import (PacketState, SimConfig, WavePacketFull,
+from gwpdyn.packet import (PacketState, WavePacketFull,
                            evaluate_packet, make_packet_state,
                            normalization_delta, normalized_packet,
                            packet_norm_squared, position_covariance)
@@ -131,18 +131,6 @@ def test_packet_state_is_plain_container():
                      A_mat=np.array([[0.0, 1.0], [0.0, 0.0]]),
                      B_mat=-np.eye(2))
     assert st.d == 2
-
-
-def test_sim_config_validation():
-    SimConfig(hbar=0.1, dt=0.01, t_final=1.0, d=1)
-    with pytest.raises(ValueError):
-        SimConfig(hbar=0.0, dt=0.01, t_final=1.0, d=1)
-    with pytest.raises(ValueError):
-        SimConfig(hbar=0.1, dt=-0.01, t_final=1.0, d=1)
-    with pytest.raises(ValueError):
-        SimConfig(hbar=0.1, dt=0.01, t_final=-1.0, d=1)
-    with pytest.raises(ValueError):
-        SimConfig(hbar=0.1, dt=0.01, t_final=1.0, d=0)
 
 
 def test_norm_rejects_nonpositive_det():
