@@ -21,7 +21,7 @@ from .potentials import (FieldModel, cosine_1d, fd_cross_check,
                          quadratic_linear, quartic_rotational_2d,
                          rotational_symmetry_check)
 
-__all__ = ["CheckResult", "run_check_suite"]
+__all__ = ["CheckResult", "run_check_suite", "random_state", "rel_field_dev"]
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,12 @@ class CheckResult:
     detail: str
 
 
-def _random_state(rng, d: int, spread: float = 0.8) -> PacketState:
+def random_state(rng, d: int, spread: float = 0.8) -> PacketState:
+    """Random admissible packet state with a well-conditioned B.
+
+    Draws q, p, A, then W (B = W W^T + I) from rng in that order; the
+    seeded tests rely on this order.
+    """
     q = spread * rng.standard_normal(d)
     p = spread * rng.standard_normal(d)
     A = spread * rng.standard_normal((d, d))
@@ -41,7 +46,9 @@ def _random_state(rng, d: int, spread: float = 0.8) -> PacketState:
     return make_packet_state(q, p, A, B)
 
 
-def _rel_field_dev(lhs, rhs) -> float:
+def rel_field_dev(lhs, rhs) -> float:
+    """Worst entry deviation between two tuples of arrays, each relative
+    to max(1, max |rhs entry|)."""
     dev = 0.0
     for a, b in zip(lhs, rhs):
         a = np.asarray(a, dtype=float)
@@ -83,13 +90,13 @@ def run_check_suite(noether_model: FieldModel | None = None,
     for name, model in models.items():
         worst = 0.0
         for _ in range(5):
-            st = _random_state(rng, model.dim)
+            st = random_state(rng, model.dim)
             hbar = float(rng.uniform(0.05, 0.5))
             field = dynamics.semiclassical_rhs(st, model, hbar)
             ref = dynamics.bracket_rhs(
                 lambda s: dynamics.semiclassical_hamiltonian(s, model, hbar),
                 st, hbar)
-            worst = max(worst, _rel_field_dev(field, ref))
+            worst = max(worst, rel_field_dev(field, ref))
         results.append(_check(
             f"bracket_consistency[{name}]", worst <= 1e-5,
             f"max relative deviation {worst:.2e} (tol 1e-5)"))
@@ -104,11 +111,11 @@ def run_check_suite(noether_model: FieldModel | None = None,
     worst_rhs = 0.0
     worst_h = 0.0
     for _ in range(5):
-        st = _random_state(rng, d)
+        st = random_state(rng, d)
         hbar = float(rng.uniform(0.05, 0.5))
         semi = dynamics.semiclassical_rhs(st, model_q, hbar)
         zho = dynamics.zhou_rhs(st, model_q)
-        worst_rhs = max(worst_rhs, _rel_field_dev(semi, zho))
+        worst_rhs = max(worst_rhs, rel_field_dev(semi, zho))
         worst_h = max(worst_h, abs(full_hamiltonian(st, model_q, hbar, rule=rule)
                                    - dynamics.semiclassical_hamiltonian(st, model_q, hbar)))
     results.append(_check(

@@ -328,12 +328,12 @@ def cmd_converge(cfg: dict) -> int:
                                f"{traj.abort_step}: {traj.abort_reason}")
         ens = egorov.wigner_sample(state, h, seed=rc.seed + i, N=counts[i])
         est = egorov.propagate_ensemble(ens, model, rc.dt, rc.t_star,
-                                        observables=("q", "p"))
+                                        observables=("q", "p"),
+                                        final_only=True)
         err_c.append(egorov.phase_error(tc, est, rc.t_star))
         err_s.append(egorov.phase_error(ts, est, rc.t_star))
-        k = est.times.shape[0] - 1
-        ses.append(float(np.sqrt(np.sum(est.ses["q"][k] ** 2)
-                                 + np.sum(est.ses["p"][k] ** 2))))
+        ses.append(float(np.sqrt(np.sum(est.ses["q"][-1] ** 2)
+                                 + np.sum(est.ses["p"][-1] ** 2))))
 
     fit_c = loglog_fit(hbars, err_c)
     fit_s = loglog_fit(hbars, err_s)

@@ -70,6 +70,9 @@ __all__ = [
 ]
 
 FLAVORS = ("classical", "zhou", "semiclassical")
+# Longest grid time_grid accepts: its times alone take 800 MB, and a
+# packet trajectory on it several GB.
+MAX_STEPS = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -141,13 +144,34 @@ def corrected_potentials(state: PacketState, model: FieldModel, hbar: float):
 
 def classical_rhs(z, model: FieldModel):
     """Magnetic Hamiltonian flow: returns (dq, dp), batched over leading
-    axes of z.q and z.p."""
+    axes of z.q and z.p.
+
+    Both outputs keep the memory layout of z.p, so a component-major
+    block passed as its transposed (..., d) view stays component-major
+    through an RK4 step.  p - A(q) is taken one component at a time,
+    because a batched A callback may return the other layout (np.stack
+    on the last axis does), and numpy subtracts mixed layouts row by
+    row.  DA^T v is accumulated from zero in the order of an einsum over
+    j, so a single point gets the same bits either way.
+    """
     m = model.mass
-    v = z.p - np.asarray(model.A(z.q), dtype=float)
+    d = z.p.shape[-1]
+    v = np.empty_like(z.p, dtype=float)
+    a = np.asarray(model.A(z.q), dtype=float)
+    for j in range(d):
+        np.subtract(z.p[..., j], a[..., j], out=v[..., j])
+    # freed before the next allocations: held to the end, it makes glibc
+    # trim and refault the heap on every step of a 2D transport block
+    del a
     ja = np.asarray(model.jacA(z.q), dtype=float)
-    dp = np.einsum("...ji,...j->...i", ja, v) / m \
-        - np.asarray(model.gradV(z.q), dtype=float)
-    return v / m, dp
+    dp = np.zeros_like(v)
+    for i in range(d):
+        for j in range(d):
+            dp[..., i] += ja[..., j, i] * v[..., j]
+    dp /= m
+    dp -= np.asarray(model.gradV(z.q), dtype=float)
+    v /= m
+    return v, dp
 
 
 def _width_rhs(state: PacketState, model: FieldModel):
@@ -357,12 +381,17 @@ def time_grid(dt: float, t_final: float) -> np.ndarray:
 
     dt must be positive, t_final nonnegative, both finite, and t_final
     a whole number of steps (to a relative tolerance of 1e-9), so that a
-    run never silently ends short of or past the requested horizon.
+    run never silently ends short of or past the requested horizon.  At
+    most MAX_STEPS steps are allowed, so a grid too long to store is
+    refused before anything is allocated.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not (np.isfinite(t_final) and t_final >= 0.0):
         raise ValueError(f"t_final must be nonnegative and finite, got {t_final}")
+    if not t_final / dt <= MAX_STEPS:
+        raise ValueError(f"t_final/dt = {t_final / dt:.6g} steps exceeds the "
+                         f"limit of {MAX_STEPS} steps")
     n_steps = round(t_final / dt)
     if abs(t_final / dt - n_steps) > 1e-9 * max(1, n_steps):
         raise ValueError(f"t_final={t_final} is not a whole number of steps "

@@ -43,17 +43,6 @@ def bench_state_2d():
                              [[1.0, 0.5], [0.5, 1.0]])
 
 
-def random_packet(rng, d, spread=0.8):
-    """Random admissible packet state with well-conditioned B."""
-    q = spread * rng.standard_normal(d)
-    p = spread * rng.standard_normal(d)
-    A = spread * rng.standard_normal((d, d))
-    A = 0.5 * (A + A.T)
-    W = rng.standard_normal((d, d))
-    B = W @ W.T + np.eye(d)
-    return make_packet_state(q, p, A, B)
-
-
 def plane_wave_gauge_2d(mass: float = 1.3) -> FieldModel:
     """Synthetic 2D model with genuinely curved vector potential.
 

@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from conftest import record_verdict
+from gwpdyn.checks import random_state, rel_field_dev
 from gwpdyn.dynamics import (bracket_rhs, classical_hamiltonian,
                              semiclassical_hamiltonian, semiclassical_rhs,
                              simulate, zhou_rhs)
@@ -51,23 +52,6 @@ def _state_2d():
                              [[1.0, 0.5], [0.5, 1.0]])
 
 
-def _random_state(rng, d):
-    q = 0.8 * rng.standard_normal(d)
-    p = 0.8 * rng.standard_normal(d)
-    A = 0.8 * rng.standard_normal((d, d))
-    W = rng.standard_normal((d, d))
-    return make_packet_state(q, p, 0.5 * (A + A.T), W @ W.T + np.eye(d))
-
-
-def _rel_dev(lhs, rhs) -> float:
-    dev = 0.0
-    for a, b in zip(lhs, rhs):
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        dev = max(dev, float(np.max(np.abs(a - b)))
-                  / max(1.0, float(np.max(np.abs(b)))))
-    return dev
-
-
 def test_acceptance_1_quadratic_fields_are_exact():
     # on quadratic V and affine A the order-hbar flow must coincide with
     # plain width transport and the full packet energy with its
@@ -86,9 +70,9 @@ def test_acceptance_1_quadratic_fields_are_exact():
                                  mass=float(rng.uniform(0.5, 2.0)))
         rule = rules.setdefault(d, QuadratureRule(20, d=d))
         for _ in range(10):
-            st = _random_state(rng, d)
+            st = random_state(rng, d)
             hbar = float(rng.uniform(0.05, 0.8))
-            worst_rhs = max(worst_rhs, _rel_dev(
+            worst_rhs = max(worst_rhs, rel_field_dev(
                 semiclassical_rhs(st, model, hbar), zhou_rhs(st, model)))
             hs = semiclassical_hamiltonian(st, model, hbar)
             hf = full_hamiltonian(st, model, hbar, rule=rule)
@@ -105,12 +89,12 @@ def test_acceptance_2_flow_matches_energy_bracket():
     for seed, model in ((420, cosine_1d()), (421, quartic_rotational_2d())):
         rng = np.random.default_rng(seed)
         for _ in range(20):
-            st = _random_state(rng, model.dim)
+            st = random_state(rng, model.dim)
             hbar = float(rng.uniform(0.05, 0.5))
             field = semiclassical_rhs(st, model, hbar)
             ref = bracket_rhs(
                 lambda s: semiclassical_hamiltonian(s, model, hbar), st, hbar)
-            worst = max(worst, _rel_dev(field, ref))
+            worst = max(worst, rel_field_dev(field, ref))
     ok = worst <= BRACKET_TOL
     assert _verdict(2, "derived flow matches numerical bracket", ok), \
         f"worst relative deviation {worst:.2e}"
@@ -192,7 +176,7 @@ def _error_sweep(model, state, t_star, seed_base):
         ts = simulate(model, "semiclassical", state, h, 0.01, t_star)
         ens = wigner_sample(state, h, seed=seed_base + i, N=n)
         est = propagate_ensemble(ens, model, 0.01, t_star,
-                                 observables=("q", "p"))
+                                 observables=("q", "p"), final_only=True)
         err_c.append(phase_error(tc, est, t_star))
         err_s.append(phase_error(ts, est, t_star))
     return np.array(err_c), np.array(err_s)

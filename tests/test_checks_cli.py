@@ -324,6 +324,16 @@ def test_t_final_must_be_finite(base, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("base", [SIM_1D[:-2], EG_1D], ids=["simulate", "egorov"])
+def test_step_count_must_be_storable(base, tmp_path, capsys):
+    # 10^15 steps used to end in a numpy allocation traceback with exit 1
+    out = tmp_path / "long.csv"
+    assert cli.main(base + ["--dt", "1e-12", "--t-final", "1000",
+                            "--out", str(out)]) == 2
+    assert "t_final/dt = 1e+15 steps exceeds the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [EG_1D[:-1] + ["1", "--t-final", "0.1"],
                                   CONV_1D + ["--samples", "1"],
                                   CONV_1D + ["--samples", "100,1"]],
@@ -364,12 +374,21 @@ def test_check_command_fails_on_broken_flow(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _env_with_this_src():
+    """The environment with this checkout's `src` first on PYTHONPATH, so
+    an installed copy of the package cannot answer for it."""
+    src = Path(gwpdyn.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_console_entry_point_installed(tmp_path):
     # Build the launcher an installer would write for the `gwpdyn` entry of
     # [project.scripts] and run it; the suite itself runs from `src` without
     # installing the package, so the ambient PATH cannot be relied on.
     tomllib = pytest.importorskip("tomllib")
-    src = Path(gwpdyn.__file__).resolve().parent.parent
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with open(pyproject, "rb") as f:
         scripts = tomllib.load(f)["project"]["scripts"]
@@ -389,11 +408,18 @@ def test_console_entry_point_installed(tmp_path):
     exe = shutil.which("gwpdyn", path=str(bindir))
     assert exe, "gwpdyn launcher not found"
 
-    # this checkout's code first, so an installed copy cannot answer for it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([exe, "check", "--samples", "2000"], env=env,
+    proc = subprocess.run([exe, "check", "--samples", "2000"],
+                          env=_env_with_this_src(),
                           capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "checks passed" in proc.stdout
+
+
+def test_python_m_gwpdyn(tmp_path):
+    # `python -m gwpdyn` runs the same CLI as the console script
+    proc = subprocess.run([sys.executable, "-m", "gwpdyn", "check",
+                           "--samples", "2000"], env=_env_with_this_src(),
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "checks passed" in proc.stdout

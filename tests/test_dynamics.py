@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import plane_wave_gauge_2d, random_packet
+from conftest import plane_wave_gauge_2d
+from gwpdyn.checks import random_state, rel_field_dev
 from gwpdyn.dynamics import (ClassicalPhasePoint, bracket_rhs,
                              classical_hamiltonian, classical_rhs,
                              corrected_potentials, rk4_integrate, rk4_step,
@@ -12,14 +13,6 @@ from gwpdyn.dynamics import (ClassicalPhasePoint, bracket_rhs,
 from gwpdyn.observables import semiclassical_angular_momentum
 from gwpdyn.packet import PacketState, make_packet_state
 from gwpdyn.potentials import quadratic_linear
-
-
-def _max_dev(lhs, rhs):
-    dev = 0.0
-    for a, b in zip(lhs, rhs):
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        dev = max(dev, float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b)))))
-    return dev
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +82,7 @@ def test_center_velocity_couples_to_corrected_potential(cos_model):
 def test_width_derivatives_symmetric(curved_gauge_model):
     rng = np.random.default_rng(3)
     for _ in range(10):
-        st = random_packet(rng, 2)
+        st = random_state(rng, 2)
         for rhs in (zhou_rhs(st, curved_gauge_model),
                     semiclassical_rhs(st, curved_gauge_model, 0.2)):
             _, _, dA, dB = rhs
@@ -108,9 +101,9 @@ def test_semiclassical_equals_zhou_on_quadratic_models():
                                  rng.standard_normal((d, d)),
                                  rng.standard_normal(d),
                                  mass=float(rng.uniform(0.5, 2.0)))
-        st = random_packet(rng, d)
+        st = random_state(rng, d)
         hbar = float(rng.uniform(0.05, 0.8))
-        assert _max_dev(semiclassical_rhs(st, model, hbar),
+        assert rel_field_dev(semiclassical_rhs(st, model, hbar),
                         zhou_rhs(st, model)) < 1e-12
 
 
@@ -123,12 +116,12 @@ def test_semiclassical_field_matches_bracket_field(model_ix, cos_model,
     model = (cos_model, quartic_model, curved_gauge_model)[model_ix]
     rng = np.random.default_rng(100 + model_ix)
     for _ in range(20):
-        st = random_packet(rng, model.dim)
+        st = random_state(rng, model.dim)
         hbar = float(rng.uniform(0.05, 0.5))
         field = semiclassical_rhs(st, model, hbar)
         ref = bracket_rhs(
             lambda s: semiclassical_hamiltonian(s, model, hbar), st, hbar)
-        assert _max_dev(field, ref) < 1e-5
+        assert rel_field_dev(field, ref) < 1e-5
 
 
 def test_bracket_rhs_validation(cos_model, bench_state_1d):
@@ -192,7 +185,7 @@ def test_classical_angular_momentum_drift(quartic_model):
 
 def test_angular_momentum_matrix_equivariance(quartic_model):
     rng = np.random.default_rng(23)
-    st = random_packet(rng, 2)
+    st = random_state(rng, 2)
     hbar = 0.17
     th = 1.1
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
@@ -261,6 +254,7 @@ def test_time_grid_whole_steps():
     (np.inf, 1.0, "dt"), (0.01, -1.0, "t_final"), (0.01, np.inf, "t_final"),
     (0.01, np.nan, "t_final"), (0.3, 1.0, "whole number"),
     (0.01, 1.0 + 1e-6, "whole number"),
+    (1e-12, 1000.0, r"1e\+15 steps exceeds"), (5e-324, 1.0, "inf steps exceeds"),
 ])
 def test_time_grid_rejects_bad_arguments(dt, t_final, match):
     with pytest.raises(ValueError, match=match):
@@ -280,6 +274,35 @@ def test_simulate_validates_scalar_arguments(cos_model, bench_state_1d):
                         B_mat=np.zeros((0, 0)))
     with pytest.raises(ValueError, match="dimension"):
         simulate(cos_model, "semiclassical", empty, 0.1, 0.01, 1.0)
+
+
+@pytest.mark.parametrize("model", [
+    quadratic_linear([[1.5]], [0.2], 0.0, [[0.7]], [-0.3], mass=1.7),
+    quadratic_linear([[2.0, 0.3], [0.3, 1.0]], [0.2, -0.1], 0.0,
+                     [[0.4, -1.1], [0.9, 0.2]], [0.1, 0.5], mass=0.8),
+    quadratic_linear(np.diag([1.0, 2.0, 3.0]), [0.1, 0.2, 0.3], 0.0,
+                     [[0.3, -0.8, 0.1], [0.5, 0.2, -0.4], [-0.6, 0.7, 0.9]],
+                     [0.0, 0.4, -0.2], mass=1.3),
+    plane_wave_gauge_2d()], ids=["quadratic1d", "quadratic2d", "quadratic3d",
+                                 "planewave2d"])
+def test_classical_rhs_matches_einsum_form_in_either_layout(model):
+    # DA^T v is summed by an explicit component loop; it must give the
+    # bits of the einsum form, for a single point and for row-major and
+    # component-major batches, and hand back the layout it was given
+    d = model.dim
+    rng = np.random.default_rng(5 + d)
+    q = rng.uniform(-1.5, 1.5, size=(9, d))
+    p = rng.uniform(-1.5, 1.5, size=(9, d))
+    for qs, ps in ((q[0], p[0]), (q, p),
+                   (np.ascontiguousarray(q.T).T, np.ascontiguousarray(p.T).T)):
+        v = ps - model.A(qs)
+        ref_dp = (np.einsum("...ji,...j->...i", model.jacA(qs), v) / model.mass
+                  - model.gradV(qs))
+        dq, dp = classical_rhs(ClassicalPhasePoint(q=qs, p=ps), model)
+        assert np.array_equal(dq, v / model.mass)
+        assert np.array_equal(dp, ref_dp)
+        for out in (dq, dp):
+            assert out.strides == ps.strides
 
 
 def test_rk4_step_on_linear_flow():

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import plane_wave_gauge_2d, random_packet
+from conftest import plane_wave_gauge_2d
+from gwpdyn.checks import random_state
 from gwpdyn.dynamics import (ClassicalPhasePoint, classical_hamiltonian,
-                             classical_rhs, rk4_integrate)
+                             classical_rhs, rk4_integrate, simulate)
 from gwpdyn.egorov import (EgorovEstimate, _classical_flow_step, _observe,
                            phase_error, propagate_ensemble, wigner_sample)
 from gwpdyn.expectations import full_hamiltonian
@@ -54,7 +55,7 @@ def test_sampling_density_is_the_wigner_transform(d):
     # gate for the whole sampler: the Gaussian density the sampler
     # factorizes must equal the packet's Wigner transform pointwise
     rng = np.random.default_rng(40 + d)
-    state = random_packet(rng, d)
+    state = random_state(rng, d)
     hbar = float(rng.uniform(0.25, 0.6))
     phi = float(rng.standard_normal())
     sig_x = np.linalg.cholesky(0.5 * hbar * np.linalg.inv(state.B_mat))
@@ -101,7 +102,7 @@ def test_sampling_is_deterministic_and_seed_sensitive():
 @pytest.mark.parametrize("d", [1, 2])
 def test_samples_independent_of_chunking(d):
     rng = np.random.default_rng(60 + d)
-    state = random_packet(rng, d)
+    state = random_state(rng, d)
     whole = wigner_sample(state, 0.2, seed=9, N=10001, chunk_size=10001)
     split = wigner_sample(state, 0.2, seed=9, N=10001, chunk_size=777)
     assert np.array_equal(whole.x, split.x)
@@ -212,16 +213,25 @@ def test_runaway_samples_are_excluded_mid_flight():
     assert np.isfinite(est.means["q"][0]).all()
 
 
-@pytest.mark.parametrize("model", [quartic_rotational_2d(), plane_wave_gauge_2d()],
-                         ids=lambda m: m.name)
-def test_ensemble_moves_by_the_packet_classical_flow(model):
+@pytest.mark.parametrize("model, component_major", [
+    pytest.param(model, cm, id=model.name + ("-component-major" if cm else ""))
+    for cm in (False, True)
+    for model in (quartic_rotational_2d(), plane_wave_gauge_2d())])
+def test_ensemble_moves_by_the_packet_classical_flow(model, component_major):
     # one flow: a transport step of a stack of rows is, row by row and
-    # bitwise, one RK4 step of the single-point classical flavor
+    # bitwise, one RK4 step of the single-point classical flavor, whether
+    # the rows are stored row-major or, as propagate_ensemble keeps its
+    # blocks, as transposed views of (d, n) arrays
     rng = np.random.default_rng(8)
     x = rng.uniform(-1.5, 1.5, size=(7, 2))
     xi = rng.uniform(-1.5, 1.5, size=(7, 2))
+    if component_major:
+        x, xi = np.ascontiguousarray(x.T).T, np.ascontiguousarray(xi.T).T
+        assert x.flags.f_contiguous and not x.flags.c_contiguous
     dt = 0.05
     xs, xis = _classical_flow_step(x, xi, model, dt)
+    # the step keeps the storage order it was given
+    assert xs.flags.f_contiguous == xis.flags.f_contiguous == component_major
     for i in range(x.shape[0]):
         traj = rk4_integrate(lambda s: classical_rhs(s, model),
                              ClassicalPhasePoint(q=x[i], p=xi[i]), dt, dt)
@@ -235,6 +245,45 @@ def test_ensemble_moves_by_the_packet_classical_flow(model):
         z = ClassicalPhasePoint(q=x[i], p=xi[i])
         assert h0[i] == classical_hamiltonian(z, model)
         assert lz[i] == classical_angular_momentum(z)
+
+
+def test_final_only_is_the_last_row_of_the_series():
+    # reducing at t_final alone changes nothing but the rows kept, also
+    # when samples die in mid-flight and intermediate times go unrecorded
+    model = quadratic_linear([[-900.0]], [0.0], 0.0, [[0.0]], [0.0])
+    state = make_packet_state([0.0], [0.0], [[0.0]], [[1.0]])
+    ens = wigner_sample(state, 0.5, seed=5, N=2000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = propagate_ensemble(ens, model, dt=0.01, t_final=23.43,
+                                  observables=("q", "p", "H0"), chunk_size=700)
+        last = propagate_ensemble(ens, model, dt=0.01, t_final=23.43,
+                                  observables=("q", "p", "H0"), chunk_size=700,
+                                  final_only=True)
+    assert 0 < full.excluded < 2000
+    assert last.excluded == full.excluded
+    assert last.n_samples == full.n_samples
+    assert np.array_equal(last.times, full.times[-1:])
+    assert np.isfinite(last.means["q"]).all()
+    # the survivors' squares overflow, so some standard errors are NaN in
+    # both runs alike
+    for name in ("q", "p", "H0"):
+        assert last.means[name].shape == full.means[name][-1:].shape
+        assert np.array_equal(last.means[name], full.means[name][-1:],
+                              equal_nan=True)
+        assert np.array_equal(last.ses[name], full.ses[name][-1:],
+                              equal_nan=True)
+
+
+def test_final_only_feeds_phase_error(quartic_model, bench_state_2d):
+    ens = wigner_sample(bench_state_2d, 0.1, seed=4, N=3000)
+    full = propagate_ensemble(ens, quartic_model, dt=0.01, t_final=0.5,
+                              observables=("q", "p"))
+    last = propagate_ensemble(ens, quartic_model, dt=0.01, t_final=0.5,
+                              observables=("q", "p"), final_only=True)
+    traj = simulate(quartic_model, "classical", bench_state_2d, 0.1, 0.01, 0.5)
+    assert phase_error(traj, last, 0.5) == phase_error(traj, full, 0.5)
+    with pytest.raises(ValueError, match="time grid"):
+        phase_error(traj, last, 0.2)
 
 
 def test_too_few_survivors_is_an_error(cos_model, bench_state_1d):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_packet
+from gwpdyn.checks import random_state
 from gwpdyn.dynamics import semiclassical_hamiltonian
 from gwpdyn.expectations import (QuadratureRule, asymptotic_expectation,
                                  full_hamiltonian, gaussian_expectation,
@@ -24,7 +24,7 @@ def test_rule_validation():
 def test_expectation_of_one_is_one():
     rng = np.random.default_rng(0)
     for d in (1, 2, 3):
-        st = random_packet(rng, d)
+        st = random_state(rng, d)
         val = gaussian_expectation(lambda X: np.ones(X.shape[0]),
                                    st.q, st.B_mat, 0.23,
                                    rule=QuadratureRule(6, d=d))
@@ -36,7 +36,7 @@ def test_polynomial_exactness_against_isserlis():
     # few nodes; reference values from the closed-form moment table
     rng = np.random.default_rng(4)
     d = 2
-    st = random_packet(rng, d)
+    st = random_state(rng, d)
     hbar = 0.37
     rule = QuadratureRule(5, d=d)
     for alpha in ([0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2],
@@ -74,7 +74,7 @@ def test_cosine_expectation_closed_form():
 def test_plane_wave_expectation_closed_form_2d():
     # <cos(c.x)> = cos(c.q) exp(-(hbar/4) c.B^-1 c)
     rng = np.random.default_rng(7)
-    st = random_packet(rng, 2)
+    st = random_state(rng, 2)
     hbar = 0.31
     c = np.array([1.3, -0.4])
     val = gaussian_expectation(lambda X: np.cos(X @ c), st.q, st.B_mat, hbar)
@@ -98,7 +98,7 @@ def test_asymptotic_expectation_remainder_is_second_order():
 
 def test_asymptotic_exact_for_quadratic():
     rng = np.random.default_rng(9)
-    st = random_packet(rng, 2)
+    st = random_state(rng, 2)
     hbar = 0.4
     H = rng.standard_normal((2, 2))
     H = H @ H.T
@@ -147,7 +147,7 @@ def test_full_hamiltonian_matches_effective_energy_in_exact_regime():
                                  rng.standard_normal(d),
                                  mass=float(rng.uniform(0.5, 2.0)))
         for _ in range(5):
-            st = random_packet(rng, d)
+            st = random_state(rng, d)
             hbar = float(rng.uniform(0.05, 0.7))
             assert full_hamiltonian(st, model, hbar) == pytest.approx(
                 semiclassical_hamiltonian(st, model, hbar), abs=1e-12)

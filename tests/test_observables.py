@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_packet
+from gwpdyn.checks import random_state
 from gwpdyn.dynamics import ClassicalPhasePoint
 from gwpdyn.egorov import propagate_ensemble, wigner_sample
 from gwpdyn.observables import (classical_angular_momentum, diamond,
@@ -22,7 +22,7 @@ def test_diamond_entries():
 def test_angular_momentum_matrix_antisymmetric():
     rng = np.random.default_rng(5)
     for d in (2, 3):
-        st = random_packet(rng, d)
+        st = random_state(rng, d)
         J = semiclassical_angular_momentum(st, 0.3)
         assert np.max(np.abs(J + J.T)) < 1e-13
 
