@@ -167,6 +167,9 @@ def make_run_config(command: str, cfg: dict) -> RunConfig:
     )
     if rc.gh_nodes < 1:
         raise CliError(f"gh_nodes must be >= 1, got {rc.gh_nodes}")
+    for h in rc.hbars + ((rc.hbar,) if rc.hbar is not None else ()):
+        if not (np.isfinite(h) and h > 0.0):
+            raise CliError(f"hbar must be positive and finite, got {h}")
     if any(n < 2 for n in rc.samples):
         raise CliError("samples must be >= 2 (a standard error needs two samples)")
     return rc
@@ -307,8 +310,8 @@ def cmd_converge(cfg: dict) -> int:
     hbars = list(rc.hbars) if rc.hbars else list(PAPER_HBARS)
     if len(hbars) < 2:
         raise CliError("converge needs at least two hbar values")
-    if any(h <= 0 for h in hbars):
-        raise CliError("hbar values must be positive")
+    if len(set(hbars)) < len(hbars):
+        raise CliError(f"hbar values must be distinct, got {','.join(map(str, hbars))}")
     if rc.samples:
         counts = list(rc.samples) * len(hbars) if len(rc.samples) == 1 \
             else list(rc.samples)

@@ -30,7 +30,11 @@ Three right-hand-side families act on the packet parameters
 classical_rhs, classical_hamiltonian and (in observables)
 classical_angular_momentum accept q and p with leading batch axes
 (..., d), so the same code moves one packet center and a whole Egorov
-ensemble of Wigner samples.
+ensemble of Wigner samples.  semiclassical_hamiltonian and the other
+monitors are batched the same way, so a trajectory's monitors are
+computed once from its stacked states.  The packet right-hand sides
+evaluate each field callback once per call and hand the values to the
+|A|^2 calculus of DerivedSquares.
 
 bracket_rhs evaluates the bracket by central finite differences of an
 arbitrary scalar function of the state and is the arbiter used to
@@ -89,33 +93,41 @@ class ClassicalPhasePoint:
 # energies
 
 
+def _h0(p, a, v, m):
+    """|p - a|^2 / 2m + v from the field values a = A(q), v = V(q)."""
+    w = p - np.asarray(a, dtype=float)
+    return 0.5 * np.einsum("...k,...k->...", w, w) / m + np.asarray(v, dtype=float)
+
+
 def classical_hamiltonian(z, model: FieldModel):
     """H0 = |p - A(q)|^2 / 2m + V(q) at phase points (packet or classical);
     q and p may carry leading batch axes (..., d)."""
-    v = z.p - np.asarray(model.A(z.q), dtype=float)
-    return 0.5 * np.einsum("...k,...k->...", v, v) / model.mass \
-        + np.asarray(model.V(z.q), dtype=float)
+    return _h0(z.p, model.A(z.q), model.V(z.q), model.mass)
 
 
-def _width_coupling(state: PacketState, model: FieldModel) -> np.ndarray:
-    """The matrix A_w^2 + B^2 - DA^T A_w - A_w DA - sum_k p_k hessA_k
-    + hess|A|^2 / 2 entering the order-hbar energy."""
+def semiclassical_hamiltonian(state: PacketState, model: FieldModel, hbar: float,
+                              ds: DerivedSquares | None = None):
+    """Order-hbar effective energy H_hbar (see module docstring).
+
+    Batched: q, p carry leading axes (..., d) and A_mat, B_mat
+    (..., d, d); one value per state is returned.  Each field callback
+    is evaluated once.
+    """
+    ds = DerivedSquares() if ds is None else ds
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
+    a = np.asarray(model.A(q), dtype=float)
     ja = np.asarray(model.jacA(q), dtype=float)
-    ds = DerivedSquares(model)
-    C = Aw @ Aw + B @ B - ja.T @ Aw - Aw @ ja + 0.5 * ds.hess_asq(q)
-    for k in range(state.d):
-        C = C - p[k] * np.asarray(model.hessA(q, k), dtype=float)
-    return C
-
-
-def semiclassical_hamiltonian(state: PacketState, model: FieldModel, hbar: float) -> float:
-    """Order-hbar effective energy H_hbar (see module docstring)."""
-    q, B = state.q, state.B_mat
+    ha = np.asarray(model.hessA(q), dtype=float)
+    # the width coupling A_w^2 + B^2 - DA^T A_w - A_w DA
+    # - sum_k p_k hessA_k + hess|A|^2 / 2
+    C = (Aw @ Aw + B @ B - np.swapaxes(ja, -1, -2) @ Aw - Aw @ ja
+         + 0.5 * ds.hess_asq(a, ja, ha))
+    for k in range(q.shape[-1]):
+        C = C - p[..., k, None, None] * ha[..., k, :, :]
     Binv = np.linalg.inv(B)
-    h0 = float(classical_hamiltonian(state, model))
-    tr_width = float(np.trace(Binv @ _width_coupling(state, model)))
-    tr_v = float(np.trace(Binv @ np.asarray(model.hessV(q), dtype=float)))
+    h0 = _h0(p, a, model.V(q), model.mass)
+    tr_width = np.trace(Binv @ C, axis1=-2, axis2=-1)
+    tr_v = np.trace(Binv @ np.asarray(model.hessV(q), dtype=float), axis1=-2, axis2=-1)
     return h0 + 0.25 * hbar * (tr_width / model.mass + tr_v)
 
 
@@ -128,18 +140,44 @@ def corrected_potentials(state: PacketState, model: FieldModel, hbar: float):
     """
     q, B = state.q, state.B_mat
     Binv = np.linalg.inv(B)
-    ds = DerivedSquares(model)
+    ds = DerivedSquares()
+    a = np.asarray(model.A(q), dtype=float)
+    ja = np.asarray(model.jacA(q), dtype=float)
+    ha = np.asarray(model.hessA(q), dtype=float)
     v_h = float(model.V(q)) + 0.25 * hbar * float(
         np.trace(Binv @ np.asarray(model.hessV(q), dtype=float)))
-    a_h = np.asarray(model.A(q), dtype=float).copy()
+    a_h = a.copy()
     for k in range(state.d):
-        a_h[k] += 0.25 * hbar * float(np.trace(Binv @ np.asarray(model.hessA(q, k))))
-    asq_h = float(ds.asq(q)) + 0.25 * hbar * float(np.trace(Binv @ ds.hess_asq(q)))
+        a_h[k] += 0.25 * hbar * float(np.trace(Binv @ ha[k]))
+    asq_h = float(ds.asq(a)) + 0.25 * hbar * float(
+        np.trace(Binv @ ds.hess_asq(a, ja, ha)))
     return v_h, a_h, asq_h
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides
+
+
+def _center_rhs(v, ja, model: FieldModel, q):
+    """(dq, dp) of the magnetic flow from v = p - A(q) and DA(q).
+
+    Both outputs keep the layout of v, which is overwritten with dq.
+    DA^T v is accumulated from zero in the order of an einsum over j,
+    so a single point gets the same bits either way.  grad V(q) is
+    evaluated here, after dp is allocated: allocated before it, it makes
+    glibc trim and refault the heap on every step of a 2D transport
+    block.
+    """
+    ja = np.asarray(ja, dtype=float)
+    d = v.shape[-1]
+    dp = np.zeros_like(v)
+    for i in range(d):
+        for j in range(d):
+            dp[..., i] += ja[..., j, i] * v[..., j]
+    dp /= model.mass
+    dp -= np.asarray(model.gradV(q), dtype=float)
+    v /= model.mass
+    return v, dp
 
 
 def classical_rhs(z, model: FieldModel):
@@ -151,51 +189,43 @@ def classical_rhs(z, model: FieldModel):
     through an RK4 step.  p - A(q) is taken one component at a time,
     because a batched A callback may return the other layout (np.stack
     on the last axis does), and numpy subtracts mixed layouts row by
-    row.  DA^T v is accumulated from zero in the order of an einsum over
-    j, so a single point gets the same bits either way.
+    row.  v is allocated before A(q), and A(q) is freed before the next
+    allocations, for the same reason as in _center_rhs.
     """
-    m = model.mass
-    d = z.p.shape[-1]
     v = np.empty_like(z.p, dtype=float)
     a = np.asarray(model.A(z.q), dtype=float)
-    for j in range(d):
+    for j in range(z.p.shape[-1]):
         np.subtract(z.p[..., j], a[..., j], out=v[..., j])
-    # freed before the next allocations: held to the end, it makes glibc
-    # trim and refault the heap on every step of a 2D transport block
     del a
-    ja = np.asarray(model.jacA(z.q), dtype=float)
-    dp = np.zeros_like(v)
-    for i in range(d):
-        for j in range(d):
-            dp[..., i] += ja[..., j, i] * v[..., j]
-    dp /= m
-    dp -= np.asarray(model.gradV(z.q), dtype=float)
-    v /= m
-    return v, dp
+    return _center_rhs(v, model.jacA(z.q), model, z.q)
 
 
-def _width_rhs(state: PacketState, model: FieldModel):
-    """Shared Riccati lines for dA_w and dB (returns symmetric matrices)."""
-    q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
-    m = model.mass
-    ja = np.asarray(model.jacA(q), dtype=float)
-    ds = DerivedSquares(model)
-    drive = ja.T @ Aw + Aw @ ja - 0.5 * ds.hess_asq(q)
+def _width_rhs(state: PacketState, m: float, ja, ha, hess_asq, hess_v):
+    """Shared Riccati lines for dA_w and dB (returns symmetric matrices),
+    from DA, hessA, hess|A|^2 and hessV at the center."""
+    p, Aw, B = state.p, state.A_mat, state.B_mat
+    drive = ja.T @ Aw + Aw @ ja - 0.5 * hess_asq
     for k in range(state.d):
-        drive = drive + p[k] * np.asarray(model.hessA(q, k), dtype=float)
-    dA = (B @ B - Aw @ Aw + drive) / m - np.asarray(model.hessV(q), dtype=float)
+        drive = drive + p[k] * ha[k]
+    dA = (B @ B - Aw @ Aw + drive) / m - np.asarray(hess_v, dtype=float)
     dB = (ja.T @ B + B @ ja - Aw @ B - B @ Aw) / m
     return dA, dB
 
 
-def zhou_rhs(state: PacketState, model: FieldModel):
+def zhou_rhs(state: PacketState, model: FieldModel, ds: DerivedSquares | None = None):
     """Classical center motion with width transport: (dq, dp, dA, dB)."""
-    dq, dp = classical_rhs(state, model)
-    dA, dB = _width_rhs(state, model)
+    ds = DerivedSquares() if ds is None else ds
+    q, m = state.q, model.mass
+    a = np.asarray(model.A(q), dtype=float)
+    ja = np.asarray(model.jacA(q), dtype=float)
+    ha = np.asarray(model.hessA(q), dtype=float)
+    dq, dp = _center_rhs(state.p - a, ja, model, q)
+    dA, dB = _width_rhs(state, m, ja, ha, ds.hess_asq(a, ja, ha), model.hessV(q))
     return dq, dp, dA, dB
 
 
-def semiclassical_rhs(state: PacketState, model: FieldModel, hbar: float):
+def semiclassical_rhs(state: PacketState, model: FieldModel, hbar: float,
+                      ds: DerivedSquares | None = None):
     """Order-hbar corrected flow of (q, p, A, B): returns (dq, dp, dA, dB).
 
     The center feels the Laplace-corrected potentials; the momentum
@@ -203,34 +233,34 @@ def semiclassical_rhs(state: PacketState, model: FieldModel, hbar: float):
     corrected magnetic coupling, the q-derivative of the width-coupling
     trace -(hbar/4m) Tr(B^-1 (DA^T A_w + A_w DA)), which contributes
     (hbar/2m) sum_k (A_w B^-1 hessA_k)_{k,.} whenever the vector
-    potential has curvature.
+    potential has curvature.  Each field callback is evaluated once.
     """
+    ds = DerivedSquares() if ds is None else ds
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
     m, d = model.mass, state.d
     Binv = np.linalg.inv(B)
-    ds = DerivedSquares(model)
     a = np.asarray(model.A(q), dtype=float)
     ja = np.asarray(model.jacA(q), dtype=float)
-    hess_a = [np.asarray(model.hessA(q, k), dtype=float) for k in range(d)]
+    ha = np.asarray(model.hessA(q), dtype=float)
+    ght_a = np.asarray(model.grad_hess_trace_A(q, Binv), dtype=float)
 
-    corr = np.array([np.trace(Binv @ hess_a[k]) for k in range(d)])
+    corr = np.trace(Binv @ ha, axis1=-2, axis2=-1)
     dq = (p - a - 0.25 * hbar * corr) / m
 
-    grad_asq = np.asarray(ds.grad_asq(q), dtype=float)
-    ght_asq = ds.grad_hess_trace_asq(q, Binv)
+    grad_asq = np.asarray(ds.grad_asq(a, ja), dtype=float)
+    ght_asq = ds.grad_hess_trace_asq(Binv, a, ja, ha, ght_a)
     ght_ap = np.zeros(d)
     for k in range(d):
-        ght_ap += p[k] * np.asarray(model.grad_hess_trace_A(q, Binv, k), dtype=float)
+        ght_ap += p[k] * ght_a[k]
     dp = (-(grad_asq + 0.25 * hbar * ght_asq - 2.0 * ja.T @ p - 0.5 * hbar * ght_ap)
           / (2.0 * m)
           - np.asarray(model.gradV(q), dtype=float)
           - 0.25 * hbar * np.asarray(model.grad_hess_trace_V(q, Binv), dtype=float))
-    if any(np.any(h) for h in hess_a):
+    if np.any(ha):
         G = Aw @ Binv
-        dp = dp + 0.5 * hbar / m * np.einsum(
-            "kl,kli->i", G, np.stack(hess_a, axis=0))
+        dp = dp + 0.5 * hbar / m * np.einsum("kl,kli->i", G, ha)
 
-    dA, dB = _width_rhs(state, model)
+    dA, dB = _width_rhs(state, m, ja, ha, ds.hess_asq(a, ja, ha), model.hessV(q))
     return dq, dp, dA, dB
 
 
@@ -357,11 +387,13 @@ def _pack(state) -> np.ndarray:
 
 
 def _unpack(y: np.ndarray, kind: str, d: int):
+    """Typed views of packed states; y may carry leading batch axes."""
+    lead = y.shape[:-1]
     if kind == "packet":
-        return PacketState(q=y[:d], p=y[d:2 * d],
-                           A_mat=y[2 * d:2 * d + d * d].reshape(d, d),
-                           B_mat=y[2 * d + d * d:].reshape(d, d))
-    return ClassicalPhasePoint(q=y[:d], p=y[d:2 * d])
+        return PacketState(q=y[..., :d], p=y[..., d:2 * d],
+                           A_mat=y[..., 2 * d:2 * d + d * d].reshape(lead + (d, d)),
+                           B_mat=y[..., 2 * d + d * d:].reshape(lead + (d, d)))
+    return ClassicalPhasePoint(q=y[..., :d], p=y[..., d:2 * d])
 
 
 def _state_ok(y: np.ndarray, kind: str, d: int) -> str | None:
@@ -425,13 +457,16 @@ def rk4_integrate(rhs, initial, dt: float, t_final: float,
     rhs : callable state -> tuple of derivative arrays (matching the
         state fields in order).
     initial : PacketState or ClassicalPhasePoint.
-    monitors : optional dict name -> callable(state) -> float, evaluated
-        at every accepted grid point including t = 0.
+    monitors : optional dict name -> callable(states) -> array.  Each is
+        called once, after integration, on the accepted states (t = 0
+        included) stacked along a leading axis, i.e. a state whose
+        fields carry a leading axis of length len(trajectory), and
+        returns one value per state.
 
     The grid comes from time_grid(dt, t_final).  After each step the new
     state must be finite and (for packets) keep B positive definite;
-    otherwise integration stops and the trajectory holds the surviving
-    prefix with completed=False.
+    otherwise integration stops and the trajectory (monitors included)
+    holds the surviving prefix with completed=False.
     """
     times = time_grid(dt, t_final)
     n_steps = times.shape[0] - 1
@@ -445,48 +480,45 @@ def rk4_integrate(rhs, initial, dt: float, t_final: float,
         raise ValueError(f"initial state rejected: {bad}")
 
     ys = np.empty((n_steps + 1, y.shape[0]))
-    mon = {name: np.empty(n_steps + 1) for name in monitors}
 
     def f(packed):
         return (np.concatenate([np.asarray(part, dtype=float).ravel()
                                 for part in rhs(_unpack(packed[0], kind, d))]),)
 
-    def record(i, yv):
-        ys[i] = yv
-        if monitors:
-            s = _unpack(yv, kind, d)
-            for name, fn in monitors.items():
-                mon[name][i] = float(fn(s))
-
-    record(0, y)
+    ys[0] = y
+    n = n_steps + 1
     for i in range(n_steps):
         (y_next,) = rk4_step(f, (y,), dt)
         bad = _state_ok(y_next, kind, d)
         if bad is not None:
-            return Trajectory(
-                times=times[:i + 1], ys=ys[:i + 1], kind=kind, d=d,
-                monitors={n: v[:i + 1] for n, v in mon.items()},
-                completed=False, abort_reason=bad, abort_step=i + 1)
+            n = i + 1
+            break
         y = y_next
-        record(i + 1, y)
+        ys[i + 1] = y
 
-    return Trajectory(times=times, ys=ys, kind=kind, d=d, monitors=mon)
+    ys = ys[:n]
+    states = _unpack(ys, kind, d)
+    mon = {name: np.asarray(fn(states), dtype=float) for name, fn in monitors.items()}
+    return Trajectory(times=times[:n], ys=ys, kind=kind, d=d, monitors=mon,
+                      completed=bad is None, abort_reason=bad,
+                      abort_step=None if bad is None else n)
 
 
-def standard_monitors(model: FieldModel, hbar: float, kind: str, d: int) -> dict:
-    """Default monitor set: energies, J12 / Lz_classical in 2D, minEigB."""
-    mons: dict = {}
+def standard_monitors(model: FieldModel, hbar: float, kind: str, d: int,
+                      ds: DerivedSquares | None = None) -> dict:
+    """Default monitor set: energies, J12 / Lz_classical in 2D, minEigB.
+
+    Every monitor takes states stacked along leading axes and returns
+    one value per state (see rk4_integrate).
+    """
+    mons: dict = {"H0": lambda s: classical_hamiltonian(s, model)}
     if kind == "packet":
-        mons["H0"] = lambda s: classical_hamiltonian(s, model)
-        mons["Hhbar"] = lambda s: semiclassical_hamiltonian(s, model, hbar)
+        mons["Hhbar"] = lambda s: semiclassical_hamiltonian(s, model, hbar, ds)
         if d == 2:
-            mons["J12"] = lambda s: float(
-                semiclassical_angular_momentum(s, hbar)[0, 1])
-        mons["minEigB"] = lambda s: float(np.linalg.eigvalsh(s.B_mat)[0])
-    else:
-        mons["H0"] = lambda s: classical_hamiltonian(s, model)
-        if d == 2:
-            mons["Lz_classical"] = lambda s: float(classical_angular_momentum(s))
+            mons["J12"] = lambda s: semiclassical_angular_momentum(s, hbar)[..., 0, 1]
+        mons["minEigB"] = lambda s: np.linalg.eigvalsh(s.B_mat)[..., 0]
+    elif d == 2:
+        mons["Lz_classical"] = lambda s: classical_angular_momentum(s)
     return mons
 
 
@@ -499,22 +531,23 @@ def simulate(model: FieldModel, flavor: str, state0: PacketState, hbar: float,
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; choose from {FLAVORS}")
-    if not hbar > 0.0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    if not (np.isfinite(hbar) and hbar > 0.0):
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
     if state0.d != model.dim:
         raise ValueError(f"state has dimension {state0.d} but model "
                          f"{model.name!r} is {model.dim}-dimensional")
+    ds = DerivedSquares()
     if flavor == "classical":
         initial = ClassicalPhasePoint(q=state0.q, p=state0.p)
         rhs = lambda s: classical_rhs(s, model)
         kind = "classical"
     elif flavor == "zhou":
         initial = state0
-        rhs = lambda s: zhou_rhs(s, model)
+        rhs = lambda s: zhou_rhs(s, model, ds)
         kind = "packet"
     else:
         initial = state0
-        rhs = lambda s: semiclassical_rhs(s, model, hbar)
+        rhs = lambda s: semiclassical_rhs(s, model, hbar, ds)
         kind = "packet"
-    mons = standard_monitors(model, hbar, kind, state0.d)
+    mons = standard_monitors(model, hbar, kind, state0.d, ds)
     return rk4_integrate(rhs, initial, dt, t_final, monitors=mons)

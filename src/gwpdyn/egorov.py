@@ -101,8 +101,8 @@ def wigner_sample(state0: PacketState, hbar: float, seed: int, N: int,
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if not hbar > 0.0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    if not (np.isfinite(hbar) and hbar > 0.0):
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
     d = state0.d
     L = np.linalg.cholesky(state0.B_mat)
     Linv = np.linalg.inv(L)

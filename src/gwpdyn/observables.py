@@ -13,12 +13,13 @@ __all__ = [
 
 
 def diamond(q, p) -> np.ndarray:
-    """Antisymmetric matrix (q <> p)_{ij} = q_j p_i - q_i p_j."""
+    """Antisymmetric matrix (q <> p)_{ij} = q_j p_i - q_i p_j; q and p may
+    carry leading batch axes (..., d)."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if q.shape != p.shape:
         raise ValueError(f"q and p must have matching shapes, got {q.shape}, {p.shape}")
-    return np.outer(p, q) - np.outer(q, p)
+    return p[..., :, None] * q[..., None, :] - q[..., :, None] * p[..., None, :]
 
 
 def semiclassical_angular_momentum(state, hbar: float) -> np.ndarray:
@@ -29,7 +30,8 @@ def semiclassical_angular_momentum(state, hbar: float) -> np.ndarray:
     For rotation-equivariant fields this matrix is conserved by the
     order-hbar packet flow, entry by entry; the classical q <> p alone
     is not.  Antisymmetric by construction (commutator of symmetric
-    matrices is antisymmetric).
+    matrices is antisymmetric).  Batched over leading axes of the
+    state's fields.
     """
     Binv = np.linalg.inv(state.B_mat)
     A = state.A_mat
@@ -53,15 +55,15 @@ def classical_angular_momentum(z) -> float | np.ndarray:
 def loglog_fit(hbars, errors) -> tuple[float, float]:
     """OLS fit of log(error) = intercept + exponent * log(hbar).
 
-    Returns (intercept, exponent).  Requires at least two points and
-    strictly positive inputs on both axes.
+    Returns (intercept, exponent).  Requires at least two distinct hbars
+    and strictly positive inputs on both axes.
     """
     h = np.asarray(hbars, dtype=float)
     e = np.asarray(errors, dtype=float)
     if h.shape != e.shape or h.ndim != 1:
         raise ValueError("hbars and errors must be 1-D arrays of equal length")
-    if h.size < 2:
-        raise ValueError("need at least two points for a rate fit")
+    if np.unique(h).size < 2:
+        raise ValueError("need at least two distinct hbars for a rate fit")
     if np.any(h <= 0.0) or np.any(e <= 0.0):
         raise ValueError("loglog_fit requires strictly positive values")
     slope, intercept = np.polyfit(np.log(h), np.log(e), 1)

@@ -3,19 +3,22 @@
 A FieldModel bundles the data of a charged-particle Hamiltonian
 (1/2m)|p - A(x)|^2 + V(x): the mass, the scalar potential V with its
 gradient and Hessian, the vector potential A with its Jacobian and
-per-component Hessians, and the gradients of the Hessian traces
+Hessian, and the gradients of the Hessian traces
 
     x -> grad Tr(M hessV(x)),    x -> grad Tr(M hessA_k(x))
 
-for a fixed symmetric weight matrix M (these show up wherever an
-hbar-order Laplace correction is differentiated with respect to the
-center).  Conventions:
+for a symmetric weight matrix M (these show up wherever an hbar-order
+Laplace correction is differentiated with respect to the center).
+Conventions:
 
   * jacA(x)[i, j] = dA_i/dx_j
-  * hessA(x, k)[i, j] = d^2 A_k / dx_i dx_j
+  * hessA(x)[k, i, j] = d^2 A_k / dx_i dx_j
+  * grad_hess_trace_A(x, M)[k, i] = d/dx_i Tr(M hessA_k(x))
 
-V, gradV, A and jacA accept batched inputs of shape (..., d) and return
-matching leading shapes; the Hessian-level callbacks are single-point.
+Every callback is batched: x has shape (..., d), M has shape
+(..., d, d) with the same leading axes, and the result carries those
+leading axes in front of the shapes above.  A single point is the case
+of no leading axes.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ class FieldModel:
     hessV: Callable
     A: Callable
     jacA: Callable
-    hessA: Callable              # (x, k) -> (d, d)
-    grad_hess_trace_V: Callable  # (x, M) -> (d,)
-    grad_hess_trace_A: Callable  # (x, M, k) -> (d,)
+    hessA: Callable              # x -> (..., d, d, d)
+    grad_hess_trace_V: Callable  # (x, M) -> (..., d)
+    grad_hess_trace_A: Callable  # (x, M) -> (..., d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -85,22 +88,20 @@ def cosine_1d() -> FieldModel:
         x = np.asarray(x, dtype=float)[..., 0]
         return (-np.sin(x))[..., None, None]
 
-    def hessA(x, k):
-        if k != 0:
-            raise IndexError(f"component index {k} out of range for d=1")
+    def hessA(x):
         x = np.asarray(x, dtype=float)[..., 0]
-        return np.asarray(-np.cos(x))[..., None, None]
+        return (-np.cos(x))[..., None, None, None]
 
     def ghtV(x, M):
         # d/dx (M00 * V''(x)) with V'' = cos(2x)
         x = np.asarray(x, dtype=float)[..., 0]
-        return np.asarray([float(M[0, 0]) * (-2.0 * np.sin(2.0 * x))])
+        M = np.asarray(M, dtype=float)
+        return (M[..., 0, 0] * (-2.0 * np.sin(2.0 * x)))[..., None]
 
-    def ghtA(x, M, k):
-        if k != 0:
-            raise IndexError(f"component index {k} out of range for d=1")
+    def ghtA(x, M):
         x = np.asarray(x, dtype=float)[..., 0]
-        return np.asarray([float(M[0, 0]) * np.sin(x)])
+        M = np.asarray(M, dtype=float)
+        return (M[..., 0, 0] * np.sin(x))[..., None, None]
 
     return FieldModel(
         name="cosine1d", dim=1, mass=1.0,
@@ -116,6 +117,7 @@ def quartic_rotational_2d() -> FieldModel:
     model is rotation-equivariant (see rotational_symmetry_check)."""
 
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    eye = np.eye(2)
 
     def V(x):
         x = np.asarray(x, dtype=float)
@@ -130,7 +132,6 @@ def quartic_rotational_2d() -> FieldModel:
     def hessV(x):
         x = np.asarray(x, dtype=float)
         r2 = np.einsum("...i,...i->...", x, x)
-        eye = np.eye(2)
         return (1.0 + r2)[..., None, None] * eye + 2.0 * x[..., :, None] * x[..., None, :]
 
     def A(x):
@@ -141,20 +142,19 @@ def quartic_rotational_2d() -> FieldModel:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(J, x.shape[:-1] + (2, 2))
 
-    def hessA(x, k):
-        if k not in (0, 1):
-            raise IndexError(f"component index {k} out of range for d=2")
-        return np.zeros((2, 2))
+    def hessA(x):
+        return np.zeros(np.shape(x)[:-1] + (2, 2, 2))
 
     def ghtV(x, M):
         # Tr(M hessV) = (1+|x|^2) Tr M + 2 x.Mx, so the gradient is
         # 2 Tr(M) x + 4 M x.
         x = np.asarray(x, dtype=float)
         M = np.asarray(M, dtype=float)
-        return 2.0 * np.trace(M) * x + 4.0 * (M @ x)
+        tr = np.trace(M, axis1=-2, axis2=-1)[..., None]
+        return 2.0 * tr * x + 4.0 * (M @ x[..., None])[..., 0]
 
-    def ghtA(x, M, k):
-        return np.zeros(2)
+    def ghtA(x, M):
+        return np.zeros(np.shape(x)[:-1] + (2, 2))
 
     return FieldModel(
         name="quartic2d", dim=2, mass=1.0,
@@ -208,16 +208,14 @@ def quadratic_linear(K, b, c, M0, a0, mass: float = 1.0) -> FieldModel:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(M0, x.shape[:-1] + (d, d))
 
-    def hessA(x, k):
-        if not 0 <= k < d:
-            raise IndexError(f"component index {k} out of range for d={d}")
-        return np.zeros((d, d))
+    def hessA(x):
+        return np.zeros(np.shape(x)[:-1] + (d, d, d))
 
     def ghtV(x, M):
-        return np.zeros(d)
+        return np.zeros(np.shape(x)[:-1] + (d,))
 
-    def ghtA(x, M, k):
-        return np.zeros(d)
+    def ghtA(x, M):
+        return np.zeros(np.shape(x)[:-1] + (d, d))
 
     return FieldModel(
         name="quadratic", dim=d, mass=mass,
@@ -265,50 +263,42 @@ def model_by_name(name: str, d: int = 1, params: dict | None = None) -> FieldMod
 # derived |A|^2 calculus
 
 
-@dataclass(frozen=True)
 class DerivedSquares:
-    """Derivatives of |A(x)|^2 assembled from the FieldModel callbacks.
+    """Derivatives of |A(x)|^2 assembled from the field values at x.
 
     Every flavor of the dynamics consumes |A|^2 only through these four
     combinations, so deriving them in one place (by the product rule)
     keeps the individual models free of redundant, error-prone code.
+    The methods take what the FieldModel callbacks returned at x
+    (a = A(x), ja = jacA(x), ha = hessA(x), ght_a = grad_hess_trace_A(x, M))
+    instead of x, so that a right-hand side evaluates each callback once
+    and shares the values with its other terms.  A flow builds one
+    instance per trajectory.
     """
 
-    model: FieldModel
-
-    def asq(self, x):
-        a = self.model.A(x)
+    def asq(self, a):
         return np.einsum("...k,...k->...", a, a)
 
-    def grad_asq(self, x):
+    def grad_asq(self, a, ja):
         # grad |A|^2 = 2 (DA)^T A
-        a = self.model.A(x)
-        ja = self.model.jacA(x)
         return 2.0 * np.einsum("...ji,...j->...i", ja, a)
 
-    def hess_asq(self, x):
-        # hess |A|^2 = 2 [ (DA)^T DA + sum_k A_k hessA_k ]   (single point)
-        m = self.model
-        ja = np.asarray(m.jacA(x))
-        a = np.asarray(m.A(x))
-        out = ja.T @ ja
-        for k in range(m.dim):
-            out = out + a[k] * m.hessA(x, k)
+    def hess_asq(self, a, ja, ha):
+        # hess |A|^2 = 2 [ (DA)^T DA + sum_k A_k hessA_k ]   (batched)
+        out = np.swapaxes(ja, -1, -2) @ ja
+        for k in range(a.shape[-1]):
+            out = out + a[..., k, None, None] * ha[..., k, :, :]
         return 2.0 * out
 
-    def grad_hess_trace_asq(self, x, M):
-        """Gradient of x -> Tr(M hess|A|^2(x)) for symmetric M (single point)."""
-        m = self.model
-        M = np.asarray(M, dtype=float)
-        ja = np.asarray(m.jacA(x))
-        a = np.asarray(m.A(x))
+    def grad_hess_trace_asq(self, M, a, ja, ha, ght_a):
+        """Gradient of x -> Tr(M hess|A|^2(x)) for symmetric M, at a
+        single point (ght_a evaluated with the same M)."""
         MJt = M @ ja.T                      # (d, d), column k pairs with hessA_k
-        out = np.zeros(m.dim)
-        for k in range(m.dim):
-            Hk = np.asarray(m.hessA(x, k))
-            out += 2.0 * (Hk @ MJt[:, k])
-            out += float(np.sum(M * Hk)) * ja[k, :]
-            out += a[k] * np.asarray(m.grad_hess_trace_A(x, M, k))
+        out = np.zeros(a.shape[-1])
+        for k in range(a.shape[-1]):
+            out += 2.0 * (ha[k] @ MJt[:, k])
+            out += float((M * ha[k]).sum()) * ja[k, :]
+            out += a[k] * ght_a[k]
         return 2.0 * out
 
 
@@ -369,15 +359,14 @@ def fd_cross_check(model: FieldModel, x, tol: float = 1e-6, M=None) -> FdReport:
     devs["gradV"] = _rel_dev(central(model.V, (d,)), model.gradV(x))
     devs["hessV"] = _rel_dev(central(model.gradV, (d, d)), model.hessV(x))
     devs["jacA"] = _rel_dev(central(model.A, (d, d)), model.jacA(x))
-    hess_dev = 0.0
-    ghtA_dev = 0.0
-    for k in range(d):
-        fd_hk = central(lambda y, k=k: np.asarray(model.jacA(y))[k, :], (d, d))
-        hess_dev = max(hess_dev, _rel_dev(fd_hk, model.hessA(x, k)))
-        fd_g = central(lambda y, k=k: np.sum(M * np.asarray(model.hessA(y, k))), (d,))
-        ghtA_dev = max(ghtA_dev, _rel_dev(fd_g, model.grad_hess_trace_A(x, M, k)))
-    devs["hessA"] = hess_dev
-    devs["grad_hess_trace_A"] = ghtA_dev
+    # hessA and grad_hess_trace_A are judged one component k at a time
+    fd_ha = central(model.jacA, (d, d, d))
+    ha = np.asarray(model.hessA(x), dtype=float)
+    devs["hessA"] = max(_rel_dev(fd_ha[k], ha[k]) for k in range(d))
+    fd_ght_a = central(lambda y: np.sum(M * np.asarray(model.hessA(y)), axis=(-2, -1)),
+                       (d, d))
+    ght_a = np.asarray(model.grad_hess_trace_A(x, M), dtype=float)
+    devs["grad_hess_trace_A"] = max(_rel_dev(fd_ght_a[k], ght_a[k]) for k in range(d))
     fd_gv = central(lambda y: np.sum(M * np.asarray(model.hessV(y))), (d,))
     devs["grad_hess_trace_V"] = _rel_dev(fd_gv, model.grad_hess_trace_V(x, M))
 

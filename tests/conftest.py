@@ -78,23 +78,26 @@ def plane_wave_gauge_2d(mass: float = 1.3) -> FieldModel:
         x = np.asarray(x, dtype=float)
         return np.stack([np.cos(x @ ck)[..., None] * ck for ck in c], axis=-2)
 
-    def hessA(x, k):
+    def hessA(x):
         x = np.asarray(x, dtype=float)
-        return -np.sin(float(x @ c[k])) * np.outer(c[k], c[k])
+        return np.stack([-np.sin(x @ ck)[..., None, None] * np.outer(ck, ck)
+                         for ck in c], axis=-3)
 
     def ghtV(x, M):
         x = np.asarray(x, dtype=float)
         M = np.asarray(M, dtype=float)
-        x1, x2 = x[0], x[1]
-        tr = M[0, 0] + M[1, 1]
-        off = 2.0 * M[0, 1]
-        return np.array([tr * np.sin(x1) * np.cos(x2) + off * np.cos(x1) * np.sin(x2),
-                         tr * np.cos(x1) * np.sin(x2) + off * np.sin(x1) * np.cos(x2)])
+        x1, x2 = x[..., 0], x[..., 1]
+        tr = M[..., 0, 0] + M[..., 1, 1]
+        off = 2.0 * M[..., 0, 1]
+        return np.stack([tr * np.sin(x1) * np.cos(x2) + off * np.cos(x1) * np.sin(x2),
+                         tr * np.cos(x1) * np.sin(x2) + off * np.sin(x1) * np.cos(x2)],
+                        axis=-1)
 
-    def ghtA(x, M, k):
+    def ghtA(x, M):
         x = np.asarray(x, dtype=float)
         M = np.asarray(M, dtype=float)
-        return -np.cos(float(x @ c[k])) * float(c[k] @ M @ c[k]) * c[k]
+        return np.stack([(-np.cos(x @ ck) * (ck @ M @ ck))[..., None] * ck for ck in c],
+                        axis=-2)
 
     return FieldModel(
         name="planewave2d", dim=2, mass=mass,

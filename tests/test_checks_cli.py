@@ -48,7 +48,7 @@ def test_check_suite_passes():
 def test_check_suite_catches_wrong_flow(monkeypatch):
     # drop every hbar correction from the flow: the numerical bracket of
     # the effective energy must notice
-    fake = lambda state, model, hbar: zhou_rhs(state, model)
+    fake = lambda state, model, hbar, ds=None: zhou_rhs(state, model, ds)
     monkeypatch.setattr(gwpdyn.dynamics, "semiclassical_rhs", fake)
     results = {r.name: r for r in run_check_suite(egorov_samples=5_000)}
     assert not results["bracket_consistency[cosine1d]"].passed
@@ -292,6 +292,14 @@ def test_converge_needs_two_hbars(capsys):
     assert "two hbar" in capsys.readouterr().err
 
 
+def test_converge_rejects_repeated_hbars(capsys):
+    # a repeated hbar used to give a rank-deficient fit and exit 0
+    assert cli.main(["converge", "--potential", "cosine1d", "--q", "0.5",
+                     "--p=-1", "--hbars", "0.1,0.1", "--t-star", "0.1",
+                     "--samples", "100"]) == 2
+    assert "hbar values must be distinct" in capsys.readouterr().err
+
+
 def test_converge_samples_count_mismatch(capsys):
     assert cli.main(["converge", "--potential", "cosine1d", "--q", "0.5",
                      "--p=-1", "--hbars", "0.5,0.3,0.1", "--t-star", "1.0",
@@ -334,6 +342,24 @@ def test_step_count_must_be_storable(base, tmp_path, capsys):
     assert not out.exists()
 
 
+ONE_1D = ["--potential", "cosine1d", "--q", "0.5", "--p=-1"]
+
+
+@pytest.mark.parametrize("argv, hbar", [
+    (["simulate", *ONE_1D, "--t-final", "0.1", "--hbar"], "{}"),
+    (["egorov", *ONE_1D, "--t-final", "0.1", "--samples", "500", "--hbar"], "{}"),
+    (["converge", *ONE_1D, "--t-star", "0.1", "--samples", "500", "--hbars"], "0.1,{}"),
+], ids=["simulate", "egorov", "converge"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+def test_hbar_must_be_positive_and_finite(argv, hbar, value, tmp_path, capsys):
+    # hbar = inf used to end in a traceback (egorov), in an aborted run
+    # with Hhbar = inf (simulate) or in a blamed aborted run (converge)
+    out = tmp_path / "h.csv"
+    assert cli.main(argv + [hbar.format(value), "--out", str(out)]) == 2
+    assert "hbar must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [EG_1D[:-1] + ["1", "--t-final", "0.1"],
                                   CONV_1D + ["--samples", "1"],
                                   CONV_1D + ["--samples", "100,1"]],
@@ -368,7 +394,7 @@ def test_check_command_reports_all_pass(capsys):
 
 
 def test_check_command_fails_on_broken_flow(monkeypatch, capsys):
-    fake = lambda state, model, hbar: zhou_rhs(state, model)
+    fake = lambda state, model, hbar, ds=None: zhou_rhs(state, model, ds)
     monkeypatch.setattr(gwpdyn.dynamics, "semiclassical_rhs", fake)
     assert cli.main(["check", "--samples", "5000"]) == 1
     assert "FAIL" in capsys.readouterr().out

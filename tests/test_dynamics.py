@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -9,10 +10,11 @@ from gwpdyn.dynamics import (ClassicalPhasePoint, bracket_rhs,
                              classical_hamiltonian, classical_rhs,
                              corrected_potentials, rk4_integrate, rk4_step,
                              semiclassical_hamiltonian, semiclassical_rhs,
-                             simulate, time_grid, zhou_rhs)
-from gwpdyn.observables import semiclassical_angular_momentum
+                             simulate, standard_monitors, time_grid, zhou_rhs)
+from gwpdyn.observables import (classical_angular_momentum,
+                                semiclassical_angular_momentum)
 from gwpdyn.packet import PacketState, make_packet_state
-from gwpdyn.potentials import quadratic_linear
+from gwpdyn.potentials import cosine_1d, quadratic_linear, quartic_rotational_2d
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +216,30 @@ def test_rk4_grid_is_uniform(cos_model, bench_state_1d):
     assert len(traj) == 5
 
 
-def test_rk4_aborts_on_pd_loss(bench_state_1d):
+def test_rk4_aborts_on_pd_loss(cos_model, bench_state_1d):
     # dB/dt = -1 drives B through zero at t = 1
     rhs = lambda s: (np.zeros(1), np.zeros(1), np.zeros((1, 1)),
                      -np.ones((1, 1)))
-    traj = rk4_integrate(rhs, bench_state_1d, dt=0.1, t_final=2.0)
+    calls = []
+
+    def b11(states):
+        calls.append(states.B_mat.shape)
+        return states.B_mat[..., 0, 0]
+
+    monitors = dict(standard_monitors(cos_model, 0.1, "packet", 1), B11=b11)
+    traj = rk4_integrate(rhs, bench_state_1d, dt=0.1, t_final=2.0,
+                         monitors=monitors)
     assert not traj.completed
     assert "positive definiteness" in traj.abort_reason
     assert traj.abort_step is not None
     assert len(traj) == traj.abort_step
     assert traj.times[-1] < 1.05
+    # monitors run once, on the surviving prefix
+    assert calls == [(len(traj), 1, 1)]
+    assert set(traj.monitors) == set(monitors)
+    for values in traj.monitors.values():
+        assert values.shape == (len(traj),)
+    assert np.array_equal(traj.monitors["B11"], traj.b_matrices[:, 0, 0])
 
 
 def test_rk4_aborts_on_nonfinite(bench_state_1d):
@@ -264,8 +280,9 @@ def test_time_grid_rejects_bad_arguments(dt, t_final, match):
 def test_simulate_validates_scalar_arguments(cos_model, bench_state_1d):
     traj = simulate(cos_model, "semiclassical", bench_state_1d, 0.1, 0.01, 1.0)
     assert traj.completed and len(traj) == 101
-    with pytest.raises(ValueError, match="hbar"):
-        simulate(cos_model, "semiclassical", bench_state_1d, 0.0, 0.01, 1.0)
+    for hbar in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            simulate(cos_model, "semiclassical", bench_state_1d, hbar, 0.01, 1.0)
     with pytest.raises(ValueError, match="dt"):
         simulate(cos_model, "semiclassical", bench_state_1d, 0.1, -0.01, 1.0)
     with pytest.raises(ValueError, match="t_final"):
@@ -335,6 +352,79 @@ def test_zhou_centers_match_classical_exactly(cos_model, bench_state_1d):
                   dt=0.01, t_final=2.0)
     assert np.max(np.abs(tz.positions - tc.positions)) < 1e-12
     assert np.max(np.abs(tz.momenta - tc.momenta)) < 1e-12
+
+
+def _single_point_monitors(traj, model, hbar):
+    """The monitors of a trajectory recomputed one grid point at a time."""
+    rows = {}
+    for i in range(len(traj)):
+        s = traj.state_at(i)
+        row = {"H0": classical_hamiltonian(s, model)}
+        if traj.kind == "packet":
+            row["Hhbar"] = semiclassical_hamiltonian(s, model, hbar)
+            if traj.d == 2:
+                row["J12"] = semiclassical_angular_momentum(s, hbar)[0, 1]
+            row["minEigB"] = np.linalg.eigvalsh(s.B_mat)[0]
+        elif traj.d == 2:
+            row["Lz_classical"] = classical_angular_momentum(s)
+        for name, v in row.items():
+            rows.setdefault(name, []).append(float(v))
+    return {name: np.array(v) for name, v in rows.items()}
+
+
+@pytest.mark.parametrize("case", ["packet-2d", "cosine1d", "planewave2d"])
+@pytest.mark.parametrize("flavor", ["classical", "zhou", "semiclassical"])
+def test_monitors_equal_single_point_values(case, flavor, bench_state_1d,
+                                            bench_state_2d):
+    # packet-2d is the benchmark's packet run, cut to 200 steps
+    model, state, dt, t_final = {
+        "packet-2d": (quartic_rotational_2d(), bench_state_2d, 5e-4, 0.1),
+        "cosine1d": (cosine_1d(), bench_state_1d, 0.01, 2.0),
+        "planewave2d": (plane_wave_gauge_2d(),
+                        random_state(np.random.default_rng(12), 2), 0.01, 1.0),
+    }[case]
+    hbar = 0.1
+    traj = simulate(model, flavor, state, hbar, dt, t_final)
+    assert traj.completed
+    expected = _single_point_monitors(traj, model, hbar)
+    assert set(traj.monitors) == set(expected)
+    for name, values in traj.monitors.items():
+        assert values.shape == (len(traj),)
+        if case == "packet-2d":
+            assert np.array_equal(values, expected[name]), name
+        else:
+            np.testing.assert_allclose(values, expected[name], rtol=1e-14, atol=0,
+                                       err_msg=name)
+
+
+def _counting(model):
+    """The model with every callback wrapped by a call counter."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    return dataclasses.replace(model, **{
+        f.name: counted(f.name, getattr(model, f.name))
+        for f in dataclasses.fields(model) if callable(getattr(model, f.name))}), counts
+
+
+@pytest.mark.parametrize("builder", [quartic_rotational_2d, cosine_1d, plane_wave_gauge_2d],
+                         ids=["quartic2d", "cosine1d", "planewave2d"])
+@pytest.mark.parametrize("flow", ["classical_rhs", "zhou_rhs", "semiclassical_rhs",
+                                  "semiclassical_hamiltonian"])
+def test_each_callback_evaluated_at_most_once_per_call(builder, flow):
+    model, counts = _counting(builder())
+    state = random_state(np.random.default_rng(5), model.dim)
+    {"classical_rhs": lambda: classical_rhs(state, model),
+     "zhou_rhs": lambda: zhou_rhs(state, model),
+     "semiclassical_rhs": lambda: semiclassical_rhs(state, model, 0.1),
+     "semiclassical_hamiltonian": lambda: semiclassical_hamiltonian(state, model, 0.1),
+     }[flow]()
+    assert counts and max(counts.values()) == 1, dict(counts)
 
 
 def test_simulate_rejects_unknown_flavor(cos_model, bench_state_1d):

@@ -118,6 +118,9 @@ def test_wigner_sample_validation():
         wigner_sample(state, 0.1, seed=0, N=0)
     with pytest.raises(ValueError):
         wigner_sample(state, 0.0, seed=0, N=10)
+    for hbar in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            wigner_sample(state, hbar, seed=0, N=10)
 
 
 # ---------------------------------------------------------------------------

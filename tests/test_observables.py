@@ -83,6 +83,8 @@ def test_loglog_fit_recovers_power_law():
 def test_loglog_fit_validation():
     with pytest.raises(ValueError):
         loglog_fit([0.1], [0.2])
+    with pytest.raises(ValueError, match="two distinct hbars"):
+        loglog_fit([0.1, 0.1], [0.2, 0.3])
     with pytest.raises(ValueError):
         loglog_fit([0.1, 0.2], [0.0, 0.1])
     with pytest.raises(ValueError):

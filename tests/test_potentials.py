@@ -52,9 +52,8 @@ def test_cosine_model_values(cos_model):
     assert float(cos_model.V(x)) == pytest.approx(1 - 0.5 * np.cos(0.5) ** 2)
     assert float(cos_model.A(x)[0]) == pytest.approx(np.cos(0.5))
     assert float(cos_model.jacA(x)[0, 0]) == pytest.approx(-np.sin(0.5))
-    assert float(cos_model.hessA(x, 0)[0, 0]) == pytest.approx(-np.cos(0.5))
-    with pytest.raises(IndexError):
-        cos_model.hessA(x, 1)
+    assert cos_model.hessA(x).shape == (1, 1, 1)
+    assert float(cos_model.hessA(x)[0, 0, 0]) == pytest.approx(-np.cos(0.5))
 
 
 def test_cosine_model_batched_shapes(cos_model):
@@ -70,7 +69,7 @@ def test_quartic_model_values(quartic_model):
     assert float(quartic_model.V(x)) == pytest.approx(0.75)
     assert np.allclose(quartic_model.A(x), [0.0, 1.0])
     assert np.allclose(quartic_model.jacA(x), [[0.0, -1.0], [1.0, 0.0]])
-    assert np.allclose(quartic_model.hessA(x, 0), 0.0)
+    assert np.allclose(quartic_model.hessA(x), 0.0)
     assert np.allclose(quartic_model.hessV(x),
                        [[2.0 + 2.0, 0.0], [0.0, 2.0]])
 
@@ -100,7 +99,7 @@ def test_quadratic_linear_matches_manual_formulas():
     assert np.allclose(model.hessV(x), K)
     assert np.allclose(model.A(x), M0 @ x + a0)
     assert np.allclose(model.jacA(x), M0)
-    assert np.allclose(model.hessA(x, 1), 0.0)
+    assert np.allclose(model.hessA(x), 0.0)
     assert np.allclose(model.grad_hess_trace_V(x, np.eye(d)), 0.0)
     # batched evaluation agrees with per-point loops
     pts = rng.standard_normal((6, d))
@@ -146,10 +145,20 @@ def test_model_by_name():
 # derived |A|^2 calculus: identities against finite differences of |A|^2
 
 
+def _squares_at(model):
+    """The DerivedSquares combinations as functions of x."""
+    ds, m = DerivedSquares(), model
+    return (lambda y: ds.asq(m.A(y)),
+            lambda y: ds.grad_asq(m.A(y), m.jacA(y)),
+            lambda y: ds.hess_asq(m.A(y), m.jacA(y), m.hessA(y)),
+            lambda y, M: ds.grad_hess_trace_asq(M, m.A(y), m.jacA(y), m.hessA(y),
+                                                m.grad_hess_trace_A(y, M)))
+
+
 @pytest.mark.parametrize("builder", [cosine_1d, plane_wave_gauge_2d])
 def test_derived_squares_against_fd(builder):
     model = builder()
-    ds = DerivedSquares(model)
+    asq, grad_asq, hess_asq, grad_hess_trace_asq = _squares_at(model)
     rng = np.random.default_rng(17)
     d = model.dim
     h = np.finfo(float).eps ** (1 / 3)
@@ -168,19 +177,52 @@ def test_derived_squares_against_fd(builder):
             return np.stack(cols, axis=-1)
 
         a = np.asarray(model.A(x))
-        assert float(ds.asq(x)) == pytest.approx(float(a @ a), abs=1e-14)
-        assert np.allclose(central(ds.asq).ravel(), ds.grad_asq(x), atol=1e-7)
-        assert np.allclose(central(ds.grad_asq), ds.hess_asq(x), atol=1e-7)
-        fd_ght = central(lambda y: np.sum(M * ds.hess_asq(y))).ravel()
-        assert np.allclose(fd_ght, ds.grad_hess_trace_asq(x, M), atol=1e-6)
+        assert float(asq(x)) == pytest.approx(float(a @ a), abs=1e-14)
+        assert np.allclose(central(asq).ravel(), grad_asq(x), atol=1e-7)
+        assert np.allclose(central(grad_asq), hess_asq(x), atol=1e-7)
+        fd_ght = central(lambda y: np.sum(M * hess_asq(y))).ravel()
+        assert np.allclose(fd_ght, grad_hess_trace_asq(x, M), atol=1e-6)
 
 
 def test_hess_asq_symmetric(curved_gauge_model):
-    ds = DerivedSquares(curved_gauge_model)
+    hess_asq = _squares_at(curved_gauge_model)[2]
     rng = np.random.default_rng(2)
     for _ in range(10):
-        H = ds.hess_asq(rng.uniform(-2, 2, size=2))
+        H = hess_asq(rng.uniform(-2, 2, size=2))
         assert np.max(np.abs(H - H.T)) < 1e-13
+
+
+def _random_quadratic():
+    rng = np.random.default_rng(4)
+    K = rng.standard_normal((3, 3))
+    return quadratic_linear(K @ K.T, rng.standard_normal(3), 0.3,
+                            rng.standard_normal((3, 3)), rng.standard_normal(3))
+
+
+@pytest.mark.parametrize("builder", [cosine_1d, quartic_rotational_2d,
+                                     _random_quadratic, lambda: free_model(d=2),
+                                     plane_wave_gauge_2d],
+                         ids=["cosine1d", "quartic2d", "quadratic3d", "free2d",
+                              "planewave2d"])
+def test_batched_callbacks_equal_stacked_single_points(builder):
+    model = builder()
+    d = model.dim
+    rng = np.random.default_rng(6)
+    xs = rng.uniform(-2.0, 2.0, size=(5, d))
+    Ms = rng.standard_normal((5, d, d))
+    Ms = Ms + np.swapaxes(Ms, -1, -2)
+    calls = {"hessV": lambda x, M: model.hessV(x),
+             "hessA": lambda x, M: model.hessA(x),
+             "grad_hess_trace_V": model.grad_hess_trace_V,
+             "grad_hess_trace_A": model.grad_hess_trace_A,
+             "hess_asq": lambda x, M: _squares_at(model)[2](x)}
+    shapes = {"hessV": (d, d), "hessA": (d, d, d), "grad_hess_trace_V": (d,),
+              "grad_hess_trace_A": (d, d), "hess_asq": (d, d)}
+    for name, f in calls.items():
+        batched = np.asarray(f(xs, Ms))
+        single = np.stack([np.asarray(f(x, M)) for x, M in zip(xs, Ms)])
+        assert batched.shape == (5,) + shapes[name], name
+        assert np.array_equal(batched, single), name
 
 
 # ---------------------------------------------------------------------------
