@@ -77,6 +77,10 @@ FLAVORS = ("classical", "zhou", "semiclassical")
 # Longest grid time_grid accepts: its times alone take 800 MB, and a
 # packet trajectory on it several GB.
 MAX_STEPS = 10 ** 8
+# States per monitor call in rk4_integrate: a batched monitor's
+# temporaries are several times the size of the states it reads, so a
+# long run is evaluated slice by slice.
+MONITOR_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -105,15 +109,14 @@ def classical_hamiltonian(z, model: FieldModel):
     return _h0(z.p, model.A(z.q), model.V(z.q), model.mass)
 
 
-def semiclassical_hamiltonian(state: PacketState, model: FieldModel, hbar: float,
-                              ds: DerivedSquares | None = None):
+def semiclassical_hamiltonian(state: PacketState, model: FieldModel, hbar: float):
     """Order-hbar effective energy H_hbar (see module docstring).
 
     Batched: q, p carry leading axes (..., d) and A_mat, B_mat
     (..., d, d); one value per state is returned.  Each field callback
     is evaluated once.
     """
-    ds = DerivedSquares() if ds is None else ds
+    ds = DerivedSquares()
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
     a = np.asarray(model.A(q), dtype=float)
     ja = np.asarray(model.jacA(q), dtype=float)
@@ -212,9 +215,9 @@ def _width_rhs(state: PacketState, m: float, ja, ha, hess_asq, hess_v):
     return dA, dB
 
 
-def zhou_rhs(state: PacketState, model: FieldModel, ds: DerivedSquares | None = None):
+def zhou_rhs(state: PacketState, model: FieldModel):
     """Classical center motion with width transport: (dq, dp, dA, dB)."""
-    ds = DerivedSquares() if ds is None else ds
+    ds = DerivedSquares()
     q, m = state.q, model.mass
     a = np.asarray(model.A(q), dtype=float)
     ja = np.asarray(model.jacA(q), dtype=float)
@@ -224,8 +227,7 @@ def zhou_rhs(state: PacketState, model: FieldModel, ds: DerivedSquares | None = 
     return dq, dp, dA, dB
 
 
-def semiclassical_rhs(state: PacketState, model: FieldModel, hbar: float,
-                      ds: DerivedSquares | None = None):
+def semiclassical_rhs(state: PacketState, model: FieldModel, hbar: float):
     """Order-hbar corrected flow of (q, p, A, B): returns (dq, dp, dA, dB).
 
     The center feels the Laplace-corrected potentials; the momentum
@@ -235,7 +237,7 @@ def semiclassical_rhs(state: PacketState, model: FieldModel, hbar: float,
     (hbar/2m) sum_k (A_w B^-1 hessA_k)_{k,.} whenever the vector
     potential has curvature.  Each field callback is evaluated once.
     """
-    ds = DerivedSquares() if ds is None else ds
+    ds = DerivedSquares()
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
     m, d = model.mass, state.d
     Binv = np.linalg.inv(B)
@@ -448,6 +450,19 @@ def rk4_step(rhs, ys: tuple, dt: float) -> tuple:
                  for y, a, b, c, d in zip(ys, k1, k2, k3, k4))
 
 
+def _monitor_values(name, fn, ys, kind, d) -> np.ndarray:
+    """One monitor over the packed states ys, MONITOR_BLOCK rows per call."""
+    out = np.empty(ys.shape[0])
+    for lo in range(0, ys.shape[0], MONITOR_BLOCK):
+        block = ys[lo:lo + MONITOR_BLOCK]
+        values = np.asarray(fn(_unpack(block, kind, d)), dtype=float)
+        if values.shape != (block.shape[0],):
+            raise ValueError(f"monitor {name!r} returned shape {values.shape}; "
+                             f"expected one value per state, ({block.shape[0]},)")
+        out[lo:lo + block.shape[0]] = values
+    return out
+
+
 def rk4_integrate(rhs, initial, dt: float, t_final: float,
                   monitors: dict | None = None) -> Trajectory:
     """Fixed-step classic Runge-Kutta over t in [0, t_final].
@@ -458,10 +473,12 @@ def rk4_integrate(rhs, initial, dt: float, t_final: float,
         state fields in order).
     initial : PacketState or ClassicalPhasePoint.
     monitors : optional dict name -> callable(states) -> array.  Each is
-        called once, after integration, on the accepted states (t = 0
+        called after integration on the accepted states (t = 0
         included) stacked along a leading axis, i.e. a state whose
-        fields carry a leading axis of length len(trajectory), and
-        returns one value per state.
+        fields carry a leading axis, and returns one value per state.
+        Runs of up to MONITOR_BLOCK states make one call; longer runs
+        call it on consecutive slices of that many states, so the
+        monitors' temporaries stay bounded.
 
     The grid comes from time_grid(dt, t_final).  After each step the new
     state must be finite and (for packets) keep B positive definite;
@@ -497,15 +514,13 @@ def rk4_integrate(rhs, initial, dt: float, t_final: float,
         ys[i + 1] = y
 
     ys = ys[:n]
-    states = _unpack(ys, kind, d)
-    mon = {name: np.asarray(fn(states), dtype=float) for name, fn in monitors.items()}
+    mon = {name: _monitor_values(name, fn, ys, kind, d) for name, fn in monitors.items()}
     return Trajectory(times=times[:n], ys=ys, kind=kind, d=d, monitors=mon,
                       completed=bad is None, abort_reason=bad,
                       abort_step=None if bad is None else n)
 
 
-def standard_monitors(model: FieldModel, hbar: float, kind: str, d: int,
-                      ds: DerivedSquares | None = None) -> dict:
+def standard_monitors(model: FieldModel, hbar: float, kind: str, d: int) -> dict:
     """Default monitor set: energies, J12 / Lz_classical in 2D, minEigB.
 
     Every monitor takes states stacked along leading axes and returns
@@ -513,7 +528,7 @@ def standard_monitors(model: FieldModel, hbar: float, kind: str, d: int,
     """
     mons: dict = {"H0": lambda s: classical_hamiltonian(s, model)}
     if kind == "packet":
-        mons["Hhbar"] = lambda s: semiclassical_hamiltonian(s, model, hbar, ds)
+        mons["Hhbar"] = lambda s: semiclassical_hamiltonian(s, model, hbar)
         if d == 2:
             mons["J12"] = lambda s: semiclassical_angular_momentum(s, hbar)[..., 0, 1]
         mons["minEigB"] = lambda s: np.linalg.eigvalsh(s.B_mat)[..., 0]
@@ -536,18 +551,17 @@ def simulate(model: FieldModel, flavor: str, state0: PacketState, hbar: float,
     if state0.d != model.dim:
         raise ValueError(f"state has dimension {state0.d} but model "
                          f"{model.name!r} is {model.dim}-dimensional")
-    ds = DerivedSquares()
     if flavor == "classical":
         initial = ClassicalPhasePoint(q=state0.q, p=state0.p)
         rhs = lambda s: classical_rhs(s, model)
         kind = "classical"
     elif flavor == "zhou":
         initial = state0
-        rhs = lambda s: zhou_rhs(s, model, ds)
+        rhs = lambda s: zhou_rhs(s, model)
         kind = "packet"
     else:
         initial = state0
-        rhs = lambda s: semiclassical_rhs(s, model, hbar, ds)
+        rhs = lambda s: semiclassical_rhs(s, model, hbar)
         kind = "packet"
-    mons = standard_monitors(model, hbar, kind, state0.d, ds)
+    mons = standard_monitors(model, hbar, kind, state0.d)
     return rk4_integrate(rhs, initial, dt, t_final, monitors=mons)

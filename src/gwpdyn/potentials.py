@@ -272,8 +272,7 @@ class DerivedSquares:
     The methods take what the FieldModel callbacks returned at x
     (a = A(x), ja = jacA(x), ha = hessA(x), ght_a = grad_hess_trace_A(x, M))
     instead of x, so that a right-hand side evaluates each callback once
-    and shares the values with its other terms.  A flow builds one
-    instance per trajectory.
+    and shares the values with its other terms.  It holds no state.
     """
 
     def asq(self, a):

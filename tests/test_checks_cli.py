@@ -48,7 +48,7 @@ def test_check_suite_passes():
 def test_check_suite_catches_wrong_flow(monkeypatch):
     # drop every hbar correction from the flow: the numerical bracket of
     # the effective energy must notice
-    fake = lambda state, model, hbar, ds=None: zhou_rhs(state, model, ds)
+    fake = lambda state, model, hbar: zhou_rhs(state, model)
     monkeypatch.setattr(gwpdyn.dynamics, "semiclassical_rhs", fake)
     results = {r.name: r for r in run_check_suite(egorov_samples=5_000)}
     assert not results["bracket_consistency[cosine1d]"].passed
@@ -394,7 +394,7 @@ def test_check_command_reports_all_pass(capsys):
 
 
 def test_check_command_fails_on_broken_flow(monkeypatch, capsys):
-    fake = lambda state, model, hbar, ds=None: zhou_rhs(state, model, ds)
+    fake = lambda state, model, hbar: zhou_rhs(state, model)
     monkeypatch.setattr(gwpdyn.dynamics, "semiclassical_rhs", fake)
     assert cli.main(["check", "--samples", "5000"]) == 1
     assert "FAIL" in capsys.readouterr().out

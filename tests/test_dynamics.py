@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import plane_wave_gauge_2d
+from gwpdyn import dynamics
 from gwpdyn.checks import random_state, rel_field_dev
 from gwpdyn.dynamics import (ClassicalPhasePoint, bracket_rhs,
                              classical_hamiltonian, classical_rhs,
@@ -240,6 +241,40 @@ def test_rk4_aborts_on_pd_loss(cos_model, bench_state_1d):
     for values in traj.monitors.values():
         assert values.shape == (len(traj),)
     assert np.array_equal(traj.monitors["B11"], traj.b_matrices[:, 0, 0])
+
+
+@pytest.mark.parametrize("monitor", [lambda s: 1.0, lambda s: s.B_mat[0, 0], lambda s: s.q],
+                         ids=["scalar", "one-state", "per-coordinate"])
+def test_rk4_rejects_monitor_of_wrong_shape(monitor, bench_state_1d):
+    # a monitor written for one state, not for the stacked states, must
+    # not be stored out of line with the times
+    rhs = lambda s: (np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="monitor 'bad' returned shape"):
+        rk4_integrate(rhs, bench_state_1d, dt=0.1, t_final=1.0, monitors={"bad": monitor})
+
+
+def test_monitors_are_evaluated_in_blocks(quartic_model, bench_state_2d, monkeypatch):
+    # a long run evaluates the monitors over bounded slices of the states,
+    # with the same values as one call on all of them
+    rhs = lambda s: semiclassical_rhs(s, quartic_model, 0.1)
+    sizes = []
+
+    def size(states):
+        sizes.append(states.q.shape[0])
+        return np.ones(states.q.shape[0])
+
+    def run():
+        sizes.clear()
+        monitors = dict(standard_monitors(quartic_model, 0.1, "packet", 2), size=size)
+        return rk4_integrate(rhs, bench_state_2d, dt=5e-4, t_final=0.05, monitors=monitors)
+
+    whole = run()
+    assert sizes == [101]
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 7)
+    blocked = run()
+    assert sizes == [7] * 14 + [3]
+    for name, values in whole.monitors.items():
+        assert np.array_equal(blocked.monitors[name], values), name
 
 
 def test_rk4_aborts_on_nonfinite(bench_state_1d):
