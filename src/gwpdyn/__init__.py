@@ -8,10 +8,9 @@ packet's Wigner density for validation.
 """
 
 from .dynamics import (ClassicalPhasePoint, Trajectory, bracket_rhs,
-                       classical_hamiltonian, classical_rhs,
-                       corrected_potentials, rk4_integrate, rk4_step,
-                       semiclassical_hamiltonian, semiclassical_rhs, simulate,
-                       time_grid, zhou_rhs)
+                       classical_hamiltonian, classical_rhs, rk4_integrate,
+                       rk4_step, semiclassical_hamiltonian, semiclassical_rhs,
+                       simulate, time_grid)
 from .egorov import (EgorovEstimate, PhaseEnsemble, phase_error,
                      propagate_ensemble, wigner_sample)
 from .expectations import (QuadratureRule, asymptotic_expectation,
@@ -30,9 +29,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassicalPhasePoint", "Trajectory", "bracket_rhs",
-    "classical_hamiltonian", "classical_rhs", "corrected_potentials",
+    "classical_hamiltonian", "classical_rhs",
     "rk4_integrate", "rk4_step", "semiclassical_hamiltonian",
-    "semiclassical_rhs", "simulate", "time_grid", "zhou_rhs",
+    "semiclassical_rhs", "simulate", "time_grid",
     "EgorovEstimate", "PhaseEnsemble", "phase_error", "propagate_ensemble",
     "wigner_sample",
     "QuadratureRule", "asymptotic_expectation", "full_hamiltonian",

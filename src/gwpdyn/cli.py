@@ -32,7 +32,7 @@ ALLOWED_KEYS = {
                "samples", "seed", "out", *QUAD_KEYS},
     "converge": {"potential", "q", "p", "A", "B", "hbars", "dt", "t_star",
                  "samples", "seed", "out", *QUAD_KEYS},
-    "check": {"samples", "seed", "gh_nodes"},
+    "check": {"samples", "seed"},
 }
 
 
@@ -131,7 +131,6 @@ class RunConfig:
     t_star: float | None = None
     samples: tuple = ()
     seed: int = 0
-    gh_nodes: int = 20
     out: str = "-"
     extra: dict = field(default_factory=dict)
 
@@ -161,12 +160,9 @@ def make_run_config(command: str, cfg: dict) -> RunConfig:
         t_star=_to_float(cfg["t_star"], "t_star") if "t_star" in cfg else None,
         samples=samples,
         seed=_to_int(cfg.get("seed", 0), "seed"),
-        gh_nodes=_to_int(cfg.get("gh_nodes", 20), "gh_nodes"),
         out=cfg.get("out", "-"),
         extra={k: cfg[k] for k in ("q", "p", "A", "B", *QUAD_KEYS) if k in cfg},
     )
-    if rc.gh_nodes < 1:
-        raise CliError(f"gh_nodes must be >= 1, got {rc.gh_nodes}")
     for h in rc.hbars + ((rc.hbar,) if rc.hbar is not None else ()):
         if not (np.isfinite(h) and h > 0.0):
             raise CliError(f"hbar must be positive and finite, got {h}")
@@ -370,8 +366,7 @@ def cmd_converge(cfg: dict) -> int:
 def cmd_check(cfg: dict) -> int:
     rc = make_run_config("check", cfg)
     n = rc.samples[0] if rc.samples else 20_000
-    results = checks.run_check_suite(egorov_samples=n, seed=rc.seed,
-                                     gh_nodes=rc.gh_nodes)
+    results = checks.run_check_suite(egorov_samples=n, seed=rc.seed)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
@@ -399,7 +394,6 @@ def _add_common(sub, *names):
         "t-star": dict(help="comparison time for convergence errors"),
         "samples": dict(help="Monte-Carlo sample count (or per-hbar list)"),
         "seed": dict(help="RNG seed (default 0)"),
-        "gh-nodes": dict(help="Gauss-Hermite nodes per axis (default 20)"),
         "out": dict(help="output CSV path, '-' for stdout"),
     }
     for name in names:
@@ -427,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "samples", "seed", "out")
 
     s = subs.add_parser("check", help="run the built-in consistency suite")
-    _add_common(s, "samples", "seed", "gh-nodes")
+    _add_common(s, "samples", "seed")
 
     return parser
 

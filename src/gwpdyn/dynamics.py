@@ -1,13 +1,9 @@
 """Equations of motion for packet centers and width matrices.
 
-Three right-hand-side families act on the packet parameters
-(q, p, A, B):
+Two right-hand sides act on the packet parameters (q, p, A, B):
 
   * classical_rhs: the magnetic Hamiltonian flow of
     H0 = |p - A(q)|^2 / 2m + V(q) on (q, p) alone.
-
-  * zhou_rhs: classical motion of (q, p) coupled to Riccati-type width
-    dynamics for A + iB along the trajectory.
 
   * semiclassical_rhs: the order-hbar corrected flow generated by the
     effective Hamiltonian
@@ -23,18 +19,22 @@ Three right-hand-side families act on the packet parameters
         dA_w = -(4/hbar) dH/dB^-1, d(B^-1) = +(4/hbar) dH/dA_w,
 
     (A_w denotes the real width matrix, to distinguish it from the
-    vector potential).  All three conserve their respective energies,
-    and the semiclassical flow also conserves the width-corrected
-    angular momentum matrix when the fields are rotation-equivariant.
+    vector potential).  The width lines do not depend on hbar, and the
+    center lines at hbar = 0 are the classical ones, so Zhou's flow
+    (classical center motion with Riccati transport of A + iB) is this
+    flow at hbar = 0; simulate's "zhou" flavor runs it that way.  Both
+    flows conserve their respective energies, and the semiclassical flow
+    also conserves the width-corrected angular momentum matrix when the
+    fields are rotation-equivariant.
 
 classical_rhs, classical_hamiltonian and (in observables)
 classical_angular_momentum accept q and p with leading batch axes
 (..., d), so the same code moves one packet center and a whole Egorov
 ensemble of Wigner samples.  semiclassical_hamiltonian and the other
 monitors are batched the same way, so a trajectory's monitors are
-computed once from its stacked states.  The packet right-hand sides
-evaluate each field callback once per call and hand the values to the
-|A|^2 calculus of DerivedSquares.
+computed once from its stacked states.  semiclassical_rhs evaluates
+each field callback once per call and hands the values to the |A|^2
+calculus of DerivedSquares.
 
 bracket_rhs evaluates the bracket by central finite differences of an
 arbitrary scalar function of the state and is the arbiter used to
@@ -61,9 +61,7 @@ __all__ = [
     "Trajectory",
     "classical_hamiltonian",
     "semiclassical_hamiltonian",
-    "corrected_potentials",
     "classical_rhs",
-    "zhou_rhs",
     "semiclassical_rhs",
     "bracket_rhs",
     "time_grid",
@@ -134,53 +132,8 @@ def semiclassical_hamiltonian(state: PacketState, model: FieldModel, hbar: float
     return h0 + 0.25 * hbar * (tr_width / model.mass + tr_v)
 
 
-def corrected_potentials(state: PacketState, model: FieldModel, hbar: float):
-    """Laplace-corrected field values at the center, (V_h, A_h, |A|^2_h).
-
-    Each is the plain value plus (hbar/4) Tr(B^-1 Hess); the corrected
-    vector potential is what the center velocity couples to:
-    dq/dt = (p - A_h(q)) / m.
-    """
-    q, B = state.q, state.B_mat
-    Binv = np.linalg.inv(B)
-    ds = DerivedSquares()
-    a = np.asarray(model.A(q), dtype=float)
-    ja = np.asarray(model.jacA(q), dtype=float)
-    ha = np.asarray(model.hessA(q), dtype=float)
-    v_h = float(model.V(q)) + 0.25 * hbar * float(
-        np.trace(Binv @ np.asarray(model.hessV(q), dtype=float)))
-    a_h = a.copy()
-    for k in range(state.d):
-        a_h[k] += 0.25 * hbar * float(np.trace(Binv @ ha[k]))
-    asq_h = float(ds.asq(a)) + 0.25 * hbar * float(
-        np.trace(Binv @ ds.hess_asq(a, ja, ha)))
-    return v_h, a_h, asq_h
-
-
 # ---------------------------------------------------------------------------
 # right-hand sides
-
-
-def _center_rhs(v, ja, model: FieldModel, q):
-    """(dq, dp) of the magnetic flow from v = p - A(q) and DA(q).
-
-    Both outputs keep the layout of v, which is overwritten with dq.
-    DA^T v is accumulated from zero in the order of an einsum over j,
-    so a single point gets the same bits either way.  grad V(q) is
-    evaluated here, after dp is allocated: allocated before it, it makes
-    glibc trim and refault the heap on every step of a 2D transport
-    block.
-    """
-    ja = np.asarray(ja, dtype=float)
-    d = v.shape[-1]
-    dp = np.zeros_like(v)
-    for i in range(d):
-        for j in range(d):
-            dp[..., i] += ja[..., j, i] * v[..., j]
-    dp /= model.mass
-    dp -= np.asarray(model.gradV(q), dtype=float)
-    v /= model.mass
-    return v, dp
 
 
 def classical_rhs(z, model: FieldModel):
@@ -192,77 +145,77 @@ def classical_rhs(z, model: FieldModel):
     through an RK4 step.  p - A(q) is taken one component at a time,
     because a batched A callback may return the other layout (np.stack
     on the last axis does), and numpy subtracts mixed layouts row by
-    row.  v is allocated before A(q), and A(q) is freed before the next
-    allocations, for the same reason as in _center_rhs.
+    row.  DA^T v is accumulated from zero in the order of an einsum over
+    j, so a single point gets the same bits either way.  v is allocated
+    before A(q), A(q) is freed before the next allocations, and grad V(q)
+    is evaluated only after dp is allocated: in any other order glibc
+    trims and refaults the heap on every step of a 2D transport block.
     """
     v = np.empty_like(z.p, dtype=float)
     a = np.asarray(model.A(z.q), dtype=float)
-    for j in range(z.p.shape[-1]):
+    d = z.p.shape[-1]
+    for j in range(d):
         np.subtract(z.p[..., j], a[..., j], out=v[..., j])
     del a
-    return _center_rhs(v, model.jacA(z.q), model, z.q)
-
-
-def _width_rhs(state: PacketState, m: float, ja, ha, hess_asq, hess_v):
-    """Shared Riccati lines for dA_w and dB (returns symmetric matrices),
-    from DA, hessA, hess|A|^2 and hessV at the center."""
-    p, Aw, B = state.p, state.A_mat, state.B_mat
-    drive = ja.T @ Aw + Aw @ ja - 0.5 * hess_asq
-    for k in range(state.d):
-        drive = drive + p[k] * ha[k]
-    dA = (B @ B - Aw @ Aw + drive) / m - np.asarray(hess_v, dtype=float)
-    dB = (ja.T @ B + B @ ja - Aw @ B - B @ Aw) / m
-    return dA, dB
-
-
-def zhou_rhs(state: PacketState, model: FieldModel):
-    """Classical center motion with width transport: (dq, dp, dA, dB)."""
-    ds = DerivedSquares()
-    q, m = state.q, model.mass
-    a = np.asarray(model.A(q), dtype=float)
-    ja = np.asarray(model.jacA(q), dtype=float)
-    ha = np.asarray(model.hessA(q), dtype=float)
-    dq, dp = _center_rhs(state.p - a, ja, model, q)
-    dA, dB = _width_rhs(state, m, ja, ha, ds.hess_asq(a, ja, ha), model.hessV(q))
-    return dq, dp, dA, dB
+    ja = np.asarray(model.jacA(z.q), dtype=float)
+    dp = np.zeros_like(v)
+    for i in range(d):
+        for j in range(d):
+            dp[..., i] += ja[..., j, i] * v[..., j]
+    dp /= model.mass
+    dp -= np.asarray(model.gradV(z.q), dtype=float)
+    v /= model.mass
+    return v, dp
 
 
 def semiclassical_rhs(state: PacketState, model: FieldModel, hbar: float):
     """Order-hbar corrected flow of (q, p, A, B): returns (dq, dp, dA, dB).
 
-    The center feels the Laplace-corrected potentials; the momentum
-    equation carries, besides the gradients of V_h and |A|^2_h and the
-    corrected magnetic coupling, the q-derivative of the width-coupling
-    trace -(hbar/4m) Tr(B^-1 (DA^T A_w + A_w DA)), which contributes
+    The hbar^0 part is Zhou's flow: the classical center lines and the
+    Riccati width lines, which do not depend on hbar.  At hbar = 0 it is
+    returned alone, so Zhou's flow costs no B^-1 and no trace-gradient
+    callbacks, and its center lines equal classical_rhs bitwise.  The
+    order-hbar terms are the Laplace corrections: the center velocity
+    couples to A_h = A + (hbar/4) Tr(B^-1 hessA), and the momentum
+    equation carries the gradients of the corrected V and of the
+    width-coupling trace, which contributes
     (hbar/2m) sum_k (A_w B^-1 hessA_k)_{k,.} whenever the vector
-    potential has curvature.  Each field callback is evaluated once.
+    potential has curvature.  Each field callback is evaluated at most
+    once.
     """
     ds = DerivedSquares()
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
     m, d = model.mass, state.d
-    Binv = np.linalg.inv(B)
     a = np.asarray(model.A(q), dtype=float)
     ja = np.asarray(model.jacA(q), dtype=float)
     ha = np.asarray(model.hessA(q), dtype=float)
+
+    # hbar^0: classical center and Riccati width lines
+    v = p - a
+    dq = v / m
+    dp = np.einsum("ji,j->i", ja, v) / m - np.asarray(model.gradV(q), dtype=float)
+    drive = ja.T @ Aw + Aw @ ja - 0.5 * ds.hess_asq(a, ja, ha)
+    for k in range(d):
+        drive = drive + p[k] * ha[k]
+    dA = (B @ B - Aw @ Aw + drive) / m - np.asarray(model.hessV(q), dtype=float)
+    dB = (ja.T @ B + B @ ja - Aw @ B - B @ Aw) / m
+    if hbar == 0.0:
+        return dq, dp, dA, dB
+
+    # order hbar: dq couples to A + (hbar/4) Tr(B^-1 hessA); dp gains minus
+    # the q-gradients of (hbar/4m) Tr(B^-1 (hess|A|^2 / 2 - sum_k p_k hessA_k)),
+    # of (hbar/4) Tr(B^-1 hessV) and of the width coupling's DA terms
+    Binv = np.linalg.inv(B)
     ght_a = np.asarray(model.grad_hess_trace_A(q, Binv), dtype=float)
-
-    corr = np.trace(Binv @ ha, axis1=-2, axis2=-1)
-    dq = (p - a - 0.25 * hbar * corr) / m
-
-    grad_asq = np.asarray(ds.grad_asq(a, ja), dtype=float)
-    ght_asq = ds.grad_hess_trace_asq(Binv, a, ja, ha, ght_a)
+    dq = dq - 0.25 * hbar / m * np.trace(Binv @ ha, axis1=-2, axis2=-1)
     ght_ap = np.zeros(d)
     for k in range(d):
         ght_ap += p[k] * ght_a[k]
-    dp = (-(grad_asq + 0.25 * hbar * ght_asq - 2.0 * ja.T @ p - 0.5 * hbar * ght_ap)
-          / (2.0 * m)
-          - np.asarray(model.gradV(q), dtype=float)
-          - 0.25 * hbar * np.asarray(model.grad_hess_trace_V(q, Binv), dtype=float))
+    ght_asq = ds.grad_hess_trace_asq(Binv, a, ja, ha, ght_a)
+    dp = dp + 0.25 * hbar * ((ght_ap - 0.5 * ght_asq) / m
+                             - np.asarray(model.grad_hess_trace_V(q, Binv), dtype=float))
     if np.any(ha):
-        G = Aw @ Binv
-        dp = dp + 0.5 * hbar / m * np.einsum("kl,kli->i", G, ha)
-
-    dA, dB = _width_rhs(state, m, ja, ha, ds.hess_asq(a, ja, ha), model.hessV(q))
+        dp = dp + 0.5 * hbar / m * np.einsum("kl,kli->i", Aw @ Binv, ha)
     return dq, dp, dA, dB
 
 
@@ -542,7 +495,9 @@ def simulate(model: FieldModel, flavor: str, state0: PacketState, hbar: float,
     """Propagate a packet state with the chosen flavor and standard monitors.
 
     flavor "classical" integrates only the center (widths are dropped);
-    "zhou" and "semiclassical" integrate the full packet parameters.
+    "zhou" and "semiclassical" integrate the full packet parameters, the
+    first with semiclassical_rhs at hbar = 0 (hbar still sets the
+    monitors).
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; choose from {FLAVORS}")
@@ -555,13 +510,10 @@ def simulate(model: FieldModel, flavor: str, state0: PacketState, hbar: float,
         initial = ClassicalPhasePoint(q=state0.q, p=state0.p)
         rhs = lambda s: classical_rhs(s, model)
         kind = "classical"
-    elif flavor == "zhou":
-        initial = state0
-        rhs = lambda s: zhou_rhs(s, model)
-        kind = "packet"
     else:
         initial = state0
-        rhs = lambda s: semiclassical_rhs(s, model, hbar)
+        h = 0.0 if flavor == "zhou" else hbar
+        rhs = lambda s: semiclassical_rhs(s, model, h)
         kind = "packet"
     mons = standard_monitors(model, hbar, kind, state0.d)
     return rk4_integrate(rhs, initial, dt, t_final, monitors=mons)

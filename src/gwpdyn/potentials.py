@@ -70,7 +70,8 @@ def cosine_1d() -> FieldModel:
 
     def V(x):
         x = np.asarray(x, dtype=float)[..., 0]
-        return 1.0 - 0.5 * np.cos(x) ** 2
+        c = np.cos(x)
+        return 1.0 - 0.5 * (c * c)
 
     def gradV(x):
         x = np.asarray(x, dtype=float)[..., 0]
@@ -122,7 +123,7 @@ def quartic_rotational_2d() -> FieldModel:
     def V(x):
         x = np.asarray(x, dtype=float)
         r2 = np.einsum("...i,...i->...", x, x)
-        return 0.5 * r2 + 0.25 * r2 ** 2
+        return 0.5 * r2 + 0.25 * (r2 * r2)
 
     def gradV(x):
         x = np.asarray(x, dtype=float)
@@ -190,11 +191,12 @@ def quadratic_linear(K, b, c, M0, a0, mass: float = 1.0) -> FieldModel:
 
     def V(x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * np.einsum("...i,ij,...j->...", x, K, x) + x @ b + c
+        return (0.5 * np.einsum("...i,ij,...j->...", x, K, x)
+                + np.einsum("...j,j->...", x, b) + c)
 
     def gradV(x):
         x = np.asarray(x, dtype=float)
-        return x @ K.T + b
+        return np.einsum("...j,ij->...i", x, K) + b
 
     def hessV(x):
         x = np.asarray(x, dtype=float)
@@ -202,7 +204,7 @@ def quadratic_linear(K, b, c, M0, a0, mass: float = 1.0) -> FieldModel:
 
     def A(x):
         x = np.asarray(x, dtype=float)
-        return x @ M0.T + a0
+        return np.einsum("...j,ij->...i", x, M0) + a0
 
     def jacA(x):
         x = np.asarray(x, dtype=float)
@@ -266,7 +268,7 @@ def model_by_name(name: str, d: int = 1, params: dict | None = None) -> FieldMod
 class DerivedSquares:
     """Derivatives of |A(x)|^2 assembled from the field values at x.
 
-    Every flavor of the dynamics consumes |A|^2 only through these four
+    The packet flow and its energy consume |A|^2 only through these two
     combinations, so deriving them in one place (by the product rule)
     keeps the individual models free of redundant, error-prone code.
     The methods take what the FieldModel callbacks returned at x
@@ -274,13 +276,6 @@ class DerivedSquares:
     instead of x, so that a right-hand side evaluates each callback once
     and shares the values with its other terms.  It holds no state.
     """
-
-    def asq(self, a):
-        return np.einsum("...k,...k->...", a, a)
-
-    def grad_asq(self, a, ja):
-        # grad |A|^2 = 2 (DA)^T A
-        return 2.0 * np.einsum("...ji,...j->...i", ja, a)
 
     def hess_asq(self, a, ja, ha):
         # hess |A|^2 = 2 [ (DA)^T DA + sum_k A_k hessA_k ]   (batched)

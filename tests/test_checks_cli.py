@@ -13,7 +13,7 @@ import gwpdyn
 import gwpdyn.dynamics
 from gwpdyn import cli
 from gwpdyn.checks import run_check_suite
-from gwpdyn.dynamics import simulate, zhou_rhs
+from gwpdyn.dynamics import semiclassical_rhs, simulate
 from gwpdyn.packet import make_packet_state
 from gwpdyn.potentials import cosine_1d
 
@@ -47,8 +47,9 @@ def test_check_suite_passes():
 
 def test_check_suite_catches_wrong_flow(monkeypatch):
     # drop every hbar correction from the flow: the numerical bracket of
-    # the effective energy must notice
-    fake = lambda state, model, hbar: zhou_rhs(state, model)
+    # the effective energy must notice.  The fake calls the function
+    # imported above; through the module attribute it would call itself.
+    fake = lambda state, model, hbar: semiclassical_rhs(state, model, 0.0)
     monkeypatch.setattr(gwpdyn.dynamics, "semiclassical_rhs", fake)
     results = {r.name: r for r in run_check_suite(egorov_samples=5_000)}
     assert not results["bracket_consistency[cosine1d]"].passed
@@ -369,8 +370,8 @@ def test_samples_below_two_rejected(argv, capsys):
     assert "samples must be >= 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["simulate", "egorov", "converge"])
-def test_gh_nodes_is_check_only(command, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["simulate", "egorov", "converge", "check"])
+def test_gh_nodes_is_not_an_option(command, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--gh-nodes", "20"])
     assert exc.value.code == 2
@@ -394,7 +395,7 @@ def test_check_command_reports_all_pass(capsys):
 
 
 def test_check_command_fails_on_broken_flow(monkeypatch, capsys):
-    fake = lambda state, model, hbar: zhou_rhs(state, model)
+    fake = lambda state, model, hbar: semiclassical_rhs(state, model, 0.0)
     monkeypatch.setattr(gwpdyn.dynamics, "semiclassical_rhs", fake)
     assert cli.main(["check", "--samples", "5000"]) == 1
     assert "FAIL" in capsys.readouterr().out

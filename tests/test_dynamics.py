@@ -9,9 +9,9 @@ from gwpdyn import dynamics
 from gwpdyn.checks import random_state, rel_field_dev
 from gwpdyn.dynamics import (ClassicalPhasePoint, bracket_rhs,
                              classical_hamiltonian, classical_rhs,
-                             corrected_potentials, rk4_integrate, rk4_step,
+                             rk4_integrate, rk4_step,
                              semiclassical_hamiltonian, semiclassical_rhs,
-                             simulate, standard_monitors, time_grid, zhou_rhs)
+                             simulate, standard_monitors, time_grid)
 from gwpdyn.observables import (classical_angular_momentum,
                                 semiclassical_angular_momentum)
 from gwpdyn.packet import PacketState, make_packet_state
@@ -36,7 +36,8 @@ def test_classical_rhs_value(cos_model, bench_state_1d):
 
 
 def test_zhou_width_lines_value(cos_model, bench_state_1d):
-    dq, dp, dA, dB = zhou_rhs(bench_state_1d, cos_model)
+    # Zhou's flow is the semiclassical flow at hbar = 0
+    dq, dp, dA, dB = semiclassical_rhs(bench_state_1d, cos_model, 0.0)
     assert dA[0, 0] == pytest.approx(1 + np.cos(0.5), rel=1e-14)
     assert dB[0, 0] == pytest.approx(-2 * np.sin(0.5), rel=1e-14)
     # center lines are exactly classical
@@ -58,24 +59,14 @@ def test_effective_energy_2d_initial_value(quartic_model, bench_state_2d):
     assert slope == pytest.approx(139 / 6, rel=1e-9)
 
 
-def test_corrected_potentials_cosine_closed_form(cos_model):
-    st = make_packet_state([0.7], [0.2], [[0.4]], [[1.5]])
-    hbar = 0.3
-    v_h, a_h, asq_h = corrected_potentials(st, cos_model, hbar)
-    q, b = 0.7, 1.5
-    assert v_h == pytest.approx(1 - 0.5 * np.cos(q) ** 2
-                                + hbar / (4 * b) * np.cos(2 * q), rel=1e-13)
-    assert a_h[0] == pytest.approx(np.cos(q) * (1 - hbar / (4 * b)), rel=1e-13)
-    assert asq_h == pytest.approx(np.cos(q) ** 2
-                                  - hbar / (2 * b) * np.cos(2 * q), rel=1e-13)
-
-
 def test_center_velocity_couples_to_corrected_potential(cos_model):
+    # dq = (p - A_h(q)) / m with A_h = A + (hbar/4) Tr(B^-1 hessA) =
+    # cos q (1 - hbar/4b) on cosine1d
     st = make_packet_state([0.7], [0.2], [[0.4]], [[1.5]])
-    hbar = 0.3
-    _, a_h, _ = corrected_potentials(st, cos_model, hbar)
+    q, p, b, hbar = 0.7, 0.2, 1.5, 0.3
     dq, _, _, _ = semiclassical_rhs(st, cos_model, hbar)
-    assert dq[0] == pytest.approx((0.2 - a_h[0]) / cos_model.mass, rel=1e-13)
+    assert dq[0] == pytest.approx((p - np.cos(q) * (1 - hbar / (4 * b)))
+                                  / cos_model.mass, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +77,7 @@ def test_width_derivatives_symmetric(curved_gauge_model):
     rng = np.random.default_rng(3)
     for _ in range(10):
         st = random_state(rng, 2)
-        for rhs in (zhou_rhs(st, curved_gauge_model),
+        for rhs in (semiclassical_rhs(st, curved_gauge_model, 0.0),
                     semiclassical_rhs(st, curved_gauge_model, 0.2)):
             _, _, dA, dB = rhs
             assert np.max(np.abs(dA - dA.T)) < 1e-13
@@ -107,7 +98,7 @@ def test_semiclassical_equals_zhou_on_quadratic_models():
         st = random_state(rng, d)
         hbar = float(rng.uniform(0.05, 0.8))
         assert rel_field_dev(semiclassical_rhs(st, model, hbar),
-                        zhou_rhs(st, model)) < 1e-12
+                             semiclassical_rhs(st, model, 0.0)) < 1e-12
 
 
 @pytest.mark.parametrize("model_ix", [0, 1, 2])
@@ -285,7 +276,7 @@ def test_rk4_aborts_on_nonfinite(bench_state_1d):
 
 
 def test_rk4_rejects_bad_arguments(cos_model, bench_state_1d):
-    rhs = lambda s: zhou_rhs(s, cos_model)
+    rhs = lambda s: semiclassical_rhs(s, cos_model, 0.0)
     with pytest.raises(ValueError):
         rk4_integrate(rhs, bench_state_1d, dt=0.0, t_final=1.0)
     with pytest.raises(ValueError):
@@ -380,13 +371,17 @@ def test_classical_flavor_drops_widths(cos_model, bench_state_1d):
     assert isinstance(z, ClassicalPhasePoint)
 
 
-def test_zhou_centers_match_classical_exactly(cos_model, bench_state_1d):
-    tz = simulate(cos_model, "zhou", bench_state_1d, hbar=0.1,
-                  dt=0.01, t_final=2.0)
-    tc = simulate(cos_model, "classical", bench_state_1d, hbar=0.1,
-                  dt=0.01, t_final=2.0)
-    assert np.max(np.abs(tz.positions - tc.positions)) < 1e-12
-    assert np.max(np.abs(tz.momenta - tc.momenta)) < 1e-12
+def test_zhou_centers_match_classical_exactly(cos_model, quartic_model,
+                                             bench_state_1d, bench_state_2d):
+    # the zhou flavor is semiclassical_rhs at hbar = 0, whose center lines
+    # are classical_rhs's arithmetic: its centers are the classical
+    # trajectory bit for bit
+    for model, state in ((cos_model, bench_state_1d), (quartic_model, bench_state_2d)):
+        tz = simulate(model, "zhou", state, hbar=0.1, dt=5e-4, t_final=1.0)
+        tc = simulate(model, "classical", state, hbar=0.1, dt=5e-4, t_final=1.0)
+        assert tz.completed and tc.completed
+        assert np.array_equal(tz.positions, tc.positions), model.name
+        assert np.array_equal(tz.momenta, tc.momenta), model.name
 
 
 def _single_point_monitors(traj, model, hbar):
@@ -449,13 +444,13 @@ def _counting(model):
 
 @pytest.mark.parametrize("builder", [quartic_rotational_2d, cosine_1d, plane_wave_gauge_2d],
                          ids=["quartic2d", "cosine1d", "planewave2d"])
-@pytest.mark.parametrize("flow", ["classical_rhs", "zhou_rhs", "semiclassical_rhs",
+@pytest.mark.parametrize("flow", ["classical_rhs", "zhou", "semiclassical_rhs",
                                   "semiclassical_hamiltonian"])
 def test_each_callback_evaluated_at_most_once_per_call(builder, flow):
     model, counts = _counting(builder())
     state = random_state(np.random.default_rng(5), model.dim)
     {"classical_rhs": lambda: classical_rhs(state, model),
-     "zhou_rhs": lambda: zhou_rhs(state, model),
+     "zhou": lambda: semiclassical_rhs(state, model, 0.0),
      "semiclassical_rhs": lambda: semiclassical_rhs(state, model, 0.1),
      "semiclassical_hamiltonian": lambda: semiclassical_hamiltonian(state, model, 0.1),
      }[flow]()
