@@ -14,13 +14,11 @@ from .dynamics import (ClassicalPhasePoint, Trajectory, bracket_rhs,
 from .egorov import (EgorovEstimate, PhaseEnsemble, phase_error,
                      propagate_ensemble, wigner_sample)
 from .expectations import (QuadratureRule, asymptotic_expectation,
-                           full_hamiltonian, gaussian_expectation,
-                           polynomial_moment)
+                           full_hamiltonian, gaussian_expectation)
 from .observables import (classical_angular_momentum, diamond, loglog_fit,
                           semiclassical_angular_momentum)
 from .packet import (PacketState, WavePacketFull, evaluate_packet,
-                     make_packet_state, normalization_delta, normalized_packet,
-                     packet_norm_squared, position_covariance)
+                     make_packet_state, normalization_delta, normalized_packet)
 from .potentials import (DerivedSquares, FieldModel, cosine_1d, fd_cross_check,
                          free_model, model_by_name, quadratic_linear,
                          quartic_rotational_2d, rotational_symmetry_check)
@@ -35,12 +33,11 @@ __all__ = [
     "EgorovEstimate", "PhaseEnsemble", "phase_error", "propagate_ensemble",
     "wigner_sample",
     "QuadratureRule", "asymptotic_expectation", "full_hamiltonian",
-    "gaussian_expectation", "polynomial_moment",
+    "gaussian_expectation",
     "classical_angular_momentum", "diamond",
     "loglog_fit", "semiclassical_angular_momentum",
     "PacketState", "WavePacketFull", "evaluate_packet",
     "make_packet_state", "normalization_delta", "normalized_packet",
-    "packet_norm_squared", "position_covariance",
     "DerivedSquares", "FieldModel", "cosine_1d", "fd_cross_check",
     "free_model", "model_by_name", "quadratic_linear",
     "quartic_rotational_2d", "rotational_symmetry_check",

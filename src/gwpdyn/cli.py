@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checks, dynamics, egorov
 from .observables import loglog_fit
-from .packet import make_packet_state
+from .packet import PacketState, make_packet_state
 from .potentials import model_by_name
 
 PAPER_HBARS = (0.5, 0.3, 0.1, 0.05, 0.03, 0.01)
@@ -237,21 +237,22 @@ def cmd_simulate(cfg: dict) -> int:
     d = state.d
     traj = dynamics.simulate(model, rc.model, state, rc.hbar, rc.dt, rc.t_final)
 
+    # the CSV row: t, q, p, then A and B row-major for packets, then the
+    # monitors in the order simulate records them
+    s, n = traj.states, len(traj)
     cols = ["t"]
     cols += [f"q{i + 1}" for i in range(d)] + [f"p{i + 1}" for i in range(d)]
-    if traj.kind == "packet":
+    parts = [traj.times, s.q, s.p]
+    if isinstance(s, PacketState):
         cols += [f"A{i + 1}{j + 1}" for i in range(d) for j in range(d)]
         cols += [f"B{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-        mon_names = ["H0", "Hhbar"] + (["J12"] if d == 2 else []) + ["minEigB"]
-    else:
-        mon_names = ["H0"] + (["Lz_classical"] if d == 2 else [])
-    cols += mon_names
+        parts += [s.A_mat.reshape(n, d * d), s.B_mat.reshape(n, d * d)]
+    cols += list(traj.monitors)
+    table = np.column_stack(parts + list(traj.monitors.values()))
 
     with _out_stream(rc.out) as f:
         f.write(",".join(cols) + "\n")
-        for i in range(len(traj)):
-            row = [traj.times[i], *traj.ys[i]]
-            row += [traj.monitors[name][i] for name in mon_names]
+        for row in table:
             f.write(",".join(_fmt(v) for v in row) + "\n")
         if not traj.completed:
             f.write(f"# aborted,step={traj.abort_step},reason={traj.abort_reason}\n")

@@ -39,15 +39,16 @@ calculus of DerivedSquares.
 bracket_rhs evaluates the bracket by central finite differences of an
 arbitrary scalar function of the state and is the arbiter used to
 validate the hand-derived field.  rk4_step is one classic Runge-Kutta
-step over a tuple of arrays; rk4_integrate drives it on a packed state
-with positive-definiteness and finiteness guards.  time_grid is the one
-place that turns (dt, t_final) into grid times and rejects step sizes
-that do not divide the horizon.
+step over a tuple of arrays; rk4_integrate steps a state's own fields
+with it, under positive-definiteness and finiteness guards, and returns
+the accepted states stacked along a leading time axis.  time_grid is
+the one place that turns (dt, t_final) into grid times and rejects step
+sizes that do not divide the horizon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -88,7 +89,7 @@ class ClassicalPhasePoint:
 
     @property
     def d(self) -> int:
-        return self.q.shape[0]
+        return self.q.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +284,16 @@ def bracket_rhs(H_fn: Callable[[PacketState], float], state: PacketState,
 class Trajectory:
     """Uniform-grid trajectory with per-step scalar monitors.
 
-    ys stacks the flattened state per row; use positions/momenta or
-    state_at for typed access.  completed is False when the integrator
-    aborted (non-finite state or loss of positive definiteness), in
-    which case abort_step is the 1-based index of the failed step and
-    the arrays hold the surviving prefix.
+    states holds the accepted states stacked along a leading time axis:
+    a PacketState or ClassicalPhasePoint whose fields have shapes (n, d)
+    and (n, d, d).  completed is False when the integrator aborted
+    (non-finite state or loss of positive definiteness), in which case
+    abort_step is the 1-based index of the failed step and times, states
+    and monitors hold the surviving prefix.
     """
 
     times: np.ndarray
-    ys: np.ndarray
-    kind: str  # "packet" or "classical"
-    d: int
+    states: PacketState | ClassicalPhasePoint
     monitors: dict = field(default_factory=dict)
     completed: bool = True
     abort_reason: str | None = None
@@ -302,60 +302,17 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    @property
-    def positions(self) -> np.ndarray:
-        return self.ys[:, :self.d]
 
-    @property
-    def momenta(self) -> np.ndarray:
-        return self.ys[:, self.d:2 * self.d]
-
-    @property
-    def a_matrices(self) -> np.ndarray:
-        if self.kind != "packet":
-            raise AttributeError("classical trajectory has no width matrices")
-        d = self.d
-        return self.ys[:, 2 * d:2 * d + d * d].reshape(-1, d, d)
-
-    @property
-    def b_matrices(self) -> np.ndarray:
-        if self.kind != "packet":
-            raise AttributeError("classical trajectory has no width matrices")
-        d = self.d
-        return self.ys[:, 2 * d + d * d:].reshape(-1, d, d)
-
-    def state_at(self, i: int):
-        d = self.d
-        y = self.ys[i]
-        if self.kind == "packet":
-            return PacketState(q=y[:d].copy(), p=y[d:2 * d].copy(),
-                               A_mat=y[2 * d:2 * d + d * d].reshape(d, d).copy(),
-                               B_mat=y[2 * d + d * d:].reshape(d, d).copy())
-        return ClassicalPhasePoint(q=y[:d].copy(), p=y[d:2 * d].copy())
+def _fields(state) -> tuple:
+    """The arrays of a state in field order, the order its class takes them."""
+    return tuple(getattr(state, f.name) for f in fields(state))
 
 
-def _pack(state) -> np.ndarray:
-    if isinstance(state, PacketState):
-        return np.concatenate([state.q, state.p,
-                               state.A_mat.ravel(), state.B_mat.ravel()])
-    return np.concatenate([state.q, state.p])
-
-
-def _unpack(y: np.ndarray, kind: str, d: int):
-    """Typed views of packed states; y may carry leading batch axes."""
-    lead = y.shape[:-1]
-    if kind == "packet":
-        return PacketState(q=y[..., :d], p=y[..., d:2 * d],
-                           A_mat=y[..., 2 * d:2 * d + d * d].reshape(lead + (d, d)),
-                           B_mat=y[..., 2 * d + d * d:].reshape(lead + (d, d)))
-    return ClassicalPhasePoint(q=y[..., :d], p=y[..., d:2 * d])
-
-
-def _state_ok(y: np.ndarray, kind: str, d: int) -> str | None:
-    if not np.all(np.isfinite(y)):
+def _state_ok(state) -> str | None:
+    if not all(np.all(np.isfinite(y)) for y in _fields(state)):
         return "non-finite state"
-    if kind == "packet":
-        Bm = y[2 * d + d * d:].reshape(d, d)
+    if isinstance(state, PacketState):
+        Bm = state.B_mat
         try:
             np.linalg.cholesky(0.5 * (Bm + Bm.T))
         except np.linalg.LinAlgError:
@@ -403,16 +360,18 @@ def rk4_step(rhs, ys: tuple, dt: float) -> tuple:
                  for y, a, b, c, d in zip(ys, k1, k2, k3, k4))
 
 
-def _monitor_values(name, fn, ys, kind, d) -> np.ndarray:
-    """One monitor over the packed states ys, MONITOR_BLOCK rows per call."""
-    out = np.empty(ys.shape[0])
-    for lo in range(0, ys.shape[0], MONITOR_BLOCK):
-        block = ys[lo:lo + MONITOR_BLOCK]
-        values = np.asarray(fn(_unpack(block, kind, d)), dtype=float)
-        if values.shape != (block.shape[0],):
+def _monitor_values(name, fn, states) -> np.ndarray:
+    """One monitor over the stacked states, MONITOR_BLOCK states per call."""
+    n = states.q.shape[0]
+    out = np.empty(n)
+    for lo in range(0, n, MONITOR_BLOCK):
+        block = type(states)(*(y[lo:lo + MONITOR_BLOCK] for y in _fields(states)))
+        values = np.asarray(fn(block), dtype=float)
+        m = block.q.shape[0]
+        if values.shape != (m,):
             raise ValueError(f"monitor {name!r} returned shape {values.shape}; "
-                             f"expected one value per state, ({block.shape[0]},)")
-        out[lo:lo + block.shape[0]] = values
+                             f"expected one value per state, ({m},)")
+        out[lo:lo + m] = values
     return out
 
 
@@ -423,15 +382,17 @@ def rk4_integrate(rhs, initial, dt: float, t_final: float,
     Parameters
     ----------
     rhs : callable state -> tuple of derivative arrays (matching the
-        state fields in order).
-    initial : PacketState or ClassicalPhasePoint.
+        state fields in order and in shape).
+    initial : PacketState or ClassicalPhasePoint.  Its fields are
+        stepped as a tuple by rk4_step, each stored in its own stack, and
+        the trajectory's states are the same class with a leading time
+        axis on every field.
     monitors : optional dict name -> callable(states) -> array.  Each is
         called after integration on the accepted states (t = 0
-        included) stacked along a leading axis, i.e. a state whose
-        fields carry a leading axis, and returns one value per state.
-        Runs of up to MONITOR_BLOCK states make one call; longer runs
-        call it on consecutive slices of that many states, so the
-        monitors' temporaries stay bounded.
+        included), i.e. on a slice of the trajectory's states, and
+        returns one value per state.  Runs of up to MONITOR_BLOCK states
+        make one call; longer runs call it on consecutive slices of that
+        many states, so the monitors' temporaries stay bounded.
 
     The grid comes from time_grid(dt, t_final).  After each step the new
     state must be finite and (for packets) keep B positive definite;
@@ -440,52 +401,51 @@ def rk4_integrate(rhs, initial, dt: float, t_final: float,
     """
     times = time_grid(dt, t_final)
     n_steps = times.shape[0] - 1
-    kind = "packet" if isinstance(initial, PacketState) else "classical"
-    d = initial.d
+    cls = type(initial)
     monitors = monitors or {}
 
-    y = _pack(initial).astype(float)
-    bad = _state_ok(y, kind, d)
+    ys = tuple(np.asarray(y, dtype=float) for y in _fields(initial))
+    bad = _state_ok(cls(*ys))
     if bad is not None:
         raise ValueError(f"initial state rejected: {bad}")
 
-    ys = np.empty((n_steps + 1, y.shape[0]))
-
-    def f(packed):
-        return (np.concatenate([np.asarray(part, dtype=float).ravel()
-                                for part in rhs(_unpack(packed[0], kind, d))]),)
-
-    ys[0] = y
+    stacks = tuple(np.empty((n_steps + 1,) + y.shape) for y in ys)
+    for stack, y in zip(stacks, ys):
+        stack[0] = y
+    f = lambda y: rhs(cls(*y))
     n = n_steps + 1
     for i in range(n_steps):
-        (y_next,) = rk4_step(f, (y,), dt)
-        bad = _state_ok(y_next, kind, d)
+        ys_next = rk4_step(f, ys, dt)
+        bad = _state_ok(cls(*ys_next))
         if bad is not None:
             n = i + 1
             break
-        y = y_next
-        ys[i + 1] = y
+        ys = ys_next
+        for stack, y in zip(stacks, ys):
+            stack[i + 1] = y
 
-    ys = ys[:n]
-    mon = {name: _monitor_values(name, fn, ys, kind, d) for name, fn in monitors.items()}
-    return Trajectory(times=times[:n], ys=ys, kind=kind, d=d, monitors=mon,
+    states = cls(*(stack[:n] for stack in stacks))
+    mon = {name: _monitor_values(name, fn, states) for name, fn in monitors.items()}
+    return Trajectory(times=times[:n], states=states, monitors=mon,
                       completed=bad is None, abort_reason=bad,
                       abort_step=None if bad is None else n)
 
 
-def standard_monitors(model: FieldModel, hbar: float, kind: str, d: int) -> dict:
-    """Default monitor set: energies, J12 / Lz_classical in 2D, minEigB.
+def standard_monitors(model: FieldModel, hbar: float, state) -> dict:
+    """Default monitor set for states like state (a PacketState or a
+    ClassicalPhasePoint, single or stacked): energies, J12 /
+    Lz_classical in 2D, minEigB.
 
     Every monitor takes states stacked along leading axes and returns
     one value per state (see rk4_integrate).
     """
     mons: dict = {"H0": lambda s: classical_hamiltonian(s, model)}
-    if kind == "packet":
+    if isinstance(state, PacketState):
         mons["Hhbar"] = lambda s: semiclassical_hamiltonian(s, model, hbar)
-        if d == 2:
+        if state.d == 2:
             mons["J12"] = lambda s: semiclassical_angular_momentum(s, hbar)[..., 0, 1]
         mons["minEigB"] = lambda s: np.linalg.eigvalsh(s.B_mat)[..., 0]
-    elif d == 2:
+    elif state.d == 2:
         mons["Lz_classical"] = lambda s: classical_angular_momentum(s)
     return mons
 
@@ -509,11 +469,9 @@ def simulate(model: FieldModel, flavor: str, state0: PacketState, hbar: float,
     if flavor == "classical":
         initial = ClassicalPhasePoint(q=state0.q, p=state0.p)
         rhs = lambda s: classical_rhs(s, model)
-        kind = "classical"
     else:
         initial = state0
         h = 0.0 if flavor == "zhou" else hbar
         rhs = lambda s: semiclassical_rhs(s, model, h)
-        kind = "packet"
-    mons = standard_monitors(model, hbar, kind, state0.d)
+    mons = standard_monitors(model, hbar, initial)
     return rk4_integrate(rhs, initial, dt, t_final, monitors=mons)

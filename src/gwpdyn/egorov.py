@@ -239,6 +239,6 @@ def phase_error(model_traj, egorov_estimate: EgorovEstimate, t_star: float) -> f
     ie = locate(egorov_estimate.times, "ensemble")
     if "q" not in egorov_estimate.means or "p" not in egorov_estimate.means:
         raise ValueError("ensemble estimate lacks q/p means")
-    dq = egorov_estimate.means["q"][ie] - model_traj.positions[it]
-    dp = egorov_estimate.means["p"][ie] - model_traj.momenta[it]
+    dq = egorov_estimate.means["q"][ie] - model_traj.states.q[it]
+    dp = egorov_estimate.means["p"][ie] - model_traj.states.p[it]
     return float(np.sqrt(dq @ dq + dp @ dp))

@@ -9,8 +9,7 @@ whitening substitution
 
 which turns the density weight into exp(-|u|^2) exactly, so that a rule
 with n nodes per axis integrates polynomials of degree <= 2n-1 exactly.
-Low-order moments are also available in closed form (Isserlis), and the
-order-hbar Laplace expansion
+The order-hbar Laplace expansion
 
     <U> = U(q) + (hbar/4) Tr(B^-1 D^2 U(q)) + O(hbar^2)
 
@@ -31,7 +30,6 @@ __all__ = [
     "QuadratureRule",
     "gaussian_expectation",
     "asymptotic_expectation",
-    "polynomial_moment",
     "full_hamiltonian",
 ]
 
@@ -94,33 +92,6 @@ def asymptotic_expectation(U_q, hessU_q, B_mat, hbar) -> float:
     B = np.atleast_2d(np.asarray(B_mat, dtype=float))
     H = np.atleast_2d(np.asarray(hessU_q, dtype=float))
     return float(U_q + 0.25 * hbar * np.trace(np.linalg.solve(B, H)))
-
-
-def polynomial_moment(alpha, q, B_mat, hbar) -> float:
-    """Central moment E[prod_i (x_i - q_i)^alpha_i] for |alpha| <= 4.
-
-    Isserlis' theorem with covariance Sigma = (hbar/2) B^-1: odd orders
-    vanish; order 2 is Sigma_ij; order 4 sums the three pairings.
-    """
-    alpha = np.asarray(alpha, dtype=int)
-    if np.any(alpha < 0):
-        raise ValueError("alpha entries must be nonnegative")
-    total = int(alpha.sum())
-    if total > 4:
-        raise ValueError(f"moment order {total} not supported (max 4)")
-    if total % 2 == 1:
-        return 0.0
-    if total == 0:
-        return 1.0
-    B = np.atleast_2d(np.asarray(B_mat, dtype=float))
-    Sigma = 0.5 * hbar * np.linalg.inv(B)
-    idx = [i for i, a in enumerate(alpha) for _ in range(a)]
-    if total == 2:
-        return float(Sigma[idx[0], idx[1]])
-    i, j, k, l = idx
-    return float(Sigma[i, j] * Sigma[k, l]
-                 + Sigma[i, k] * Sigma[j, l]
-                 + Sigma[i, l] * Sigma[j, k])
 
 
 def full_hamiltonian(state: PacketState, model: FieldModel, hbar: float,

@@ -30,10 +30,8 @@ __all__ = [
     "WavePacketFull",
     "make_packet_state",
     "normalized_packet",
-    "packet_norm_squared",
     "normalization_delta",
     "evaluate_packet",
-    "position_covariance",
 ]
 
 # Componentwise asymmetry above this is treated as a caller error rather
@@ -57,7 +55,7 @@ class PacketState:
 
     @property
     def d(self) -> int:
-        return self.q.shape[0]
+        return self.q.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -119,16 +117,6 @@ def make_packet_state(q, p, A_mat, B_mat) -> PacketState:
     return PacketState(q=q, p=p, A_mat=A, B_mat=B)
 
 
-def packet_norm_squared(B_mat: np.ndarray, delta: float, hbar: float) -> float:
-    """Squared L2 norm sqrt((pi*hbar)^d / det B) * exp(-2*delta/hbar)."""
-    B = np.atleast_2d(np.asarray(B_mat, dtype=float))
-    d = B.shape[0]
-    det = float(np.linalg.det(B))
-    if det <= 0.0:
-        raise ValueError(f"det B must be positive, got {det}")
-    return float(np.sqrt((np.pi * hbar) ** d / det) * np.exp(-2.0 * delta / hbar))
-
-
 def normalization_delta(B_mat: np.ndarray, hbar: float) -> float:
     """The delta that makes the packet unit-norm for the given B."""
     B = np.atleast_2d(np.asarray(B_mat, dtype=float))
@@ -163,7 +151,3 @@ def evaluate_packet(packet: WavePacketFull, hbar: float, x) -> np.ndarray:
     vals = np.exp(exponent)
     return vals[0] if scalar_input else vals
 
-
-def position_covariance(state: PacketState, hbar: float) -> np.ndarray:
-    """Covariance (hbar/2) B^-1 of |chi|^2 seen as a Gaussian density."""
-    return 0.5 * hbar * np.linalg.inv(state.B_mat)

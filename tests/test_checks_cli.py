@@ -96,8 +96,8 @@ def test_simulate_csv_roundtrips_exact_values(tmp_path):
     state = make_packet_state([0.5], [-1.0], [[0.0]], [[1.0]])
     traj = simulate(cosine_1d(), "semiclassical", state, 0.1, 0.01, 3.0)
     # 17 significant digits reproduce every double exactly
-    assert np.array_equal(rows[:, 1], traj.positions[:, 0])
-    assert np.array_equal(rows[:, 2], traj.momenta[:, 0])
+    assert np.array_equal(rows[:, 1], traj.states.q[:, 0])
+    assert np.array_equal(rows[:, 2], traj.states.p[:, 0])
     assert np.array_equal(rows[:, 6], traj.monitors["Hhbar"])
 
 

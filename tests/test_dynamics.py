@@ -198,7 +198,7 @@ def test_rk4_zero_time_single_row(cos_model, bench_state_1d):
     traj = simulate(cos_model, "semiclassical", bench_state_1d,
                     hbar=0.1, dt=0.01, t_final=0.0)
     assert len(traj) == 1 and traj.times[0] == 0.0
-    assert np.allclose(traj.positions[0], [0.5])
+    assert np.allclose(traj.states.q[0], [0.5])
 
 
 def test_rk4_grid_is_uniform(cos_model, bench_state_1d):
@@ -218,7 +218,7 @@ def test_rk4_aborts_on_pd_loss(cos_model, bench_state_1d):
         calls.append(states.B_mat.shape)
         return states.B_mat[..., 0, 0]
 
-    monitors = dict(standard_monitors(cos_model, 0.1, "packet", 1), B11=b11)
+    monitors = dict(standard_monitors(cos_model, 0.1, bench_state_1d), B11=b11)
     traj = rk4_integrate(rhs, bench_state_1d, dt=0.1, t_final=2.0,
                          monitors=monitors)
     assert not traj.completed
@@ -231,7 +231,7 @@ def test_rk4_aborts_on_pd_loss(cos_model, bench_state_1d):
     assert set(traj.monitors) == set(monitors)
     for values in traj.monitors.values():
         assert values.shape == (len(traj),)
-    assert np.array_equal(traj.monitors["B11"], traj.b_matrices[:, 0, 0])
+    assert np.array_equal(traj.monitors["B11"], traj.states.B_mat[:, 0, 0])
 
 
 @pytest.mark.parametrize("monitor", [lambda s: 1.0, lambda s: s.B_mat[0, 0], lambda s: s.q],
@@ -256,7 +256,7 @@ def test_monitors_are_evaluated_in_blocks(quartic_model, bench_state_2d, monkeyp
 
     def run():
         sizes.clear()
-        monitors = dict(standard_monitors(quartic_model, 0.1, "packet", 2), size=size)
+        monitors = dict(standard_monitors(quartic_model, 0.1, bench_state_2d), size=size)
         return rk4_integrate(rhs, bench_state_2d, dt=5e-4, t_final=0.05, monitors=monitors)
 
     whole = run()
@@ -363,12 +363,8 @@ def test_rk4_step_on_linear_flow():
 def test_classical_flavor_drops_widths(cos_model, bench_state_1d):
     traj = simulate(cos_model, "classical", bench_state_1d,
                     hbar=0.1, dt=0.01, t_final=0.5)
-    assert traj.kind == "classical"
-    assert traj.ys.shape[1] == 2
-    with pytest.raises(AttributeError):
-        traj.a_matrices
-    z = traj.state_at(3)
-    assert isinstance(z, ClassicalPhasePoint)
+    assert isinstance(traj.states, ClassicalPhasePoint)
+    assert traj.states.q.shape == traj.states.p.shape == (len(traj), 1)
 
 
 def test_zhou_centers_match_classical_exactly(cos_model, quartic_model,
@@ -380,22 +376,27 @@ def test_zhou_centers_match_classical_exactly(cos_model, quartic_model,
         tz = simulate(model, "zhou", state, hbar=0.1, dt=5e-4, t_final=1.0)
         tc = simulate(model, "classical", state, hbar=0.1, dt=5e-4, t_final=1.0)
         assert tz.completed and tc.completed
-        assert np.array_equal(tz.positions, tc.positions), model.name
-        assert np.array_equal(tz.momenta, tc.momenta), model.name
+        assert np.array_equal(tz.states.q, tc.states.q), model.name
+        assert np.array_equal(tz.states.p, tc.states.p), model.name
+
+
+def _row(states, i):
+    """Grid point i of stacked states, as a single state of the same class."""
+    return type(states)(*(getattr(states, f.name)[i] for f in dataclasses.fields(states)))
 
 
 def _single_point_monitors(traj, model, hbar):
     """The monitors of a trajectory recomputed one grid point at a time."""
     rows = {}
     for i in range(len(traj)):
-        s = traj.state_at(i)
+        s = _row(traj.states, i)
         row = {"H0": classical_hamiltonian(s, model)}
-        if traj.kind == "packet":
+        if isinstance(s, PacketState):
             row["Hhbar"] = semiclassical_hamiltonian(s, model, hbar)
-            if traj.d == 2:
+            if s.d == 2:
                 row["J12"] = semiclassical_angular_momentum(s, hbar)[0, 1]
             row["minEigB"] = np.linalg.eigvalsh(s.B_mat)[0]
-        elif traj.d == 2:
+        elif s.d == 2:
             row["Lz_classical"] = classical_angular_momentum(s)
         for name, v in row.items():
             rows.setdefault(name, []).append(float(v))
@@ -465,8 +466,22 @@ def test_simulate_rejects_unknown_flavor(cos_model, bench_state_1d):
 def test_trajectory_state_roundtrip(quartic_model, bench_state_2d):
     traj = simulate(quartic_model, "semiclassical", bench_state_2d,
                     hbar=0.1, dt=0.001, t_final=0.05)
-    st = traj.state_at(0)
+    st = _row(traj.states, 0)
     assert np.array_equal(st.q, bench_state_2d.q)
     assert np.array_equal(st.A_mat, bench_state_2d.A_mat)
-    assert traj.a_matrices.shape == (len(traj), 2, 2)
+    assert traj.states.A_mat.shape == (len(traj), 2, 2)
     assert traj.monitors["minEigB"][0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("flavor", ["classical", "zhou", "semiclassical"])
+def test_trajectory_states_are_batched_states(flavor, cos_model, quartic_model,
+                                              bench_state_1d, bench_state_2d):
+    # a stacked state reports the model's dimension, not its length, and
+    # the standard monitors built from it reproduce the recorded ones
+    for model, state in ((cos_model, bench_state_1d), (quartic_model, bench_state_2d)):
+        traj = simulate(model, flavor, state, hbar=0.1, dt=0.001, t_final=0.05)
+        assert len(traj) == 51 and traj.states.d == model.dim
+        monitors = standard_monitors(model, 0.1, traj.states)
+        assert list(monitors) == list(traj.monitors)
+        for name, fn in monitors.items():
+            assert np.array_equal(fn(traj.states), traj.monitors[name]), name

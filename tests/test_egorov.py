@@ -238,8 +238,8 @@ def test_ensemble_moves_by_the_packet_classical_flow(model, component_major):
     for i in range(x.shape[0]):
         traj = rk4_integrate(lambda s: classical_rhs(s, model),
                              ClassicalPhasePoint(q=x[i], p=xi[i]), dt, dt)
-        assert np.array_equal(traj.positions[1], xs[i])
-        assert np.array_equal(traj.momenta[1], xis[i])
+        assert np.array_equal(traj.states.q[1], xs[i])
+        assert np.array_equal(traj.states.p[1], xis[i])
     # and the recorded energies and angular momenta are the single-point ones
     h0 = _observe("H0", x, xi, model)
     lz = _observe("Lz", x, xi, model)
@@ -336,10 +336,9 @@ def _manual_estimate():
 
 class _FakeTraj:
     times = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    positions = np.array([[0.0, 0.0], [0.1, 0.0], [0.3, 0.4],
-                          [0.4, 0.1], [0.5, 0.2]])
-    momenta = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, -0.1],
-                        [0.8, -0.2], [0.7, -0.3]])
+    states = ClassicalPhasePoint(
+        q=np.array([[0.0, 0.0], [0.1, 0.0], [0.3, 0.4], [0.4, 0.1], [0.5, 0.2]]),
+        p=np.array([[1.0, 0.0], [1.0, 0.0], [0.5, -0.1], [0.8, -0.2], [0.7, -0.3]]))
 
 
 def test_phase_error_value_and_grid_checks():

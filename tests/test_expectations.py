@@ -4,10 +4,36 @@ import pytest
 from gwpdyn.checks import random_state
 from gwpdyn.dynamics import semiclassical_hamiltonian
 from gwpdyn.expectations import (QuadratureRule, asymptotic_expectation,
-                                 full_hamiltonian, gaussian_expectation,
-                                 polynomial_moment)
+                                 full_hamiltonian, gaussian_expectation)
 from gwpdyn.packet import make_packet_state
 from gwpdyn.potentials import cosine_1d, quadratic_linear
+
+
+def polynomial_moment(alpha, q, B_mat, hbar) -> float:
+    """Central moment E[prod_i (x_i - q_i)^alpha_i] for |alpha| <= 4.
+
+    Isserlis' theorem with covariance Sigma = (hbar/2) B^-1: odd orders
+    vanish; order 2 is Sigma_ij; order 4 sums the three pairings.
+    """
+    alpha = np.asarray(alpha, dtype=int)
+    if np.any(alpha < 0):
+        raise ValueError("alpha entries must be nonnegative")
+    total = int(alpha.sum())
+    if total > 4:
+        raise ValueError(f"moment order {total} not supported (max 4)")
+    if total % 2 == 1:
+        return 0.0
+    if total == 0:
+        return 1.0
+    B = np.atleast_2d(np.asarray(B_mat, dtype=float))
+    Sigma = 0.5 * hbar * np.linalg.inv(B)
+    idx = [i for i, a in enumerate(alpha) for _ in range(a)]
+    if total == 2:
+        return float(Sigma[idx[0], idx[1]])
+    i, j, k, l = idx
+    return float(Sigma[i, j] * Sigma[k, l]
+                 + Sigma[i, k] * Sigma[j, l]
+                 + Sigma[i, l] * Sigma[j, k])
 
 
 def test_rule_validation():

