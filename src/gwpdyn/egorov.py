@@ -21,6 +21,17 @@ For speed the ensemble is moved in cache-sized blocks stored
 component-major, (d, b); the flow sees their (b, d) transposed views,
 which the batched classical_rhs keeps in the same memory layout.
 
+Blocks are independent, so propagate_ensemble hands them to a pool of
+W = min(MAX_WORKERS, usable CPUs, number of blocks) worker processes
+started with "fork": the model and the ensemble reach the workers
+through the fork itself (a FieldModel holds closures, which cannot be
+pickled), and only block starts and per-block partial sums cross the
+pipes.  The partial sums are added into the totals in block order,
+exactly as a serial loop adds them, so results are bitwise independent
+of W.  With one block, one usable CPU, no "fork" start method or a
+calling process that is itself a daemonic worker, the same block
+function runs in-process through a plain map.
+
 Sampling is counter-based: sample i consumes exactly 2d fixed slots of
 the Philox stream, so ensembles are reproducible bit-for-bit regardless
 of generation chunking, and uniforms are mapped through the exact
@@ -29,7 +40,9 @@ inverse normal CDF.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -54,6 +67,9 @@ OBSERVABLES = ("q", "p", "H0", "Lz")
 # rate sweep 4096 and 16384 both measured slower, from call overhead
 # and from cache misses respectively.
 DEFAULT_CHUNK = 8192
+# Most transport worker processes one propagate_ensemble call forks; the
+# usable CPUs and the number of blocks cap it further.
+MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -101,6 +117,7 @@ def wigner_sample(state0: PacketState, hbar: float, seed: int, N: int,
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    _check_chunk_size(chunk_size)
     if not (np.isfinite(hbar) and hbar > 0.0):
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
     d = state0.d
@@ -128,6 +145,12 @@ def wigner_sample(state0: PacketState, hbar: float, seed: int, N: int,
     return PhaseEnsemble(x=x, xi=xi, seed=seed, n=N, hbar=hbar)
 
 
+def _check_chunk_size(chunk_size) -> None:
+    if (isinstance(chunk_size, bool)
+            or not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1):
+        raise ValueError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
+
+
 def _classical_flow_step(x, xi, model: FieldModel, dt: float):
     """One RK4 step of the magnetic Hamiltonian flow, vectorized over rows."""
     return rk4_step(lambda ys: classical_rhs(ClassicalPhasePoint(*ys), model),
@@ -146,6 +169,101 @@ def _observe(name: str, x, xi, model: FieldModel):
     raise ValueError(f"unknown observable {name!r}; choose from {OBSERVABLES}")
 
 
+@dataclass(frozen=True)
+class _Transport:
+    """What every block of one propagate_ensemble call shares."""
+
+    ensemble: PhaseEnsemble
+    model: FieldModel
+    dt: float
+    steps: int           # grid times, t = 0 included
+    first: int           # first grid time reduced
+    observables: tuple
+    chunk_size: int
+
+    def zero_sums(self):
+        """Zeroed sums and sums of squares of each observable and alive
+        counts, one row per reduced grid time."""
+        R, d = self.steps - self.first, self.ensemble.d
+        sums = {name: np.zeros((R, d) if name in ("q", "p") else (R,))
+                for name in self.observables}
+        sqs = {name: np.zeros_like(v) for name, v in sums.items()}
+        return sums, sqs, np.zeros(R, dtype=np.int64)
+
+
+def _transport_block(job: _Transport, i0: int):
+    """Carry the block of samples starting at i0 through every step and
+    return its sums, sums of squares and alive counts (see zero_sums)."""
+    ensemble, model = job.ensemble, job.model
+    sums, sqs, counts = job.zero_sums()
+    i1 = min(i0 + job.chunk_size, ensemble.n)
+    x = ensemble.x[i0:i1].T.copy()     # component-major (d, b)
+    xi = ensemble.xi[i0:i1].T.copy()
+    # alive is None while every row of the block is finite; rows that
+    # arrive non-finite are excluded from the start
+    alive = None
+    for t in range(job.steps):
+        if t > 0:
+            xs, xis = _classical_flow_step(x.T, xi.T, model, job.dt)
+            x, xi = xs.T, xis.T
+        # one pass over the block; the per-sample mask only on failure
+        if not (np.isfinite(x).all() and np.isfinite(xi).all()):
+            ok = np.isfinite(x).all(axis=0) & np.isfinite(xi).all(axis=0)
+            x[:, ~ok] = 0.0
+            xi[:, ~ok] = 0.0
+            alive = ok if alive is None else alive & ok
+        if t < job.first:
+            continue
+        r = t - job.first
+        counts[r] = x.shape[1] if alive is None else int(alive.sum())
+        for name in job.observables:
+            vals = _observe(name, x.T, xi.T, model).T
+            if alive is not None:
+                vals = np.where(alive, vals, 0.0)
+            sums[name][r] = vals.sum(axis=-1)
+            sqs[name][r] = (vals * vals).sum(axis=-1)
+    return sums, sqs, counts
+
+
+# The job a forked pool worker serves; set only in the worker, by the
+# pool initializer, never in the calling process.
+_worker_job = None
+
+
+def _serve(job: _Transport) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _pooled_block(i0: int):
+    return _transport_block(_worker_job, i0)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_results(job: _Transport, starts: range):
+    """Yield _transport_block(job, i0) for every i0 of starts, in order.
+
+    The blocks run in a forked pool (see the module docstring) when that
+    can use more than one worker, and in this process otherwise.
+    """
+    workers = min(MAX_WORKERS, _usable_cpus(), len(starts))
+    if workers > 1:
+        import multiprocessing
+        # a daemonic process, such as a pool worker, may not have children
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(workers, initializer=_serve, initargs=(job,)) as pool:
+                yield from pool.imap(_pooled_block, starts)
+            return
+    yield from map(partial(_transport_block, job), starts)
+
+
 def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
                        t_final: float, observables=("q", "p", "H0"),
                        chunk_size: int = DEFAULT_CHUNK,
@@ -153,16 +271,18 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
     """Transport the ensemble classically, recording observable statistics.
 
     Each block of chunk_size samples is stored component-major, (d, b),
-    and carried through every step before the next block starts; the
-    flow and the observables see its (b, d) transposed views.  Means and
-    standard errors (stddev / sqrt(n_alive)) are accumulated block by
-    block in a fixed order, so results for a given (ensemble, dt,
-    t_final, chunk_size) are bitwise reproducible.  With final_only the
-    statistics are reduced at t_final alone and `times` holds only
-    t_final; that row is bitwise the last row of the full series.
-    Samples that blow up are zeroed, masked out from their failure time
-    onward, and counted in `excluded`.
+    and carried through every step on its own; the flow and the
+    observables see its (b, d) transposed views.  Blocks run on up to
+    MAX_WORKERS forked processes, and their partial sums are added into
+    the totals in block order, so means and standard errors
+    (stddev / sqrt(n_alive)) for a given (ensemble, dt, t_final,
+    chunk_size) are bitwise reproducible whatever the number of
+    workers.  With final_only the statistics are reduced at t_final
+    alone and `times` holds only t_final; that row is bitwise the last
+    row of the full series.  Samples that blow up are zeroed, masked out
+    from their failure time onward, and counted in `excluded`.
     """
+    _check_chunk_size(chunk_size)
     times = time_grid(dt, t_final)
     T = times.shape[0]
     d = ensemble.d
@@ -173,43 +293,15 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
         if name == "Lz" and d != 2:
             raise ValueError("observable Lz requires d = 2")
 
-    first = T - 1 if final_only else 0   # first grid time reduced
-    R = T - first
-
-    def width(name):
-        return (R, d) if name in ("q", "p") else (R,)
-
-    sums = {name: np.zeros(width(name)) for name in observables}
-    sqs = {name: np.zeros(width(name)) for name in observables}
-    counts = np.zeros(R, dtype=np.int64)
-
-    for i0 in range(0, ensemble.n, chunk_size):
-        i1 = min(i0 + chunk_size, ensemble.n)
-        x = ensemble.x[i0:i1].T.copy()     # component-major (d, b)
-        xi = ensemble.xi[i0:i1].T.copy()
-        # alive is None while every row of the block is finite; rows that
-        # arrive non-finite are excluded from the start
-        alive = None
-        for t in range(T):
-            if t > 0:
-                xs, xis = _classical_flow_step(x.T, xi.T, model, dt)
-                x, xi = xs.T, xis.T
-            # one pass over the block; the per-sample mask only on failure
-            if not (np.isfinite(x).all() and np.isfinite(xi).all()):
-                ok = np.isfinite(x).all(axis=0) & np.isfinite(xi).all(axis=0)
-                x[:, ~ok] = 0.0
-                xi[:, ~ok] = 0.0
-                alive = ok if alive is None else alive & ok
-            if t < first:
-                continue
-            r = t - first
-            counts[r] += x.shape[1] if alive is None else int(alive.sum())
-            for name in observables:
-                vals = _observe(name, x.T, xi.T, model).T
-                if alive is not None:
-                    vals = np.where(alive, vals, 0.0)
-                sums[name][r] += vals.sum(axis=-1)
-                sqs[name][r] += (vals * vals).sum(axis=-1)
+    first = T - 1 if final_only else 0
+    job = _Transport(ensemble, model, dt, T, first, observables, chunk_size)
+    sums, sqs, counts = job.zero_sums()
+    for part_sums, part_sqs, part_counts in _block_results(
+            job, range(0, ensemble.n, chunk_size)):
+        for name in observables:
+            sums[name] += part_sums[name]
+            sqs[name] += part_sqs[name]
+        counts += part_counts
 
     if np.any(counts < 2):
         raise RuntimeError("fewer than two surviving samples; cannot form errors")

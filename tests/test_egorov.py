@@ -1,9 +1,12 @@
 import dataclasses
+import multiprocessing
+import multiprocessing.context
 
 import numpy as np
 import pytest
 
 from conftest import plane_wave_gauge_2d
+from gwpdyn import cli, egorov
 from gwpdyn.checks import random_state
 from gwpdyn.dynamics import (ClassicalPhasePoint, classical_hamiltonian,
                              classical_rhs, rk4_integrate, simulate)
@@ -12,7 +15,7 @@ from gwpdyn.egorov import (EgorovEstimate, _classical_flow_step, _observe,
 from gwpdyn.expectations import full_hamiltonian
 from gwpdyn.observables import classical_angular_momentum
 from gwpdyn.packet import evaluate_packet, make_packet_state, normalized_packet
-from gwpdyn.potentials import quadratic_linear, quartic_rotational_2d
+from gwpdyn.potentials import cosine_1d, quadratic_linear, quartic_rotational_2d
 
 
 def _harmonic_1d():
@@ -121,6 +124,19 @@ def test_wigner_sample_validation():
     for hbar in (np.inf, np.nan):
         with pytest.raises(ValueError, match="hbar must be positive and finite"):
             wigner_sample(state, hbar, seed=0, N=10)
+
+
+@pytest.mark.parametrize("chunk_size", [0, -1, 2.5])
+def test_bad_chunk_size_is_rejected(chunk_size, cos_model):
+    # a negative chunk once returned uninitialised memory from
+    # wigner_sample and a misleading survivor error from transport
+    state = make_packet_state([0.0], [0.0], [[0.0]], [[1.0]])
+    with pytest.raises(ValueError, match="chunk_size"):
+        wigner_sample(state, 0.1, seed=0, N=10, chunk_size=chunk_size)
+    ens = wigner_sample(state, 0.1, seed=0, N=10)
+    with pytest.raises(ValueError, match="chunk_size"):
+        propagate_ensemble(ens, cos_model, dt=0.01, t_final=0.1,
+                           chunk_size=chunk_size)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +291,141 @@ def test_final_only_is_the_last_row_of_the_series():
                               equal_nan=True)
         assert np.array_equal(last.ses[name], full.ses[name][-1:],
                               equal_nan=True)
+
+
+def _same_bits(a, b):
+    """Bitwise equal arrays, NaN (of any payload) where both are NaN."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+def _forbid_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", no_pool)
+
+
+def _runaway_ensemble():
+    model = quadratic_linear([[-900.0]], [0.0], 0.0, [[0.0]], [0.0])
+    state = make_packet_state([0.0], [0.0], [[0.0]], [[1.0]])
+    return model, wigner_sample(state, 0.5, seed=5, N=2000)
+
+
+def _quartic_ensemble(bench_state_2d):
+    # 2 × 1024 + 97 samples: three blocks, the last one short
+    return quartic_rotational_2d(), wigner_sample(bench_state_2d, 0.1, seed=6,
+                                                  N=2145)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(("runaway", 311, False), id="runaway-311"),
+    pytest.param(("runaway", 700, False), id="runaway-700"),
+    pytest.param(("runaway", 311, True), id="runaway-311-final-only"),
+    pytest.param(("runaway", 700, True), id="runaway-700-final-only"),
+    pytest.param(("quartic2d", 1024, False), id="quartic2d-3-blocks"),
+    pytest.param(("quartic2d", 1024, True), id="quartic2d-3-blocks-final-only"),
+])
+def test_worker_count_does_not_change_the_output(case, monkeypatch,
+                                                 bench_state_2d):
+    # blocks finish in any order on the pool, but their partial sums are
+    # added in block order, so one worker and the default agree bitwise,
+    # NaN standard errors and mid-flight deaths included
+    kind, chunk_size, final_only = case
+    if kind == "runaway":
+        model, ens = _runaway_ensemble()
+        obs, t_final = ("q", "p", "H0"), 23.43
+    else:
+        model, ens = _quartic_ensemble(bench_state_2d)
+        obs, t_final = ("q", "p", "H0", "Lz"), 0.3
+    pools = []
+    real_pool = multiprocessing.context.BaseContext.Pool
+
+    def counting_pool(self, *args, **kwargs):
+        pools.append(args)
+        return real_pool(self, *args, **kwargs)
+
+    def run():
+        with np.errstate(over="ignore", invalid="ignore"):
+            return propagate_ensemble(ens, model, dt=0.01, t_final=t_final,
+                                      observables=obs, chunk_size=chunk_size,
+                                      final_only=final_only)
+
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing.context.BaseContext, "Pool", counting_pool)
+        pooled = run()
+    if egorov._usable_cpus() > 1 and "fork" in multiprocessing.get_all_start_methods():
+        assert len(pools) == 1
+    monkeypatch.setattr(egorov, "MAX_WORKERS", 1)
+    _forbid_pool(monkeypatch)
+    serial = run()
+    if kind == "runaway":
+        assert 0 < serial.excluded < 2000
+    assert pooled.excluded == serial.excluded
+    assert np.array_equal(pooled.times, serial.times)
+    for name in obs:
+        assert _same_bits(pooled.means[name], serial.means[name])
+        assert _same_bits(pooled.ses[name], serial.ses[name])
+
+
+def test_single_block_starts_no_process(monkeypatch, cos_model, bench_state_1d):
+    _forbid_pool(monkeypatch)
+    ens = wigner_sample(bench_state_1d, 0.1, seed=3, N=500)
+    est = propagate_ensemble(ens, cos_model, dt=0.01, t_final=0.1)
+    assert est.n_samples == 500 and est.excluded == 0
+
+
+def _three_block_means(ens):
+    est = propagate_ensemble(ens, cosine_1d(), dt=0.01, t_final=0.1,
+                             chunk_size=700)
+    return est.means["q"], est.ses["q"]
+
+
+def test_transport_inside_a_pool_worker_runs_in_process(bench_state_1d):
+    # a daemonic pool worker may not fork workers of its own
+    ens = wigner_sample(bench_state_1d, 0.1, seed=3, N=2000)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        nested = pool.apply(_three_block_means, (ens,))
+    here = _three_block_means(ens)
+    assert _same_bits(nested[0], here[0]) and _same_bits(nested[1], here[1])
+
+
+def _failing_cosine(bad_x: float):
+    """cosine1d whose A callback raises on the sample at bad_x."""
+    base = cosine_1d()
+
+    def A(x):
+        if np.any(np.asarray(x)[..., 0] == bad_x):
+            raise ValueError(f"field undefined at x = {bad_x!r}")
+        return base.A(x)
+
+    return dataclasses.replace(base, A=A)
+
+
+def test_worker_failure_propagates_and_leaves_no_process(bench_state_1d):
+    ens = wigner_sample(bench_state_1d, 0.1, seed=12, N=2000)
+    bad_x = float(ens.x[2 * 500 + 17, 0])    # in the third of four blocks
+    with pytest.raises(ValueError, match="field undefined at x = "):
+        propagate_ensemble(ens, _failing_cosine(bad_x), dt=0.01, t_final=0.1,
+                           chunk_size=500)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_failure_in_cli_egorov_exits_2(monkeypatch, tmp_path, capsys,
+                                              bench_state_1d):
+    n = 2 * egorov.DEFAULT_CHUNK + 100
+    ens = wigner_sample(bench_state_1d, 0.1, seed=4, N=n)
+    bad_x = float(ens.x[2 * egorov.DEFAULT_CHUNK + 3, 0])
+    monkeypatch.setattr(cli, "model_by_name",
+                        lambda *args, **kwargs: _failing_cosine(bad_x))
+    out = tmp_path / "e.csv"
+    rc = cli.main(["egorov", "--potential", "cosine1d", "--q", "0.5",
+                   "--p=-1", "--A", "0", "--B", "1", "--hbar", "0.1",
+                   "--t-final", "0.05", "--dt", "0.01", "--samples", str(n),
+                   "--seed", "4", "--out", str(out)])
+    assert rc == 2
+    assert "field undefined" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_final_only_feeds_phase_error(quartic_model, bench_state_2d):
