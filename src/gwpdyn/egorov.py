@@ -30,7 +30,9 @@ pipes.  The partial sums are added into the totals in block order,
 exactly as a serial loop adds them, so results are bitwise independent
 of W.  With one block, one usable CPU, no "fork" start method or a
 calling process that is itself a daemonic worker, the same block
-function runs in-process through a plain map.
+function runs in-process through a plain map.  A fork copies only the
+calling thread, so a caller whose other threads may hold locks should
+transport from a process of its own.
 
 Sampling is counter-based: sample i consumes exactly 2d fixed slots of
 the Philox stream, so ensembles are reproducible bit-for-bit regardless

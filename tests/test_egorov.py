@@ -128,8 +128,8 @@ def test_wigner_sample_validation():
 
 @pytest.mark.parametrize("chunk_size", [0, -1, 2.5])
 def test_bad_chunk_size_is_rejected(chunk_size, cos_model):
-    # a negative chunk once returned uninitialised memory from
-    # wigner_sample and a misleading survivor error from transport
+    # unchecked, a negative chunk leaves wigner_sample's output arrays
+    # uninitialised and makes transport report too few survivors
     state = make_packet_state([0.0], [0.0], [[0.0]], [[1.0]])
     with pytest.raises(ValueError, match="chunk_size"):
         wigner_sample(state, 0.1, seed=0, N=10, chunk_size=chunk_size)
@@ -306,37 +306,23 @@ def _forbid_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", no_pool)
 
 
-def _runaway_ensemble():
-    model = quadratic_linear([[-900.0]], [0.0], 0.0, [[0.0]], [0.0])
-    state = make_packet_state([0.0], [0.0], [[0.0]], [[1.0]])
-    return model, wigner_sample(state, 0.5, seed=5, N=2000)
-
-
-def _quartic_ensemble(bench_state_2d):
-    # 2 × 1024 + 97 samples: three blocks, the last one short
-    return quartic_rotational_2d(), wigner_sample(bench_state_2d, 0.1, seed=6,
-                                                  N=2145)
-
-
-@pytest.mark.parametrize("case", [
-    pytest.param(("runaway", 311, False), id="runaway-311"),
-    pytest.param(("runaway", 700, False), id="runaway-700"),
-    pytest.param(("runaway", 311, True), id="runaway-311-final-only"),
-    pytest.param(("runaway", 700, True), id="runaway-700-final-only"),
-    pytest.param(("quartic2d", 1024, False), id="quartic2d-3-blocks"),
-    pytest.param(("quartic2d", 1024, True), id="quartic2d-3-blocks-final-only"),
-])
-def test_worker_count_does_not_change_the_output(case, monkeypatch,
-                                                 bench_state_2d):
+@pytest.mark.parametrize("final_only", [False, True], ids=["series", "final-only"])
+@pytest.mark.parametrize("kind, chunk_size", [
+    ("runaway", 311), ("runaway", 700), ("quartic2d", 1024)])
+def test_worker_count_does_not_change_the_output(kind, chunk_size, final_only,
+                                                 monkeypatch, bench_state_2d):
     # blocks finish in any order on the pool, but their partial sums are
     # added in block order, so one worker and the default agree bitwise,
     # NaN standard errors and mid-flight deaths included
-    kind, chunk_size, final_only = case
     if kind == "runaway":
-        model, ens = _runaway_ensemble()
+        model = quadratic_linear([[-900.0]], [0.0], 0.0, [[0.0]], [0.0])
+        state = make_packet_state([0.0], [0.0], [[0.0]], [[1.0]])
+        ens = wigner_sample(state, 0.5, seed=5, N=2000)
         obs, t_final = ("q", "p", "H0"), 23.43
     else:
-        model, ens = _quartic_ensemble(bench_state_2d)
+        # 2 * 1024 + 97 samples: three blocks, the last one short
+        model = quartic_rotational_2d()
+        ens = wigner_sample(bench_state_2d, 0.1, seed=6, N=2145)
         obs, t_final = ("q", "p", "H0", "Lz"), 0.3
     pools = []
     real_pool = multiprocessing.context.BaseContext.Pool
