@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,18 +24,8 @@ from .potentials import model_by_name
 PAPER_HBARS = (0.5, 0.3, 0.1, 0.05, 0.03, 0.01)
 QUAD_KEYS = ("K", "b", "c", "M0", "a0", "mass")
 
-ALLOWED_KEYS = {
-    "simulate": {"model", "potential", "q", "p", "A", "B", "hbar", "dt",
-                 "t_final", "out", *QUAD_KEYS},
-    "egorov": {"potential", "q", "p", "A", "B", "hbar", "dt", "t_final",
-               "samples", "seed", "out", *QUAD_KEYS},
-    "converge": {"potential", "q", "p", "A", "B", "hbars", "dt", "t_star",
-                 "samples", "seed", "out", *QUAD_KEYS},
-    "check": {"samples", "seed"},
-}
 
-
-class CliError(Exception):
+class CliError(ValueError):
     pass
 
 
@@ -45,43 +34,11 @@ def _fmt(v: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# setting values: each parser takes the raw value and the setting's key
 
 
-def load_config_file(path: str) -> dict:
-    kv = {}
-    try:
-        with open(path) as f:
-            lines = f.readlines()
-    except OSError as e:
-        raise CliError(f"cannot read config file {path}: {e}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
-        key, _, value = line.partition("=")
-        kv[key.strip().replace("-", "_")] = value.strip()
-    return kv
-
-
-def resolve_settings(args: argparse.Namespace, command: str) -> dict:
-    """Merge config-file entries with explicit flags (flags win)."""
-    allowed = ALLOWED_KEYS[command]
-    cfg: dict = {}
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            if key not in allowed:
-                raise CliError(
-                    f"unknown config key {key!r} for command {command!r}; "
-                    f"allowed: {', '.join(sorted(allowed))}")
-            cfg[key] = value
-    for key in allowed:
-        v = getattr(args, key, None)
-        if v is not None:
-            cfg[key] = v
-    return cfg
+def _text(value, key: str) -> str:
+    return value
 
 
 def _parse_vector(s, key: str) -> np.ndarray:
@@ -113,157 +70,197 @@ def _to_int(value, key: str) -> int:
     return int(v)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings for one command invocation.
-
-    Initial-state and quadratic-model entries stay raw in `extra` until
-    the dimension is known (it is inferred from q).
-    """
-
-    command: str
-    model: str = "semiclassical"
-    potential: str | None = None
-    hbar: float | None = None
-    hbars: tuple = ()
-    dt: float = 0.01
-    t_final: float | None = None
-    t_star: float | None = None
-    samples: tuple = ()
-    seed: int = 0
-    out: str = "-"
-    extra: dict = field(default_factory=dict)
-
-    def require(self, *keys) -> "RunConfig":
-        for key in keys:
-            val = getattr(self, key)
-            if val is None or (isinstance(val, tuple) and not val):
-                raise CliError(f"missing required setting {key!r}")
-        return self
+def _hbar(value, key: str) -> float:
+    h = _to_float(value, key)
+    if not (np.isfinite(h) and h > 0.0):
+        raise CliError(f"hbar must be positive and finite, got {h}")
+    return h
 
 
-def make_run_config(command: str, cfg: dict) -> RunConfig:
-    hbars = ()
-    if "hbars" in cfg:
-        hbars = tuple(float(h) for h in _parse_vector(cfg["hbars"], "hbars"))
-    samples = ()
-    if "samples" in cfg:
-        samples = tuple(_to_int(t, "samples") for t in str(cfg["samples"]).split(","))
-    rc = RunConfig(
-        command=command,
-        model=cfg.get("model", "semiclassical"),
-        potential=cfg.get("potential"),
-        hbar=_to_float(cfg["hbar"], "hbar") if "hbar" in cfg else None,
-        hbars=hbars,
-        dt=_to_float(cfg.get("dt", 0.01), "dt"),
-        t_final=_to_float(cfg["t_final"], "t_final") if "t_final" in cfg else None,
-        t_star=_to_float(cfg["t_star"], "t_star") if "t_star" in cfg else None,
-        samples=samples,
-        seed=_to_int(cfg.get("seed", 0), "seed"),
-        out=cfg.get("out", "-"),
-        extra={k: cfg[k] for k in ("q", "p", "A", "B", *QUAD_KEYS) if k in cfg},
-    )
-    for h in rc.hbars + ((rc.hbar,) if rc.hbar is not None else ()):
-        if not (np.isfinite(h) and h > 0.0):
-            raise CliError(f"hbar must be positive and finite, got {h}")
-    if any(n < 2 for n in rc.samples):
+def _hbars(value, key: str) -> tuple:
+    return tuple(_hbar(h, key) for h in _parse_vector(value, key))
+
+
+def _counts(value, key: str) -> tuple:
+    counts = tuple(_to_int(t, key) for t in str(value).split(","))
+    if any(n < 2 for n in counts):
         raise CliError("samples must be >= 2 (a standard error needs two samples)")
-    return rc
+    return counts
 
 
-def build_model_and_state(rc: RunConfig):
+# flag -> (help, parser of its value, default).  A flag's config-file key
+# is its name with "_" for "-".
+FLAGS = {
+    "model": ("propagation flavor: classical, zhou, semiclassical", _text,
+              "semiclassical"),
+    "potential": ("field model: cosine1d, quartic2d, quadratic, free", _text, None),
+    "q": ("initial position, comma-separated", _parse_vector, None),
+    "p": ("initial momentum, comma-separated", _parse_vector, None),
+    "A": ("initial width matrix A, row-major (default zeros)", _text, None),
+    "B": ("initial width matrix B, row-major (default identity)", _text, None),
+    "hbar": ("semiclassical parameter", _hbar, None),
+    "hbars": ("comma-separated hbar list (converge)", _hbars, PAPER_HBARS),
+    "dt": ("time step (default 0.01)", _to_float, 0.01),
+    "t-final": ("final time", _to_float, None),
+    "t-star": ("comparison time for convergence errors", _to_float, None),
+    "samples": ("Monte-Carlo sample count (or per-hbar list)", _counts, None),
+    "seed": ("RNG seed (default 0)", _to_int, 0),
+    "out": ("output CSV path, '-' for stdout", _text, "-"),
+}
+
+
+# ---------------------------------------------------------------------------
+# configuration
+
+
+def load_config_file(path: str) -> dict:
+    kv = {}
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except OSError as e:
+        raise CliError(f"cannot read config file {path}: {e}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
+        key, _, value = line.partition("=")
+        kv[key.strip().replace("-", "_")] = value.strip()
+    return kv
+
+
+def config_keys(command: str) -> list:
+    """The config-file keys `command` accepts: those of its flags, and the
+    quadratic model's coefficients if it takes a potential."""
+    keys = [flag.replace("-", "_") for flag in COMMANDS[command][2]]
+    return keys + list(QUAD_KEYS) if "potential" in keys else keys
+
+
+def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
+    """Every setting of the command, parsed: its flag if given, else its
+    config-file entry, else its default (None for a quadratic-model key)."""
+    keys = config_keys(args.command)
+    given = {}
+    if args.config:
+        for key, value in load_config_file(args.config).items():
+            if key not in keys:
+                raise CliError(
+                    f"unknown config key {key!r} for command {args.command!r}; "
+                    f"allowed: {', '.join(sorted(keys))}")
+            given[key] = value
+    settings = argparse.Namespace()
+    for key in keys:
+        if getattr(args, key, None) is not None:
+            given[key] = getattr(args, key)
+        _, parse, default = FLAGS.get(key.replace("_", "-"), (None, _text, None))
+        setattr(settings, key, parse(given[key], key) if key in given else default)
+    return settings
+
+
+def _require(s: argparse.Namespace, *keys) -> None:
+    for key in keys:
+        if getattr(s, key) is None:
+            raise CliError(f"missing required setting {key!r}")
+
+
+def _one_count(samples, default: int) -> int:
+    """The single sample count of egorov and check, or default."""
+    if samples is None:
+        return default
+    if len(samples) != 1:
+        raise CliError(f"samples: expected one count, got {len(samples)}")
+    return samples[0]
+
+
+def build_model_and_state(s: argparse.Namespace):
     """FieldModel plus validated packet state from resolved settings."""
-    rc.require("potential")
-    ex = rc.extra
-    if "q" not in ex or "p" not in ex:
+    _require(s, "potential")
+    if s.q is None or s.p is None:
         raise CliError("missing required settings 'q' and/or 'p'")
-    q = _parse_vector(ex["q"], "q")
-    p = _parse_vector(ex["p"], "p")
-    d = q.size
-    if p.size != d:
-        raise CliError(f"q and p disagree on dimension ({d} vs {p.size})")
+    d = s.q.size
+    if s.p.size != d:
+        raise CliError(f"q and p disagree on dimension ({d} vs {s.p.size})")
     params = None
-    if rc.potential == "quadratic":
+    if s.potential == "quadratic":
         params = {}
         for key in QUAD_KEYS:
-            if key not in ex:
+            value = getattr(s, key)
+            if value is None:
                 continue
             if key in ("K", "M0"):
-                params[key] = _parse_matrix(ex[key], d, key)
+                params[key] = _parse_matrix(value, d, key)
             elif key in ("b", "a0"):
-                params[key] = _parse_vector(ex[key], key)
+                params[key] = _parse_vector(value, key)
             else:
-                params[key] = _to_float(ex[key], key)
-    try:
-        model = model_by_name(rc.potential, d=d, params=params)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+                params[key] = _to_float(value, key)
+    model = model_by_name(s.potential, d=d, params=params)
     if model.dim != d:
         raise CliError(f"potential {model.name!r} is {model.dim}-dimensional "
                        f"but q has {d} components")
-    A = _parse_matrix(ex["A"], d, "A") if "A" in ex else np.zeros((d, d))
-    B = _parse_matrix(ex["B"], d, "B") if "B" in ex else np.eye(d)
-    try:
-        state = make_packet_state(q, p, A, B)
-    except ValueError as e:
-        raise CliError(str(e)) from None
-    return model, state
+    A = _parse_matrix(s.A, d, "A") if s.A is not None else np.zeros((d, d))
+    B = _parse_matrix(s.B, d, "B") if s.B is not None else np.eye(d)
+    return model, make_packet_state(s.q, s.p, A, B)
 
 
-@contextlib.contextmanager
-def _out_stream(path):
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as f:
-            yield f
+# ---------------------------------------------------------------------------
+# output
 
 
-def _plot_script_path(out: str) -> str:
+def _write_csv(path: str, cols, table, footer: str) -> None:
+    """The header, one line per row of table, then the footer's `#`
+    lines, to the file at path or, for '-', to stdout."""
+    with (contextlib.nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", newline="")) as f:
+        f.write(",".join(cols) + "\n")
+        for row in table:
+            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.write(footer)
+
+
+def _write_plot_script(out: str, script: str) -> None:
+    """Write the gnuplot script for the CSV at out, as out with its
+    extension, if any, replaced by .gp; nothing for stdout."""
+    if out == "-":
+        return
     stem = out.rsplit(".", 1)[0] if "." in out.rsplit("/", 1)[-1] else out
-    return stem + ".gp"
+    with open(stem + ".gp", "w") as f:
+        f.write("set datafile separator ','\n" + script)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_simulate(cfg: dict) -> int:
-    rc = make_run_config("simulate", cfg).require("hbar", "t_final")
-    model, state = build_model_and_state(rc)
-    if rc.model not in dynamics.FLAVORS:
-        raise CliError(f"unknown model {rc.model!r}; choose from "
+def cmd_simulate(s: argparse.Namespace) -> int:
+    _require(s, "hbar", "t_final")
+    model, state = build_model_and_state(s)
+    if s.model not in dynamics.FLAVORS:
+        raise CliError(f"unknown model {s.model!r}; choose from "
                        f"{', '.join(dynamics.FLAVORS)}")
     d = state.d
-    traj = dynamics.simulate(model, rc.model, state, rc.hbar, rc.dt, rc.t_final)
+    traj = dynamics.simulate(model, s.model, state, s.hbar, s.dt, s.t_final)
 
     # the CSV row: t, q, p, then A and B row-major for packets, then the
     # monitors in the order simulate records them
-    s, n = traj.states, len(traj)
+    states, n = traj.states, len(traj)
     cols = ["t"]
     cols += [f"q{i + 1}" for i in range(d)] + [f"p{i + 1}" for i in range(d)]
-    parts = [traj.times, s.q, s.p]
-    if isinstance(s, PacketState):
+    parts = [traj.times, states.q, states.p]
+    if isinstance(states, PacketState):
         cols += [f"A{i + 1}{j + 1}" for i in range(d) for j in range(d)]
         cols += [f"B{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-        parts += [s.A_mat.reshape(n, d * d), s.B_mat.reshape(n, d * d)]
+        parts += [states.A_mat.reshape(n, d * d), states.B_mat.reshape(n, d * d)]
     cols += list(traj.monitors)
-    table = np.column_stack(parts + list(traj.monitors.values()))
-
-    with _out_stream(rc.out) as f:
-        f.write(",".join(cols) + "\n")
-        for row in table:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
-        if not traj.completed:
-            f.write(f"# aborted,step={traj.abort_step},reason={traj.abort_reason}\n")
-
-    if rc.out not in (None, "-"):
-        xl, yl = ("q", "p") if d == 1 else ("q1", "q2")
-        with open(_plot_script_path(rc.out), "w") as f:
-            f.write("set datafile separator ','\n"
-                    f"set xlabel '{xl}'\nset ylabel '{yl}'\n"
-                    f"plot '{rc.out}' using 2:3 with lines "
-                    f"title '{rc.model} ({model.name})'\n")
+    footer = "" if traj.completed else \
+        f"# aborted,step={traj.abort_step},reason={traj.abort_reason}\n"
+    _write_csv(s.out, cols, np.column_stack(parts + list(traj.monitors.values())),
+               footer)
+    xl, yl = ("q", "p") if d == 1 else ("q1", "q2")
+    _write_plot_script(s.out, f"set xlabel '{xl}'\nset ylabel '{yl}'\n"
+                              f"plot '{s.out}' using 2:3 with lines "
+                              f"title '{s.model} ({model.name})'\n")
 
     if not traj.completed:
         print(f"warning: integration aborted at step {traj.abort_step}: "
@@ -272,102 +269,89 @@ def cmd_simulate(cfg: dict) -> int:
     return 0
 
 
-def cmd_egorov(cfg: dict) -> int:
-    rc = make_run_config("egorov", cfg).require("hbar", "t_final")
-    model, state = build_model_and_state(rc)
+def cmd_egorov(s: argparse.Namespace) -> int:
+    _require(s, "hbar", "t_final")
+    model, state = build_model_and_state(s)
     d = state.d
-    n = rc.samples[0] if rc.samples else 10 ** 6
-    dynamics.time_grid(rc.dt, rc.t_final)  # reject a bad horizon before sampling
+    n = _one_count(s.samples, 10 ** 6)
+    dynamics.time_grid(s.dt, s.t_final)  # reject a bad horizon before sampling
 
     obs = ("q", "p", "H0") + (("Lz",) if d == 2 else ())
-    ens = egorov.wigner_sample(state, rc.hbar, seed=rc.seed, N=n)
-    est = egorov.propagate_ensemble(ens, model, rc.dt, rc.t_final,
-                                    observables=obs)
+    ens = egorov.wigner_sample(state, s.hbar, seed=s.seed, N=n)
+    est = egorov.propagate_ensemble(ens, model, s.dt, s.t_final, observables=obs)
 
-    cols = ["t"]
-    cols += [f"mean_q{i + 1}" for i in range(d)] + [f"mean_p{i + 1}" for i in range(d)]
-    cols += [f"se_q{i + 1}" for i in range(d)] + [f"se_p{i + 1}" for i in range(d)]
-    cols += ["mean_H0", "se_H0"] + (["mean_Lz", "se_Lz"] if d == 2 else [])
-    with _out_stream(rc.out) as f:
-        f.write(",".join(cols) + "\n")
-        for i in range(est.times.shape[0]):
-            row = [est.times[i], *est.means["q"][i], *est.means["p"][i],
-                   *est.ses["q"][i], *est.ses["p"][i],
-                   est.means["H0"][i], est.ses["H0"][i]]
-            if d == 2:
-                row += [est.means["Lz"][i], est.ses["Lz"][i]]
-            f.write(",".join(_fmt(v) for v in row) + "\n")
-        f.write(f"# excluded_samples,{est.excluded}\n")
+    cols = ["t"] + [f"{stat}_{v}{i + 1}" for stat in ("mean", "se")
+                    for v in ("q", "p") for i in range(d)]
+    parts = [est.times, est.means["q"], est.means["p"], est.ses["q"], est.ses["p"]]
+    for name in obs[2:]:
+        cols += [f"mean_{name}", f"se_{name}"]
+        parts += [est.means[name], est.ses[name]]
+    _write_csv(s.out, cols, np.column_stack(parts),
+               f"# excluded_samples,{est.excluded}\n")
     return 0
 
 
-def cmd_converge(cfg: dict) -> int:
-    rc = make_run_config("converge", cfg).require("t_star")
-    model, state = build_model_and_state(rc)
-    hbars = list(rc.hbars) if rc.hbars else list(PAPER_HBARS)
+def cmd_converge(s: argparse.Namespace) -> int:
+    _require(s, "t_star")
+    model, state = build_model_and_state(s)
+    hbars = list(s.hbars)
     if len(hbars) < 2:
         raise CliError("converge needs at least two hbar values")
     if len(set(hbars)) < len(hbars):
         raise CliError(f"hbar values must be distinct, got {','.join(map(str, hbars))}")
-    if rc.samples:
-        counts = list(rc.samples) * len(hbars) if len(rc.samples) == 1 \
-            else list(rc.samples)
+    if s.samples:
+        counts = list(s.samples) * len(hbars) if len(s.samples) == 1 \
+            else list(s.samples)
         if len(counts) != len(hbars):
             raise CliError(f"samples: expected 1 or {len(hbars)} counts, "
-                           f"got {len(rc.samples)}")
+                           f"got {len(s.samples)}")
     else:
         counts = [10 ** 7 if h <= 0.01 else 10 ** 6 for h in hbars]
 
     err_c, err_s, ses = [], [], []
     for i, h in enumerate(hbars):
-        tc = dynamics.simulate(model, "classical", state, h, rc.dt, rc.t_star)
-        ts = dynamics.simulate(model, "semiclassical", state, h, rc.dt, rc.t_star)
+        tc = dynamics.simulate(model, "classical", state, h, s.dt, s.t_star)
+        ts = dynamics.simulate(model, "semiclassical", state, h, s.dt, s.t_star)
         for traj, label in ((tc, "classical"), (ts, "semiclassical")):
             if not traj.completed:
                 raise CliError(f"{label} run at hbar={h} aborted at step "
                                f"{traj.abort_step}: {traj.abort_reason}")
-        ens = egorov.wigner_sample(state, h, seed=rc.seed + i, N=counts[i])
-        est = egorov.propagate_ensemble(ens, model, rc.dt, rc.t_star,
+        ens = egorov.wigner_sample(state, h, seed=s.seed + i, N=counts[i])
+        est = egorov.propagate_ensemble(ens, model, s.dt, s.t_star,
                                         observables=("q", "p"),
                                         final_only=True)
-        err_c.append(egorov.phase_error(tc, est, rc.t_star))
-        err_s.append(egorov.phase_error(ts, est, rc.t_star))
+        err_c.append(egorov.phase_error(tc, est, s.t_star))
+        err_s.append(egorov.phase_error(ts, est, s.t_star))
         ses.append(float(np.sqrt(np.sum(est.ses["q"][-1] ** 2)
                                  + np.sum(est.ses["p"][-1] ** 2))))
 
     fit_c = loglog_fit(hbars, err_c)
     fit_s = loglog_fit(hbars, err_s)
 
-    with _out_stream(rc.out) as f:
-        f.write("hbar,classical_error,semiclassical_error,egorov_se\n")
-        for h, ec, es, se in zip(hbars, err_c, err_s, ses):
-            f.write(",".join(_fmt(v) for v in (h, ec, es, se)) + "\n")
-        f.write(f"# fit_classical,{_fmt(fit_c[0])},{_fmt(fit_c[1])}\n")
-        f.write(f"# fit_semiclassical,{_fmt(fit_s[0])},{_fmt(fit_s[1])}\n")
+    _write_csv(s.out, ["hbar", "classical_error", "semiclassical_error", "egorov_se"],
+               np.column_stack([hbars, err_c, err_s, ses]),
+               f"# fit_classical,{_fmt(fit_c[0])},{_fmt(fit_c[1])}\n"
+               f"# fit_semiclassical,{_fmt(fit_s[0])},{_fmt(fit_s[1])}\n")
     print(f"classical:      error ~ exp({fit_c[0]:.4f}) * hbar^{fit_c[1]:.4f}")
     print(f"semiclassical:  error ~ exp({fit_s[0]:.4f}) * hbar^{fit_s[1]:.4f}")
-
-    if rc.out not in (None, "-"):
-        with open(_plot_script_path(rc.out), "w") as f:
-            f.write(
-                "set datafile separator ','\n"
-                "set logscale xy\n"
-                "set xlabel 'hbar'\n"
-                f"set ylabel 'phase-space error at t*={_fmt(rc.t_star)}'\n"
-                "set key left top\n"
-                f"plot '{rc.out}' using 1:2 with points pt 7 title 'classical', \\\n"
-                f"     '{rc.out}' using 1:3 with points pt 5 title 'semiclassical', \\\n"
-                f"     exp({_fmt(fit_c[0])})*x**{_fmt(fit_c[1])} with lines dashtype 2 "
-                f"title 'slope {fit_c[1]:.3f}', \\\n"
-                f"     exp({_fmt(fit_s[0])})*x**{_fmt(fit_s[1])} with lines dashtype 3 "
-                f"title 'slope {fit_s[1]:.3f}'\n")
+    _write_plot_script(
+        s.out,
+        "set logscale xy\n"
+        "set xlabel 'hbar'\n"
+        f"set ylabel 'phase-space error at t*={_fmt(s.t_star)}'\n"
+        "set key left top\n"
+        f"plot '{s.out}' using 1:2 with points pt 7 title 'classical', \\\n"
+        f"     '{s.out}' using 1:3 with points pt 5 title 'semiclassical', \\\n"
+        f"     exp({_fmt(fit_c[0])})*x**{_fmt(fit_c[1])} with lines dashtype 2 "
+        f"title 'slope {fit_c[1]:.3f}', \\\n"
+        f"     exp({_fmt(fit_s[0])})*x**{_fmt(fit_s[1])} with lines dashtype 3 "
+        f"title 'slope {fit_s[1]:.3f}'\n")
     return 0
 
 
-def cmd_check(cfg: dict) -> int:
-    rc = make_run_config("check", cfg)
-    n = rc.samples[0] if rc.samples else 20_000
-    results = checks.run_check_suite(egorov_samples=n, seed=rc.seed)
+def cmd_check(s: argparse.Namespace) -> int:
+    n = _one_count(s.samples, 20_000)
+    results = checks.run_check_suite(egorov_samples=n, seed=s.seed)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
@@ -380,26 +364,19 @@ def cmd_check(cfg: dict) -> int:
 # argument parsing
 
 
-def _add_common(sub, *names):
-    flags = {
-        "model": dict(help="propagation flavor: classical, zhou, semiclassical"),
-        "potential": dict(help="field model: cosine1d, quartic2d, quadratic, free"),
-        "q": dict(help="initial position, comma-separated"),
-        "p": dict(help="initial momentum, comma-separated"),
-        "A": dict(help="initial width matrix A, row-major (default zeros)"),
-        "B": dict(help="initial width matrix B, row-major (default identity)"),
-        "hbar": dict(help="semiclassical parameter"),
-        "hbars": dict(help="comma-separated hbar list (converge)"),
-        "dt": dict(help="time step (default 0.01)"),
-        "t-final": dict(help="final time"),
-        "t-star": dict(help="comparison time for convergence errors"),
-        "samples": dict(help="Monte-Carlo sample count (or per-hbar list)"),
-        "seed": dict(help="RNG seed (default 0)"),
-        "out": dict(help="output CSV path, '-' for stdout"),
-    }
-    for name in names:
-        sub.add_argument(f"--{name}", **flags[name])
-    sub.add_argument("--config", help="config file with `key = value` lines")
+# command -> (function, help, flags)
+COMMANDS = {
+    "simulate": (cmd_simulate, "integrate one trajectory to CSV",
+                 ("model", "potential", "q", "p", "A", "B", "hbar", "dt",
+                  "t-final", "out")),
+    "egorov": (cmd_egorov, "Monte-Carlo expectation time series",
+               ("potential", "q", "p", "A", "B", "hbar", "dt", "t-final",
+                "samples", "seed", "out")),
+    "converge": (cmd_converge, "error-vs-hbar sweep with rate fits",
+                 ("potential", "q", "p", "A", "B", "hbars", "dt", "t-star",
+                  "samples", "seed", "out")),
+    "check": (cmd_check, "run the built-in consistency suite", ("samples", "seed")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,41 +385,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gaussian wave packet propagation in scalar and vector "
                     "potentials, with a Monte-Carlo quantum reference.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("simulate", help="integrate one trajectory to CSV")
-    _add_common(s, "model", "potential", "q", "p", "A", "B", "hbar", "dt",
-                "t-final", "out")
-
-    s = subs.add_parser("egorov", help="Monte-Carlo expectation time series")
-    _add_common(s, "potential", "q", "p", "A", "B", "hbar", "dt", "t-final",
-                "samples", "seed", "out")
-
-    s = subs.add_parser("converge", help="error-vs-hbar sweep with rate fits")
-    _add_common(s, "potential", "q", "p", "A", "B", "hbars", "dt", "t-star",
-                "samples", "seed", "out")
-
-    s = subs.add_parser("check", help="run the built-in consistency suite")
-    _add_common(s, "samples", "seed")
-
+    for command, (_, help_, flags) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help_)
+        for flag in flags:
+            sub.add_argument(f"--{flag}", help=FLAGS[flag][0])
+        sub.add_argument("--config", help="config file with `key = value` lines")
     return parser
-
-
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "egorov": cmd_egorov,
-    "converge": cmd_converge,
-    "check": cmd_check,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_settings(args, args.command)
-        return COMMANDS[args.command](cfg)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return COMMANDS[args.command][0](resolve_settings(args))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -107,19 +107,19 @@ class EgorovEstimate:
     excluded: int
 
 
-def wigner_sample(state0: PacketState, hbar: float, seed: int, N: int,
-                  chunk_size: int = DEFAULT_CHUNK) -> PhaseEnsemble:
+def wigner_sample(state0: PacketState, hbar: float, seed: int,
+                  N: int) -> PhaseEnsemble:
     """Draw N phase-space points from the Wigner density of state0.
 
     Uses the factorization x ~ N(q, (hbar/2) B^-1) and
     xi = p + A_w (x - q) + eta with eta ~ N(0, (hbar/2) B), which
     reproduces W exactly.  Sample i is a pure function of (seed, i): it
     reads a fixed stride of the Philox(key=seed) stream, block-aligned
-    so that results are bitwise independent of chunk_size.
+    so that results are bitwise independent of the DEFAULT_CHUNK samples
+    drawn at a time.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    _check_chunk_size(chunk_size)
     if not (np.isfinite(hbar) and hbar > 0.0):
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
     d = state0.d
@@ -133,8 +133,8 @@ def wigner_sample(state0: PacketState, hbar: float, seed: int, N: int,
 
     x = np.empty((N, d))
     xi = np.empty((N, d))
-    for i0 in range(0, N, chunk_size):
-        i1 = min(i0 + chunk_size, N)
+    for i0 in range(0, N, DEFAULT_CHUNK):
+        i1 = min(i0 + DEFAULT_CHUNK, N)
         bg = np.random.Philox(key=seed)
         bg.advance(stride // 4 * i0)
         u = np.random.Generator(bg).random((i1 - i0, stride))[:, :2 * d]
@@ -145,12 +145,6 @@ def wigner_sample(state0: PacketState, hbar: float, seed: int, N: int,
         x[i0:i1] = state0.q + dx
         xi[i0:i1] = state0.p + dx @ state0.A_mat.T + eta
     return PhaseEnsemble(x=x, xi=xi, seed=seed, n=N, hbar=hbar)
-
-
-def _check_chunk_size(chunk_size) -> None:
-    if (isinstance(chunk_size, bool)
-            or not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1):
-        raise ValueError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
 
 
 def _classical_flow_step(x, xi, model: FieldModel, dt: float):
@@ -268,23 +262,21 @@ def _block_results(job: _Transport, starts: range):
 
 def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
                        t_final: float, observables=("q", "p", "H0"),
-                       chunk_size: int = DEFAULT_CHUNK,
                        final_only: bool = False) -> EgorovEstimate:
     """Transport the ensemble classically, recording observable statistics.
 
-    Each block of chunk_size samples is stored component-major, (d, b),
+    Each block of DEFAULT_CHUNK samples is stored component-major, (d, b),
     and carried through every step on its own; the flow and the
     observables see its (b, d) transposed views.  Blocks run on up to
     MAX_WORKERS forked processes, and their partial sums are added into
     the totals in block order, so means and standard errors
-    (stddev / sqrt(n_alive)) for a given (ensemble, dt, t_final,
-    chunk_size) are bitwise reproducible whatever the number of
-    workers.  With final_only the statistics are reduced at t_final
-    alone and `times` holds only t_final; that row is bitwise the last
-    row of the full series.  Samples that blow up are zeroed, masked out
+    (stddev / sqrt(n_alive)) for a given (ensemble, dt, t_final) are
+    bitwise reproducible whatever the number of workers.  With
+    final_only the statistics are reduced at t_final alone and `times`
+    holds only t_final; that row is bitwise the last row of the full
+    series.  Samples that blow up are zeroed, masked out
     from their failure time onward, and counted in `excluded`.
     """
-    _check_chunk_size(chunk_size)
     times = time_grid(dt, t_final)
     T = times.shape[0]
     d = ensemble.d
@@ -296,10 +288,10 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
             raise ValueError("observable Lz requires d = 2")
 
     first = T - 1 if final_only else 0
-    job = _Transport(ensemble, model, dt, T, first, observables, chunk_size)
+    job = _Transport(ensemble, model, dt, T, first, observables, DEFAULT_CHUNK)
     sums, sqs, counts = job.zero_sums()
     for part_sums, part_sqs, part_counts in _block_results(
-            job, range(0, ensemble.n, chunk_size)):
+            job, range(0, ensemble.n, job.chunk_size)):
         for name in observables:
             sums[name] += part_sums[name]
             sqs[name] += part_sqs[name]

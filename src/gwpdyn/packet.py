@@ -86,10 +86,11 @@ def _as_matrix(m, d: int, name: str) -> np.ndarray:
 def make_packet_state(q, p, A_mat, B_mat) -> PacketState:
     """Validated constructor for PacketState.
 
-    Accepts scalars or array-likes; symmetrizes A and B when the
-    componentwise asymmetry is below 1e-12 and rejects otherwise;
-    requires B positive definite (checked by Cholesky, with the failing
-    leading minor reported via an eigenvalue diagnostic).
+    Accepts scalars or array-likes; rejects non-finite entries;
+    symmetrizes A and B when the componentwise asymmetry is below 1e-12
+    and rejects otherwise; requires B positive definite (checked by
+    Cholesky, with the failing leading minor reported via an eigenvalue
+    diagnostic).
     """
     q = _as_vector(q, "q")
     p = _as_vector(p, "p")
@@ -98,6 +99,9 @@ def make_packet_state(q, p, A_mat, B_mat) -> PacketState:
         raise ValueError(f"p must have shape ({d},), got {p.shape}")
     A = _as_matrix(A_mat, d, "A_mat")
     B = _as_matrix(B_mat, d, "B_mat")
+    for name, v in (("q", q), ("p", p), ("A_mat", A), ("B_mat", B)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got {v.tolist()}")
     for name, M in (("A_mat", A), ("B_mat", B)):
         skew = np.max(np.abs(M - M.T)) if d > 1 else 0.0
         if skew > SYMMETRY_TOL:

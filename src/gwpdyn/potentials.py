@@ -23,7 +23,7 @@ of no leading axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -230,15 +230,9 @@ def quadratic_linear(K, b, c, M0, a0, mass: float = 1.0) -> FieldModel:
 def free_model(d: int = 1, mass: float = 1.0) -> FieldModel:
     """V = 0, A = 0 in d dimensions."""
     zK = np.zeros((d, d))
-    m = quadratic_linear(zK, np.zeros(d), 0.0, zK, np.zeros(d), mass=mass)
     # same callbacks, distinct name for the CLI registry
-    return FieldModel(
-        name="free", dim=d, mass=m.mass,
-        V=m.V, gradV=m.gradV, hessV=m.hessV,
-        A=m.A, jacA=m.jacA, hessA=m.hessA,
-        grad_hess_trace_V=m.grad_hess_trace_V,
-        grad_hess_trace_A=m.grad_hess_trace_A,
-    )
+    return replace(quadratic_linear(zK, np.zeros(d), 0.0, zK, np.zeros(d), mass=mass),
+                   name="free")
 
 
 def model_by_name(name: str, d: int = 1, params: dict | None = None) -> FieldModel:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import os
 import shutil
@@ -361,13 +362,57 @@ def test_hbar_must_be_positive_and_finite(argv, hbar, value, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [EG_1D[:-1] + ["1", "--t-final", "0.1"],
-                                  CONV_1D + ["--samples", "1"],
-                                  CONV_1D + ["--samples", "100,1"]],
-                         ids=["egorov", "converge", "converge-list"])
-def test_samples_below_two_rejected(argv, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (EG_1D[:-1] + ["1", "--t-final", "0.1"], "samples must be >= 2"),
+    (CONV_1D + ["--samples", "1"], "samples must be >= 2"),
+    (CONV_1D + ["--samples", "100,1"], "samples must be >= 2"),
+    # egorov and check take one count; a list used to run with its first
+    (EG_1D[:-1] + ["100,200", "--t-final", "0.1"], "samples: expected one count, got 2"),
+    (["check", "--samples", "100,5"], "samples: expected one count, got 2"),
+], ids=["egorov", "converge", "converge-list", "egorov-list", "check-list"])
+def test_samples_below_two_rejected(argv, message, capsys):
     assert cli.main(argv) == 2
-    assert "samples must be >= 2" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state, message", [
+    (["--q", "nan", "--p=-1"], "q must be finite"),
+    (["--q", "0.5", "--p", "inf"], "p must be finite"),
+    (["--q", "0.5", "--p=-1", "--A", "nan"], "A_mat must be finite"),
+], ids=["q", "p", "A"])
+def test_egorov_rejects_non_finite_state(state, message, tmp_path, capsys):
+    # used to end in a "fewer than two surviving samples" traceback
+    out = tmp_path / "e.csv"
+    assert cli.main(["egorov", "--potential", "cosine1d", *state, "--hbar", "0.1",
+                     "--t-final", "0.1", "--samples", "100", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+EXPECTED_FLAGS = {
+    "simulate": "model potential q p A B hbar dt t_final out",
+    "egorov": "potential q p A B hbar dt t_final samples seed out",
+    "converge": "potential q p A B hbars dt t_star samples seed out",
+    "check": "samples seed",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED_FLAGS))
+def test_flags_are_the_config_keys(command, tmp_path, capsys):
+    # a command's flags, other than --config, are its config-file keys,
+    # with the quadratic model's coefficients added where it takes a
+    # potential; the keys accepted are read off the unknown-key error
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    flags = {a.option_strings[0][2:].replace("-", "_")
+             for a in subs.choices[command]._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    assert flags == set(EXPECTED_FLAGS[command].split())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("no_such_key = 1\n")
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    keys = capsys.readouterr().err.rstrip("\n").split("allowed: ")[1].split(", ")
+    assert set(keys) == flags | (set(cli.QUAD_KEYS) if "potential" in flags else set())
 
 
 @pytest.mark.parametrize("command", ["simulate", "egorov", "converge", "check"])

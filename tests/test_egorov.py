@@ -103,11 +103,13 @@ def test_sampling_is_deterministic_and_seed_sensitive():
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_samples_independent_of_chunking(d):
+def test_samples_independent_of_chunking(d, monkeypatch):
     rng = np.random.default_rng(60 + d)
     state = random_state(rng, d)
-    whole = wigner_sample(state, 0.2, seed=9, N=10001, chunk_size=10001)
-    split = wigner_sample(state, 0.2, seed=9, N=10001, chunk_size=777)
+    monkeypatch.setattr(egorov, "DEFAULT_CHUNK", 10001)
+    whole = wigner_sample(state, 0.2, seed=9, N=10001)
+    monkeypatch.setattr(egorov, "DEFAULT_CHUNK", 777)
+    split = wigner_sample(state, 0.2, seed=9, N=10001)
     assert np.array_equal(whole.x, split.x)
     assert np.array_equal(whole.xi, split.xi)
     # a longer run starts with exactly the same draws
@@ -124,19 +126,6 @@ def test_wigner_sample_validation():
     for hbar in (np.inf, np.nan):
         with pytest.raises(ValueError, match="hbar must be positive and finite"):
             wigner_sample(state, hbar, seed=0, N=10)
-
-
-@pytest.mark.parametrize("chunk_size", [0, -1, 2.5])
-def test_bad_chunk_size_is_rejected(chunk_size, cos_model):
-    # unchecked, a negative chunk leaves wigner_sample's output arrays
-    # uninitialised and makes transport report too few survivors
-    state = make_packet_state([0.0], [0.0], [[0.0]], [[1.0]])
-    with pytest.raises(ValueError, match="chunk_size"):
-        wigner_sample(state, 0.1, seed=0, N=10, chunk_size=chunk_size)
-    ens = wigner_sample(state, 0.1, seed=0, N=10)
-    with pytest.raises(ValueError, match="chunk_size"):
-        propagate_ensemble(ens, cos_model, dt=0.01, t_final=0.1,
-                           chunk_size=chunk_size)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +174,12 @@ def test_standard_error_scales_as_inverse_sqrt_n():
     assert 2.0 * 0.85 < ratio < 2.0 * 1.15
 
 
-def test_statistics_independent_of_chunking(cos_model, bench_state_1d):
+def test_statistics_independent_of_chunking(cos_model, bench_state_1d,
+                                            monkeypatch):
     ens = wigner_sample(bench_state_1d, 0.1, seed=8, N=4000)
     a = propagate_ensemble(ens, cos_model, dt=0.01, t_final=0.5)
-    b = propagate_ensemble(ens, cos_model, dt=0.01, t_final=0.5, chunk_size=619)
+    monkeypatch.setattr(egorov, "DEFAULT_CHUNK", 619)
+    b = propagate_ensemble(ens, cos_model, dt=0.01, t_final=0.5)
     for name in ("q", "p", "H0"):
         np.testing.assert_allclose(a.means[name], b.means[name],
                                    rtol=1e-12, atol=1e-14)
@@ -213,7 +204,7 @@ def test_corrupt_rows_are_excluded_from_statistics(cos_model, bench_state_1d):
                                    rtol=1e-12, atol=1e-14)
 
 
-def test_runaway_samples_are_excluded_mid_flight():
+def test_runaway_samples_are_excluded_mid_flight(monkeypatch):
     # inverted oscillator: each sample overflows at a time set by its own
     # unstable-mode amplitude, so the alive mask must shrink gradually
     model = quadratic_linear([[-900.0]], [0.0], 0.0, [[0.0]], [0.0])
@@ -224,8 +215,9 @@ def test_runaway_samples_are_excluded_mid_flight():
                                  observables=("q",))
         short = propagate_ensemble(ens, model, dt=0.01, t_final=23.40,
                                    observables=("q",))
+        monkeypatch.setattr(egorov, "DEFAULT_CHUNK", 311)
         chunked = propagate_ensemble(ens, model, dt=0.01, t_final=23.43,
-                                     observables=("q",), chunk_size=311)
+                                     observables=("q",))
     assert 0 < est.excluded < 2000
     assert short.excluded < est.excluded
     assert chunked.excluded == est.excluded
@@ -266,18 +258,18 @@ def test_ensemble_moves_by_the_packet_classical_flow(model, component_major):
         assert lz[i] == classical_angular_momentum(z)
 
 
-def test_final_only_is_the_last_row_of_the_series():
+def test_final_only_is_the_last_row_of_the_series(monkeypatch):
     # reducing at t_final alone changes nothing but the rows kept, also
     # when samples die in mid-flight and intermediate times go unrecorded
     model = quadratic_linear([[-900.0]], [0.0], 0.0, [[0.0]], [0.0])
     state = make_packet_state([0.0], [0.0], [[0.0]], [[1.0]])
     ens = wigner_sample(state, 0.5, seed=5, N=2000)
+    monkeypatch.setattr(egorov, "DEFAULT_CHUNK", 700)
     with np.errstate(over="ignore", invalid="ignore"):
         full = propagate_ensemble(ens, model, dt=0.01, t_final=23.43,
-                                  observables=("q", "p", "H0"), chunk_size=700)
+                                  observables=("q", "p", "H0"))
         last = propagate_ensemble(ens, model, dt=0.01, t_final=23.43,
-                                  observables=("q", "p", "H0"), chunk_size=700,
-                                  final_only=True)
+                                  observables=("q", "p", "H0"), final_only=True)
     assert 0 < full.excluded < 2000
     assert last.excluded == full.excluded
     assert last.n_samples == full.n_samples
@@ -324,6 +316,7 @@ def test_worker_count_does_not_change_the_output(kind, chunk_size, final_only,
         model = quartic_rotational_2d()
         ens = wigner_sample(bench_state_2d, 0.1, seed=6, N=2145)
         obs, t_final = ("q", "p", "H0", "Lz"), 0.3
+    monkeypatch.setattr(egorov, "DEFAULT_CHUNK", chunk_size)
     pools = []
     real_pool = multiprocessing.context.BaseContext.Pool
 
@@ -334,8 +327,7 @@ def test_worker_count_does_not_change_the_output(kind, chunk_size, final_only,
     def run():
         with np.errstate(over="ignore", invalid="ignore"):
             return propagate_ensemble(ens, model, dt=0.01, t_final=t_final,
-                                      observables=obs, chunk_size=chunk_size,
-                                      final_only=final_only)
+                                      observables=obs, final_only=final_only)
 
     with monkeypatch.context() as m:
         m.setattr(multiprocessing.context.BaseContext, "Pool", counting_pool)
@@ -362,13 +354,16 @@ def test_single_block_starts_no_process(monkeypatch, cos_model, bench_state_1d):
 
 
 def _three_block_means(ens):
-    est = propagate_ensemble(ens, cosine_1d(), dt=0.01, t_final=0.1,
-                             chunk_size=700)
+    est = propagate_ensemble(ens, cosine_1d(), dt=0.01, t_final=0.1)
     return est.means["q"], est.ses["q"]
 
 
-def test_transport_inside_a_pool_worker_runs_in_process(bench_state_1d):
-    # a daemonic pool worker may not fork workers of its own
+def test_transport_inside_a_pool_worker_runs_in_process(bench_state_1d,
+                                                         monkeypatch):
+    # a daemonic pool worker may not fork workers of its own; the worker
+    # is forked after the patch, so it too cuts 2000 samples into three
+    # blocks
+    monkeypatch.setattr(egorov, "DEFAULT_CHUNK", 700)
     ens = wigner_sample(bench_state_1d, 0.1, seed=3, N=2000)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         nested = pool.apply(_three_block_means, (ens,))
@@ -388,12 +383,13 @@ def _failing_cosine(bad_x: float):
     return dataclasses.replace(base, A=A)
 
 
-def test_worker_failure_propagates_and_leaves_no_process(bench_state_1d):
+def test_worker_failure_propagates_and_leaves_no_process(bench_state_1d,
+                                                         monkeypatch):
     ens = wigner_sample(bench_state_1d, 0.1, seed=12, N=2000)
     bad_x = float(ens.x[2 * 500 + 17, 0])    # in the third of four blocks
+    monkeypatch.setattr(egorov, "DEFAULT_CHUNK", 500)
     with pytest.raises(ValueError, match="field undefined at x = "):
-        propagate_ensemble(ens, _failing_cosine(bad_x), dt=0.01, t_final=0.1,
-                           chunk_size=500)
+        propagate_ensemble(ens, _failing_cosine(bad_x), dt=0.01, t_final=0.1)
     assert multiprocessing.active_children() == []
 
 

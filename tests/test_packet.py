@@ -44,6 +44,17 @@ def test_make_packet_state_rejects_indefinite_B():
     assert "-5" in str(exc.value) or "-0.5" in str(exc.value)
 
 
+@pytest.mark.parametrize("field", ["q", "p", "A_mat", "B_mat"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_packet_state_rejects_non_finite(field, bad):
+    args = {"q": [0.0, 0.0], "p": [0.0, 0.0], "A_mat": np.zeros((2, 2)),
+            "B_mat": np.eye(2)}
+    args[field] = np.array(args[field], dtype=float)
+    args[field].flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        make_packet_state(**args)
+
+
 def test_make_packet_state_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         make_packet_state([0.0, 0.0], [0.0], np.eye(2), np.eye(2))
