@@ -27,14 +27,17 @@ Two right-hand sides act on the packet parameters (q, p, A, B):
     also conserves the width-corrected angular momentum matrix when the
     fields are rotation-equivariant.
 
-classical_rhs, classical_hamiltonian and (in observables)
-classical_angular_momentum accept q and p with leading batch axes
-(..., d), so the same code moves one packet center and a whole Egorov
-ensemble of Wigner samples.  semiclassical_hamiltonian and the other
-monitors are batched the same way, so a trajectory's monitors are
-computed once from its stacked states.  semiclassical_rhs evaluates
-each field callback once per call and hands the values to the |A|^2
-calculus of DerivedSquares.
+Both flows are batched.  classical_rhs, classical_hamiltonian and (in
+observables) classical_angular_momentum accept q and p with leading
+batch axes (..., d), so the same code moves one packet center and a
+whole Egorov ensemble of Wigner samples.  semiclassical_rhs takes a
+stack of packets (A_mat, B_mat of shape (..., d, d)) and hbar as a
+float or one value per packet, so converge integrates all its hbars'
+packets in one run; each packet gets the bits of its single-point
+call.  semiclassical_hamiltonian and the other monitors are batched the
+same way, so a trajectory's monitors are computed once from its stacked
+states.  semiclassical_rhs evaluates each field callback once per call
+and hands the values to the |A|^2 calculus of DerivedSquares.
 
 bracket_rhs evaluates the bracket by central finite differences of an
 arbitrary scalar function of the state and is the arbiter used to
@@ -169,16 +172,21 @@ def classical_rhs(z, model: FieldModel):
     return v, dp
 
 
-def semiclassical_rhs(state: PacketState, model: FieldModel, hbar: float):
+def semiclassical_rhs(state: PacketState, model: FieldModel, hbar):
     """Order-hbar corrected flow of (q, p, A, B): returns (dq, dp, dA, dB).
 
+    Batched like classical_rhs: q, p carry leading axes (..., d) and
+    A_mat, B_mat (..., d, d), and hbar is a float or an array of the
+    batch shape (one hbar per member).  Each member gets the bits of its
+    single-point call.
+
     The hbar^0 part is Zhou's flow: the classical center lines and the
-    Riccati width lines, which do not depend on hbar.  At hbar = 0 it is
-    returned alone, so Zhou's flow costs no B^-1 and no trace-gradient
-    callbacks, and its center lines equal classical_rhs bitwise.  The
-    order-hbar terms are the Laplace corrections: the center velocity
-    couples to A_h = A + (hbar/4) Tr(B^-1 hessA), and the momentum
-    equation carries the gradients of the corrected V and of the
+    Riccati width lines, which do not depend on hbar.  When every hbar is
+    0 it is returned alone, so Zhou's flow costs no B^-1 and no
+    trace-gradient callbacks, and its center lines equal classical_rhs
+    bitwise.  The order-hbar terms are the Laplace corrections: the
+    center velocity couples to A_h = A + (hbar/4) Tr(B^-1 hessA), and the
+    momentum equation carries the gradients of the corrected V and of the
     width-coupling trace, which contributes
     (hbar/2m) sum_k (A_w B^-1 hessA_k)_{k,.} whenever the vector
     potential has curvature.  Each field callback is evaluated at most
@@ -190,33 +198,40 @@ def semiclassical_rhs(state: PacketState, model: FieldModel, hbar: float):
     a = np.asarray(model.A(q), dtype=float)
     ja = np.asarray(model.jacA(q), dtype=float)
     ha = np.asarray(model.hessA(q), dtype=float)
+    jat = ja.swapaxes(-1, -2)
 
     # hbar^0: classical center and Riccati width lines
     v = p - a
     dq = v / m
-    dp = np.einsum("ji,j->i", ja, v) / m - np.asarray(model.gradV(q), dtype=float)
-    drive = ja.T @ Aw + Aw @ ja - 0.5 * ds.hess_asq(a, ja, ha)
+    dp = (np.einsum("...ji,...j->...i", ja, v) / m
+          - np.asarray(model.gradV(q), dtype=float))
+    drive = jat @ Aw + Aw @ ja - 0.5 * ds.hess_asq(a, ja, ha)
+    p_ha = p[..., :, None, None] * ha
     for k in range(d):
-        drive = drive + p[k] * ha[k]
+        drive = drive + p_ha[..., k, :, :]
     dA = (B @ B - Aw @ Aw + drive) / m - np.asarray(model.hessV(q), dtype=float)
-    dB = (ja.T @ B + B @ ja - Aw @ B - B @ Aw) / m
-    if hbar == 0.0:
+    dB = (jat @ B + B @ ja - Aw @ B - B @ Aw) / m
+    if not np.count_nonzero(hbar):
         return dq, dp, dA, dB
+    # one hbar per packet scales the (..., d) terms; a scalar hbar stays a
+    # scalar, so a single packet does no array arithmetic on it
+    h = np.asarray(hbar, dtype=float)[..., None] if np.ndim(hbar) else hbar
 
     # order hbar: dq couples to A + (hbar/4) Tr(B^-1 hessA); dp gains minus
     # the q-gradients of (hbar/4m) Tr(B^-1 (hess|A|^2 / 2 - sum_k p_k hessA_k)),
     # of (hbar/4) Tr(B^-1 hessV) and of the width coupling's DA terms
     Binv = np.linalg.inv(B)
     ght_a = np.asarray(model.grad_hess_trace_A(q, Binv), dtype=float)
-    dq = dq - 0.25 * hbar / m * np.trace(Binv @ ha, axis1=-2, axis2=-1)
-    ght_ap = np.zeros(d)
+    dq = dq - 0.25 * h / m * np.trace(Binv[..., None, :, :] @ ha, axis1=-2, axis2=-1)
+    p_ght_a = p[..., :, None] * ght_a
+    ght_ap = np.zeros(p.shape)
     for k in range(d):
-        ght_ap += p[k] * ght_a[k]
+        ght_ap += p_ght_a[..., k, :]
     ght_asq = ds.grad_hess_trace_asq(Binv, a, ja, ha, ght_a)
-    dp = dp + 0.25 * hbar * ((ght_ap - 0.5 * ght_asq) / m
-                             - np.asarray(model.grad_hess_trace_V(q, Binv), dtype=float))
-    if np.any(ha):
-        dp = dp + 0.5 * hbar / m * np.einsum("kl,kli->i", Aw @ Binv, ha)
+    dp = dp + 0.25 * h * ((ght_ap - 0.5 * ght_asq) / m
+                          - np.asarray(model.grad_hess_trace_V(q, Binv), dtype=float))
+    if ha.any():
+        dp = dp + 0.5 * h / m * np.einsum("...kl,...kli->...i", Aw @ Binv, ha)
     return dq, dp, dA, dB
 
 
@@ -314,7 +329,7 @@ def _state_ok(state) -> str | None:
     if isinstance(state, PacketState):
         Bm = state.B_mat
         try:
-            np.linalg.cholesky(0.5 * (Bm + Bm.T))
+            np.linalg.cholesky(0.5 * (Bm + np.swapaxes(Bm, -1, -2)))
         except np.linalg.LinAlgError:
             return "width matrix B lost positive definiteness"
     return None
@@ -395,9 +410,10 @@ def rk4_integrate(rhs, initial, dt: float, t_final: float,
         many states, so the monitors' temporaries stay bounded.
 
     The grid comes from time_grid(dt, t_final).  After each step the new
-    state must be finite and (for packets) keep B positive definite;
-    otherwise integration stops and the trajectory (monitors included)
-    holds the surviving prefix with completed=False.
+    state must be finite and (for packets) keep B positive definite,
+    every member of a stacked state included; otherwise integration
+    stops and the trajectory (monitors included) holds the surviving
+    prefix with completed=False.
     """
     times = time_grid(dt, t_final)
     n_steps = times.shape[0] - 1

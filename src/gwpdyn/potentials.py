@@ -268,7 +268,9 @@ class DerivedSquares:
     The methods take what the FieldModel callbacks returned at x
     (a = A(x), ja = jacA(x), ha = hessA(x), ght_a = grad_hess_trace_A(x, M))
     instead of x, so that a right-hand side evaluates each callback once
-    and shares the values with its other terms.  It holds no state.
+    and shares the values with its other terms.  Both are batched over
+    the leading axes of those values, as the callbacks are.  It holds no
+    state.
     """
 
     def hess_asq(self, a, ja, ha):
@@ -279,14 +281,20 @@ class DerivedSquares:
         return 2.0 * out
 
     def grad_hess_trace_asq(self, M, a, ja, ha, ght_a):
-        """Gradient of x -> Tr(M hess|A|^2(x)) for symmetric M, at a
-        single point (ght_a evaluated with the same M)."""
-        MJt = M @ ja.T                      # (d, d), column k pairs with hessA_k
-        out = np.zeros(a.shape[-1])
+        """Gradient of x -> Tr(M hess|A|^2(x)) for symmetric M (ght_a
+        evaluated with the same M), batched over leading axes like
+        hess_asq.  Each member gets the bits of its single-point call."""
+        # the three terms of each k, computed for all k at once, are added
+        # in the order k = 0, 1, ...; column k of M DA^T pairs with hessA_k
+        MJt = M @ ja.swapaxes(-1, -2)
+        t1 = 2.0 * (ha @ MJt.swapaxes(-1, -2)[..., None])[..., 0]
+        t2 = (M[..., None, :, :] * ha).sum(axis=(-2, -1))[..., None] * ja
+        t3 = a[..., None] * ght_a
+        out = np.zeros(a.shape)
         for k in range(a.shape[-1]):
-            out += 2.0 * (ha[k] @ MJt[:, k])
-            out += float((M * ha[k]).sum()) * ja[k, :]
-            out += a[k] * ght_a[k]
+            out += t1[..., k, :]
+            out += t2[..., k, :]
+            out += t3[..., k, :]
         return 2.0 * out
 
 

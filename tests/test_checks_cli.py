@@ -12,7 +12,7 @@ import pytest
 
 import gwpdyn
 import gwpdyn.dynamics
-from gwpdyn import cli
+from gwpdyn import cli, egorov
 from gwpdyn.checks import run_check_suite
 from gwpdyn.dynamics import semiclassical_rhs, simulate
 from gwpdyn.packet import make_packet_state
@@ -309,6 +309,78 @@ def test_converge_samples_count_mismatch(capsys):
     assert "samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
+     "--hbars", "0.5,0.3,0.1,0.05", "--t-star", "1.0", "--samples", "3000",
+     "--seed", "4"],
+    ["converge", "--potential", "quartic2d", "--q", "1,0", "--p", "0,1",
+     "--A=-3,-6,-6,-6", "--B", "1,0.5,0.5,1", "--hbars", "0.5,0.1,0.03",
+     "--t-star", "0.5", "--samples", "2000,2000,4000", "--seed", "9"],
+], ids=["cosine1d", "quartic2d"])
+def test_converge_errors_equal_per_hbar_runs(argv, tmp_path, capsys):
+    # converge integrates one classical run and one stacked semiclassical
+    # run; its errors must be those of a classical and a semiclassical
+    # simulate per hbar, bit for bit
+    out = tmp_path / "conv.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    _, rows, _ = _read_csv(out)
+    s = cli.resolve_settings(cli.build_parser().parse_args(argv))
+    model, state = cli.build_model_and_state(s)
+    counts = list(s.samples) * len(s.hbars) if len(s.samples) == 1 else s.samples
+    for i, h in enumerate(s.hbars):
+        est = egorov.propagate_ensemble(
+            egorov.wigner_sample(state, h, seed=s.seed + i, N=counts[i]), model,
+            s.dt, s.t_star, observables=("q", "p"), final_only=True)
+        for col, flavor in ((1, "classical"), (2, "semiclassical")):
+            traj = simulate(model, flavor, state, h, s.dt, s.t_star)
+            assert rows[i, col] == egorov.phase_error(traj, est, s.t_star), (h, flavor)
+
+
+STEEP_1D = "potential = quadratic\nK = 10000\nb = 0\nc = 0\nM0 = 0\na0 = 0\nq = 1\np = 0\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_converge_classical_abort(tmp_path, capsys):
+    # RK4 at omega dt = 10 grows the harmonic orbit about 400-fold a step
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text(STEEP_1D)
+    out = tmp_path / "conv.csv"
+    assert cli.main(["converge", "--config", str(cfg), "--hbars", "0.5,0.1",
+                     "--t-star", "20", "--dt", "0.1", "--samples", "100",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: classical run at hbar=0.5 aborted at step " in err
+    assert "non-finite state" in err
+    assert not out.exists() and not (tmp_path / "conv.gp").exists()
+
+
+def test_converge_semiclassical_abort(tmp_path, capsys, monkeypatch):
+    # the packet of hbar = 0.1 alone has its B driven through zero at
+    # step 4; the message names that hbar and step, and no Monte-Carlo
+    # transport runs first
+    real_rhs = gwpdyn.dynamics.semiclassical_rhs
+
+    def rhs(state, model, hbar):
+        dq, dp, dA, dB = real_rhs(state, model, hbar)
+        doomed = np.equal(hbar, 0.1)[..., None, None]
+        return dq, dp, dA, np.where(doomed, -30.0 * np.ones_like(dB), dB)
+
+    transports = []
+    monkeypatch.setattr(gwpdyn.dynamics, "semiclassical_rhs", rhs)
+    monkeypatch.setattr(egorov, "propagate_ensemble",
+                        lambda *args, **kwargs: transports.append(1))
+    out = tmp_path / "conv.csv"
+    assert cli.main(["converge", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
+                     "--hbars", "0.5,0.3,0.1,0.05", "--t-star", "1", "--samples", "100",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: semiclassical run at hbar=0.1 aborted at step 4: "
+        "width matrix B lost positive definiteness\n")
+    assert transports == []
+    assert not out.exists() and not (tmp_path / "conv.gp").exists()
+
+
 EG_1D = ["egorov", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
          "--hbar", "0.1", "--samples", "500"]
 CONV_1D = ["converge", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
@@ -373,6 +445,19 @@ def test_hbar_must_be_positive_and_finite(argv, hbar, value, tmp_path, capsys):
 def test_samples_below_two_rejected(argv, message, capsys):
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--samples", "inf"], "samples: expected an integer, got 'inf'"),
+    (["check", "--samples", "2.5"], "samples: expected an integer, got '2.5'"),
+    (EG_1D + ["--t-final", "0.1", "--seed", "inf"], "seed: expected an integer, got 'inf'"),
+    (EG_1D + ["--t-final", "0.1", "--seed", "nan"], "seed: expected an integer, got 'nan'"),
+], ids=["samples-inf", "samples-fraction", "seed-inf", "seed-nan"])
+def test_integer_settings_rejected(argv, message, capsys):
+    # inf used to end in an OverflowError traceback, and nan in numpy's
+    # bare message; egorov writes its CSV to stdout here
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("state, message", [

@@ -428,6 +428,69 @@ def test_monitors_equal_single_point_values(case, flavor, bench_state_1d,
                                        err_msg=name)
 
 
+def _stack(states):
+    """Single states stacked along a new leading axis, as one state."""
+    return type(states[0])(*(np.stack([getattr(s, f.name) for s in states])
+                             for f in dataclasses.fields(states[0])))
+
+
+def _quadratic_3d():
+    rng = np.random.default_rng(4)
+    K = rng.standard_normal((3, 3))
+    return quadratic_linear(K @ K.T, rng.standard_normal(3), 0.3,
+                            rng.standard_normal((3, 3)), rng.standard_normal(3))
+
+
+@pytest.mark.parametrize("builder", [cosine_1d, quartic_rotational_2d, plane_wave_gauge_2d,
+                                     _quadratic_3d],
+                         ids=["cosine1d", "quartic2d", "planewave2d", "quadratic3d"])
+@pytest.mark.parametrize("zero", [False, True], ids=["hbar", "hbar0"])
+def test_semiclassical_rhs_batches_bitwise(builder, zero):
+    # a stacked state with one hbar per member gives each member the bits
+    # of its single-point call, at hbar = 0 (Zhou's flow) too
+    model = builder()
+    rng = np.random.default_rng(21)
+    states = [random_state(rng, model.dim) for _ in range(7)]
+    hbars = np.zeros(7) if zero else rng.uniform(0.01, 0.6, size=7)
+    batched = semiclassical_rhs(_stack(states), model, hbars)
+    for i, (state, h) in enumerate(zip(states, hbars)):
+        single = semiclassical_rhs(state, model, float(h))
+        for b, s in zip(batched, single):
+            assert b[i].shape == s.shape and b[i].tobytes() == s.tobytes(), (i, h)
+
+
+def test_stacked_packets_integrate_like_single_packets(quartic_model, bench_state_2d):
+    # B positive definiteness is checked member by member on a stack
+    rng = np.random.default_rng(8)
+    states = [bench_state_2d] + [random_state(rng, 2) for _ in range(3)]
+    hbars = np.array([0.5, 0.1, 0.05, 0.01])
+    traj = rk4_integrate(lambda z: semiclassical_rhs(z, quartic_model, hbars),
+                         _stack(states), dt=0.01, t_final=0.5)
+    assert traj.completed and traj.states.B_mat.shape == (51, 4, 2, 2)
+    for i, (state, h) in enumerate(zip(states, hbars)):
+        one = rk4_integrate(lambda z: semiclassical_rhs(z, quartic_model, h),
+                            state, dt=0.01, t_final=0.5)
+        for f in dataclasses.fields(one.states):
+            assert np.array_equal(getattr(traj.states, f.name)[:, i],
+                                  getattr(one.states, f.name)), (i, f.name)
+
+
+def test_one_non_positive_definite_member_aborts_the_stack(bench_state_2d):
+    states = [bench_state_2d] * 3
+    # the last member's B shrinks by 0.3 a step: it reaches 0.1 at
+    # step 3 and loses positive definiteness at step 4
+    rate = np.array([0.0, 0.0, 30.0])[:, None, None]
+    rhs = lambda z: (np.zeros_like(z.q), np.zeros_like(z.p), np.zeros_like(z.A_mat),
+                     -rate * np.eye(2))
+    start = dataclasses.replace(_stack(states), B_mat=np.stack([np.eye(2)] * 3))
+    traj = rk4_integrate(rhs, start, dt=0.01, t_final=1.0)
+    assert not traj.completed and traj.abort_step == 4 and len(traj) == 4
+    assert "positive definiteness" in traj.abort_reason
+    bad = dataclasses.replace(start, B_mat=start.B_mat * np.array([1.0, -1.0, 1.0])[:, None, None])
+    with pytest.raises(ValueError, match="initial state rejected: width matrix B"):
+        rk4_integrate(rhs, bad, dt=0.01, t_final=1.0)
+
+
 def _counting(model):
     """The model with every callback wrapped by a call counter."""
     counts = collections.Counter()
