@@ -31,15 +31,15 @@ class CheckResult:
     detail: str
 
 
-def random_state(rng, d: int, spread: float = 0.8) -> PacketState:
+def random_state(rng, d: int) -> PacketState:
     """Random admissible packet state with a well-conditioned B.
 
     Draws q, p, A, then W (B = W W^T + I) from rng in that order; the
     seeded tests rely on this order.
     """
-    q = spread * rng.standard_normal(d)
-    p = spread * rng.standard_normal(d)
-    A = spread * rng.standard_normal((d, d))
+    q = 0.8 * rng.standard_normal(d)
+    p = 0.8 * rng.standard_normal(d)
+    A = 0.8 * rng.standard_normal((d, d))
     A = 0.5 * (A + A.T)
     W = rng.standard_normal((d, d))
     B = W @ W.T + np.eye(d)

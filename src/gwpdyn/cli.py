@@ -291,12 +291,6 @@ def cmd_egorov(s: argparse.Namespace) -> int:
     return 0
 
 
-def _check_run(traj, label: str, hbar: float) -> None:
-    if not traj.completed:
-        raise CliError(f"{label} run at hbar={hbar} aborted at step "
-                       f"{traj.abort_step}: {traj.abort_reason}")
-
-
 def cmd_converge(s: argparse.Namespace) -> int:
     _require(s, "t_star")
     model, state = build_model_and_state(s)
@@ -314,38 +308,8 @@ def cmd_converge(s: argparse.Namespace) -> int:
     else:
         counts = [10 ** 7 if h <= 0.01 else 10 ** 6 for h in hbars]
 
-    # neither the classical flow nor its monitors read hbar, so one
-    # classical run serves every hbar; the semiclassical packets of all
-    # hbars are integrated together, stacked along a leading axis
-    tc = dynamics.simulate(model, "classical", state, hbars[0], s.dt, s.t_star)
-    _check_run(tc, "classical", hbars[0])
-
-    def packets(hbar, initial):
-        return dynamics.rk4_integrate(
-            lambda z: dynamics.semiclassical_rhs(z, model, hbar), initial, s.dt, s.t_star)
-
-    stacked = PacketState(*(np.stack([y] * len(hbars)) for y in
-                            (state.q, state.p, state.A_mat, state.B_mat)))
-    ts = packets(np.array(hbars), stacked)
-    if not ts.completed:
-        # the batch stops at the first step any member fails; name the
-        # first hbar whose own run aborts, and its step
-        for h in hbars:
-            _check_run(packets(h, state), "semiclassical", h)
-
-    err_c, err_s, ses = [], [], []
-    for i, h in enumerate(hbars):
-        ens = egorov.wigner_sample(state, h, seed=s.seed + i, N=counts[i])
-        est = egorov.propagate_ensemble(ens, model, s.dt, s.t_star,
-                                        observables=("q", "p"),
-                                        final_only=True)
-        member = dynamics.Trajectory(ts.times, dynamics.ClassicalPhasePoint(
-            q=ts.states.q[:, i], p=ts.states.p[:, i]))
-        err_c.append(egorov.phase_error(tc, est, s.t_star))
-        err_s.append(egorov.phase_error(member, est, s.t_star))
-        ses.append(float(np.sqrt(np.sum(est.ses["q"][-1] ** 2)
-                                 + np.sum(est.ses["p"][-1] ** 2))))
-
+    err_c, err_s, ses = egorov.rate_sweep(model, state, hbars, counts, s.dt,
+                                          s.t_star, s.seed)
     fit_c = loglog_fit(hbars, err_c)
     fit_s = loglog_fit(hbars, err_s)
 

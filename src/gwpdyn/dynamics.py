@@ -44,9 +44,10 @@ arbitrary scalar function of the state and is the arbiter used to
 validate the hand-derived field.  rk4_step is one classic Runge-Kutta
 step over a tuple of arrays; rk4_integrate steps a state's own fields
 with it, under positive-definiteness and finiteness guards, and returns
-the accepted states stacked along a leading time axis.  time_grid is
-the one place that turns (dt, t_final) into grid times and rejects step
-sizes that do not divide the horizon.
+the accepted states stacked along a leading time axis; an aborted run
+names its step, its reason and the first member of a stack that failed.
+time_grid is the one place that turns (dt, t_final) into grid times and
+rejects step sizes that do not divide the horizon.
 """
 
 from __future__ import annotations
@@ -235,12 +236,11 @@ def semiclassical_rhs(state: PacketState, model: FieldModel, hbar):
     return dq, dp, dA, dB
 
 
-def bracket_rhs(H_fn: Callable[[PacketState], float], state: PacketState,
-                hbar: float, fd_step: float = 1e-5):
+def bracket_rhs(H_fn: Callable[[PacketState], float], state: PacketState, hbar: float):
     """Numerical bracket flow of an arbitrary scalar H(q, p, A, B).
 
-    Central differences in each scalar coordinate, treating all d^2
-    entries of A_w and of B^-1 as independent before symmetrizing:
+    Central differences of step 1e-5 in each scalar coordinate, treating
+    all d^2 entries of A_w and of B^-1 as independent before symmetrizing:
 
         dq = dH/dp, dp = -dH/dq,
         dA_w = -(4/hbar) dH/dB^-1 (sym),
@@ -251,11 +251,9 @@ def bracket_rhs(H_fn: Callable[[PacketState], float], state: PacketState,
     """
     if not hbar > 0.0:
         raise ValueError(f"hbar must be positive, got {hbar}")
-    if not fd_step > 0.0:
-        raise ValueError(f"fd_step must be positive, got {fd_step}")
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
     d = state.d
-    h = fd_step
+    h = 1e-5
     Binv = np.linalg.inv(B)
 
     def H_at(q2=None, p2=None, A2=None, Binv2=None):
@@ -303,8 +301,9 @@ class Trajectory:
     a PacketState or ClassicalPhasePoint whose fields have shapes (n, d)
     and (n, d, d).  completed is False when the integrator aborted
     (non-finite state or loss of positive definiteness), in which case
-    abort_step is the 1-based index of the failed step and times, states
-    and monitors hold the surviving prefix.
+    abort_step is the 1-based index of the failed step, abort_member the
+    index of a stack's first failing member (() for a single state), and
+    times, states and monitors hold the surviving prefix.
     """
 
     times: np.ndarray
@@ -313,6 +312,7 @@ class Trajectory:
     completed: bool = True
     abort_reason: str | None = None
     abort_step: int | None = None
+    abort_member: tuple | None = None
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -323,15 +323,17 @@ def _fields(state) -> tuple:
     return tuple(getattr(state, f.name) for f in fields(state))
 
 
-def _state_ok(state) -> str | None:
-    if not all(np.all(np.isfinite(y)) for y in _fields(state)):
-        return "non-finite state"
-    if isinstance(state, PacketState):
-        Bm = state.B_mat
-        try:
-            np.linalg.cholesky(0.5 * (Bm + np.swapaxes(Bm, -1, -2)))
-        except np.linalg.LinAlgError:
-            return "width matrix B lost positive definiteness"
+def _state_ok(state) -> tuple | None:
+    """None, or the reason and the index over the leading axes of the first
+    member (in C order) that is non-finite or has B not positive definite."""
+    for i in np.ndindex(state.q.shape[:-1]):
+        if not all(np.all(np.isfinite(y[i])) for y in _fields(state)):
+            return "non-finite state", i
+        if isinstance(state, PacketState):
+            try:
+                np.linalg.cholesky(0.5 * (state.B_mat[i] + state.B_mat[i].T))
+            except np.linalg.LinAlgError:
+                return "width matrix B lost positive definiteness", i
     return None
 
 
@@ -413,7 +415,8 @@ def rk4_integrate(rhs, initial, dt: float, t_final: float,
     state must be finite and (for packets) keep B positive definite,
     every member of a stacked state included; otherwise integration
     stops and the trajectory (monitors included) holds the surviving
-    prefix with completed=False.
+    prefix with completed=False and the first failing member.  Steps
+    and monitors run with numpy's overflow and invalid warnings off.
     """
     times = time_grid(dt, t_final)
     n_steps = times.shape[0] - 1
@@ -423,28 +426,30 @@ def rk4_integrate(rhs, initial, dt: float, t_final: float,
     ys = tuple(np.asarray(y, dtype=float) for y in _fields(initial))
     bad = _state_ok(cls(*ys))
     if bad is not None:
-        raise ValueError(f"initial state rejected: {bad}")
+        raise ValueError(f"initial state rejected: {bad[0]}")
 
     stacks = tuple(np.empty((n_steps + 1,) + y.shape) for y in ys)
     for stack, y in zip(stacks, ys):
         stack[0] = y
     f = lambda y: rhs(cls(*y))
     n = n_steps + 1
-    for i in range(n_steps):
-        ys_next = rk4_step(f, ys, dt)
-        bad = _state_ok(cls(*ys_next))
-        if bad is not None:
-            n = i + 1
-            break
-        ys = ys_next
-        for stack, y in zip(stacks, ys):
-            stack[i + 1] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            ys_next = rk4_step(f, ys, dt)
+            bad = _state_ok(cls(*ys_next))
+            if bad is not None:
+                n = i + 1
+                break
+            ys = ys_next
+            for stack, y in zip(stacks, ys):
+                stack[i + 1] = y
 
-    states = cls(*(stack[:n] for stack in stacks))
-    mon = {name: _monitor_values(name, fn, states) for name, fn in monitors.items()}
+        states = cls(*(stack[:n] for stack in stacks))
+        mon = {name: _monitor_values(name, fn, states) for name, fn in monitors.items()}
+    reason, member = bad or (None, None)
     return Trajectory(times=times[:n], states=states, monitors=mon,
-                      completed=bad is None, abort_reason=bad,
-                      abort_step=None if bad is None else n)
+                      completed=bad is None, abort_reason=reason,
+                      abort_step=None if bad is None else n, abort_member=member)
 
 
 def standard_monitors(model: FieldModel, hbar: float, state) -> dict:

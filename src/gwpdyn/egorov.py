@@ -10,7 +10,8 @@ so expectations of an observable O at time t can be estimated by drawing
 (x, xi) ~ W, flowing each draw with the *classical* equations of motion,
 and averaging O along the way.  Up to O(hbar^2) this reproduces the
 quantum evolution and is used here as the reference the packet
-propagators are measured against.
+propagators are measured against; rate_sweep measures both packet
+flows' errors at one time over a list of hbars, the paper's rate sweep.
 
 The ensemble owns no equations of its own: it is moved by
 dynamics.rk4_step applied to the batched dynamics.classical_rhs, on the
@@ -49,6 +50,7 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtri
 
+from . import dynamics
 from .dynamics import (ClassicalPhasePoint, classical_hamiltonian,
                        classical_rhs, rk4_step, time_grid)
 from .observables import classical_angular_momentum
@@ -61,6 +63,7 @@ __all__ = [
     "wigner_sample",
     "propagate_ensemble",
     "phase_error",
+    "rate_sweep",
 ]
 
 OBSERVABLES = ("q", "p", "H0", "Lz")
@@ -80,9 +83,7 @@ class PhaseEnsemble:
 
     x: np.ndarray       # (n, d)
     xi: np.ndarray      # (n, d)
-    seed: int
     n: int
-    hbar: float
 
     @property
     def d(self) -> int:
@@ -144,7 +145,7 @@ def wigner_sample(state0: PacketState, hbar: float, seed: int,
         eta = scale * (e[:, d:] @ L.T)
         x[i0:i1] = state0.q + dx
         xi[i0:i1] = state0.p + dx @ state0.A_mat.T + eta
-    return PhaseEnsemble(x=x, xi=xi, seed=seed, n=N, hbar=hbar)
+    return PhaseEnsemble(x=x, xi=xi, n=N)
 
 
 def _classical_flow_step(x, xi, model: FieldModel, dt: float):
@@ -328,3 +329,45 @@ def phase_error(model_traj, egorov_estimate: EgorovEstimate, t_star: float) -> f
     dq = egorov_estimate.means["q"][ie] - model_traj.states.q[it]
     dp = egorov_estimate.means["p"][ie] - model_traj.states.p[it]
     return float(np.sqrt(dq @ dq + dp @ dp))
+
+
+def rate_sweep(model: FieldModel, state: PacketState, hbars, counts, dt: float,
+               t_star: float, seed: int) -> tuple:
+    """Lists of the classical and semiclassical centers' (q, p) errors at
+    t_star and of the reference's standard errors, one entry per hbar.
+
+    One classical run serves every hbar (the flow does not read hbar),
+    and all hbars' packets are integrated as one stack.  If either run
+    aborts, ValueError names its step and hbar: hbars[0] for the classical
+    run, and for the stack the packet that failed first (on a tie, the
+    earlier in hbars).  Only then does hbar i's reference draw counts[i] samples with
+    seed seed + i and transport them to t_star alone.
+    """
+
+    def ensure_completed(traj, label):
+        if not traj.completed:
+            i = traj.abort_member[0] if traj.abort_member else 0
+            raise ValueError(f"{label} run at hbar={hbars[i]} aborted at step "
+                             f"{traj.abort_step}: {traj.abort_reason}")
+
+    tc = dynamics.simulate(model, "classical", state, hbars[0], dt, t_star)
+    ensure_completed(tc, "classical")
+    h = np.array(hbars)
+    ts = dynamics.rk4_integrate(
+        lambda z: dynamics.semiclassical_rhs(z, model, h),
+        PacketState(*(np.stack([y] * len(hbars)) for y in
+                      (state.q, state.p, state.A_mat, state.B_mat))), dt, t_star)
+    ensure_completed(ts, "semiclassical")
+
+    err_c, err_s, ses = [], [], []
+    for i, hbar in enumerate(hbars):
+        est = propagate_ensemble(wigner_sample(state, hbar, seed=seed + i, N=counts[i]),
+                                 model, dt, t_star, observables=("q", "p"),
+                                 final_only=True)
+        member = dynamics.Trajectory(ts.times, ClassicalPhasePoint(
+            q=ts.states.q[:, i], p=ts.states.p[:, i]))
+        err_c.append(phase_error(tc, est, t_star))
+        err_s.append(phase_error(member, est, t_star))
+        ses.append(float(np.sqrt(np.sum(est.ses["q"][-1] ** 2)
+                                 + np.sum(est.ses["p"][-1] ** 2))))
+    return err_c, err_s, ses

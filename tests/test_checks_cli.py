@@ -77,6 +77,9 @@ SIM_1D = ["simulate", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
           "--hbar", "0.1", "--t-final", "3"]
 
 
+STEEP_1D = "potential = quadratic\nK = 10000\nb = 0\nc = 0\nM0 = 0\na0 = 0\nq = 1\np = 0\n"
+
+
 def test_simulate_csv_shape_and_determinism(tmp_path):
     out = tmp_path / "run.csv"
     assert cli.main(SIM_1D + ["--out", str(out)]) == 0
@@ -153,15 +156,22 @@ def test_simulate_zero_time(tmp_path, capsys):
 
 
 def test_simulate_abort_exit_code(tmp_path, capsys):
-    out = tmp_path / "bad.csv"
-    code = cli.main(["simulate", "--potential", "cosine1d", "--q", "0.5",
-                     "--p=-1", "--hbar", "0.1", "--dt", "10", "--t-final",
-                     "50", "--out", str(out)])
-    assert code == 3
-    assert "aborted" in capsys.readouterr().err
-    _, rows, footers = _read_csv(out)
-    assert footers and footers[0].startswith("# aborted,step=1,")
-    assert rows.shape[0] == 1
+    # a step past B's positive definiteness, and a steep well whose orbit
+    # overflows with no numpy warning on the way
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text(STEEP_1D)
+    for argv, step in (
+            (["--potential", "cosine1d", "--q", "0.5", "--p=-1", "--hbar", "0.1",
+              "--dt", "10", "--t-final", "50"], 1),
+            (["--config", str(cfg), "--hbar", "0.5", "--dt", "0.1",
+              "--t-final", "20"], 3)):
+        out = tmp_path / "bad.csv"
+        assert cli.main(["simulate", *argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"warning: integration aborted at step {step}: ")
+        _, rows, footers = _read_csv(out)
+        assert footers and footers[0].startswith(f"# aborted,step={step},")
+        assert rows.shape[0] == step
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +344,11 @@ def test_converge_errors_equal_per_hbar_runs(argv, tmp_path, capsys):
         for col, flavor in ((1, "classical"), (2, "semiclassical")):
             traj = simulate(model, flavor, state, h, s.dt, s.t_star)
             assert rows[i, col] == egorov.phase_error(traj, est, s.t_star), (h, flavor)
+    # the library's sweep returns the CSV's values
+    sweep = egorov.rate_sweep(model, state, s.hbars, counts, s.dt, s.t_star, s.seed)
+    assert list(sweep) == rows[:, 1:].T.tolist()
 
 
-STEEP_1D = "potential = quadratic\nK = 10000\nb = 0\nc = 0\nM0 = 0\na0 = 0\nq = 1\np = 0\n"
-
-
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_converge_classical_abort(tmp_path, capsys):
     # RK4 at omega dt = 10 grows the harmonic orbit about 400-fold a step
     cfg = tmp_path / "steep.cfg"
@@ -379,6 +387,19 @@ def test_converge_semiclassical_abort(tmp_path, capsys, monkeypatch):
         "width matrix B lost positive definiteness\n")
     assert transports == []
     assert not out.exists() and not (tmp_path / "conv.gp").exists()
+
+
+def test_converge_names_the_earliest_abort(tmp_path, capsys):
+    # hbar = 0.5's packet overflows at step 387, before hbar = 0.3's loses
+    # positive definiteness at step 429: the message names hbar = 0.5,
+    # though 0.3 comes first in the list
+    out = tmp_path / "conv.csv"
+    assert cli.main(["converge", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
+                     "--hbars", "0.3,0.5", "--t-star", "5", "--samples", "100",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: semiclassical run at hbar=0.5 aborted at step 387: non-finite state\n")
+    assert not out.exists()
 
 
 EG_1D = ["egorov", "--potential", "cosine1d", "--q", "0.5", "--p=-1",

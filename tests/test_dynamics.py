@@ -122,8 +122,6 @@ def test_bracket_rhs_validation(cos_model, bench_state_1d):
     H = lambda s: semiclassical_hamiltonian(s, cos_model, 0.1)
     with pytest.raises(ValueError):
         bracket_rhs(H, bench_state_1d, 0.0)
-    with pytest.raises(ValueError):
-        bracket_rhs(H, bench_state_1d, 0.1, fd_step=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,7 @@ def test_rk4_aborts_on_pd_loss(cos_model, bench_state_1d):
                          monitors=monitors)
     assert not traj.completed
     assert "positive definiteness" in traj.abort_reason
-    assert traj.abort_step is not None
+    assert traj.abort_step is not None and traj.abort_member == ()
     assert len(traj) == traj.abort_step
     assert traj.times[-1] < 1.05
     # monitors run once, on the surviving prefix
@@ -273,6 +271,7 @@ def test_rk4_aborts_on_nonfinite(bench_state_1d):
                      np.zeros((1, 1)))
     traj = rk4_integrate(rhs, bench_state_1d, dt=0.1, t_final=1.0)
     assert not traj.completed and "non-finite" in traj.abort_reason
+    assert traj.abort_member == ()
 
 
 def test_rk4_rejects_bad_arguments(cos_model, bench_state_1d):
@@ -467,6 +466,7 @@ def test_stacked_packets_integrate_like_single_packets(quartic_model, bench_stat
     traj = rk4_integrate(lambda z: semiclassical_rhs(z, quartic_model, hbars),
                          _stack(states), dt=0.01, t_final=0.5)
     assert traj.completed and traj.states.B_mat.shape == (51, 4, 2, 2)
+    assert traj.abort_member is None
     for i, (state, h) in enumerate(zip(states, hbars)):
         one = rk4_integrate(lambda z: semiclassical_rhs(z, quartic_model, h),
                             state, dt=0.01, t_final=0.5)
@@ -485,10 +485,26 @@ def test_one_non_positive_definite_member_aborts_the_stack(bench_state_2d):
     start = dataclasses.replace(_stack(states), B_mat=np.stack([np.eye(2)] * 3))
     traj = rk4_integrate(rhs, start, dt=0.01, t_final=1.0)
     assert not traj.completed and traj.abort_step == 4 and len(traj) == 4
-    assert "positive definiteness" in traj.abort_reason
+    assert "positive definiteness" in traj.abort_reason and traj.abort_member == (2,)
     bad = dataclasses.replace(start, B_mat=start.B_mat * np.array([1.0, -1.0, 1.0])[:, None, None])
     with pytest.raises(ValueError, match="initial state rejected: width matrix B"):
         rk4_integrate(rhs, bad, dt=0.01, t_final=1.0)
+
+
+def test_the_earliest_failing_member_names_the_abort(bench_state_2d):
+    # member 0's B loses positive definiteness at step 4, as above, but
+    # member 2's q grows about 1e200-fold a step and overflows at step 2:
+    # the stack stops there, naming member 2 and its own reason
+    shrink = np.array([30.0, 0.0, 0.0])[:, None, None]
+    growth = np.array([0.0, 0.0, 7e52])[:, None]
+    rhs = lambda z: (growth * z.q, np.zeros_like(z.p), np.zeros_like(z.A_mat),
+                     -shrink * np.eye(2))
+    start = dataclasses.replace(_stack([bench_state_2d] * 3),
+                                B_mat=np.stack([np.eye(2)] * 3))
+    traj = rk4_integrate(rhs, start, dt=0.01, t_final=1.0)
+    assert not traj.completed and traj.abort_step == 2 and len(traj) == 2
+    assert traj.abort_reason == "non-finite state" and traj.abort_member == (2,)
+    assert np.isfinite(traj.states.q).all()
 
 
 def _counting(model):
