@@ -325,7 +325,20 @@ def _fields(state) -> tuple:
 
 def _state_ok(state) -> tuple | None:
     """None, or the reason and the index over the leading axes of the first
-    member (in C order) that is non-finite or has B not positive definite."""
+    member (in C order) that is non-finite or has B not positive definite.
+
+    A whole stack is checked at once, with one isfinite per field and one
+    batched Cholesky; only a failing stack is searched member by member.
+    """
+    if all(np.isfinite(y).all() for y in _fields(state)):
+        if not isinstance(state, PacketState):
+            return None
+        B = state.B_mat
+        try:
+            np.linalg.cholesky(0.5 * (B + np.swapaxes(B, -1, -2)))
+            return None
+        except np.linalg.LinAlgError:
+            pass
     for i in np.ndindex(state.q.shape[:-1]):
         if not all(np.all(np.isfinite(y[i])) for y in _fields(state)):
             return "non-finite state", i

@@ -330,7 +330,7 @@ def test_converge_samples_count_mismatch(capsys):
 def test_converge_errors_equal_per_hbar_runs(argv, tmp_path, capsys):
     # converge integrates one classical run and one stacked semiclassical
     # run; its errors must be those of a classical and a semiclassical
-    # simulate per hbar, bit for bit
+    # simulate per hbar against that hbar's antithetic reference, bit for bit
     out = tmp_path / "conv.csv"
     assert cli.main(argv + ["--out", str(out)]) == 0
     _, rows, _ = _read_csv(out)
@@ -338,15 +338,42 @@ def test_converge_errors_equal_per_hbar_runs(argv, tmp_path, capsys):
     model, state = cli.build_model_and_state(s)
     counts = list(s.samples) * len(s.hbars) if len(s.samples) == 1 else s.samples
     for i, h in enumerate(s.hbars):
-        est = egorov.propagate_ensemble(
-            egorov.wigner_sample(state, h, seed=s.seed + i, N=counts[i]), model,
-            s.dt, s.t_star, observables=("q", "p"), final_only=True)
+        pairs = egorov.antithetic(
+            egorov.wigner_sample(state, h, seed=s.seed + i, N=counts[i] // 2), state)
+        est = egorov.propagate_ensemble(pairs, model, s.dt, s.t_star,
+                                        observables=("q", "p"), final_only=True)
         for col, flavor in ((1, "classical"), (2, "semiclassical")):
             traj = simulate(model, flavor, state, h, s.dt, s.t_star)
             assert rows[i, col] == egorov.phase_error(traj, est, s.t_star), (h, flavor)
     # the library's sweep returns the CSV's values
     sweep = egorov.rate_sweep(model, state, s.hbars, counts, s.dt, s.t_star, s.seed)
     assert list(sweep) == rows[:, 1:].T.tolist()
+
+
+@pytest.mark.parametrize("samples", ["2", "101", "100,100,3"])
+def test_converge_counts_must_be_even_pairs(samples, tmp_path, capsys):
+    # the reference draws antithetic pairs and needs two of them
+    out = tmp_path / "conv.csv"
+    assert cli.main(["converge", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
+                     "--hbars", "0.5,0.3,0.1", "--t-star", "0.1",
+                     "--samples", samples, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: sample counts must be even and at least 4 (antithetic pairs), "
+        f"got {samples.split(',')[-1]}\n")
+    assert not out.exists()
+
+
+def test_egorov_with_no_survivors_exits_2_without_warnings(tmp_path, capsys):
+    # every sample overflows (RK4 at omega dt = 10); the overflow is no
+    # numpy warning (pytest makes warnings errors) and no traceback
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text(STEEP_1D)
+    out = tmp_path / "e.csv"
+    assert cli.main(["egorov", "--config", str(cfg), "--hbar", "0.5", "--dt", "0.1",
+                     "--t-final", "20", "--samples", "100", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: fewer than two surviving samples; cannot form errors\n")
+    assert not out.exists()
 
 
 def test_converge_classical_abort(tmp_path, capsys):

@@ -507,6 +507,41 @@ def test_the_earliest_failing_member_names_the_abort(bench_state_2d):
     assert np.isfinite(traj.states.q).all()
 
 
+def _member_by_member(state):
+    """The reference for dynamics._state_ok: each member in C order."""
+    for i in np.ndindex(state.q.shape[:-1]):
+        if not all(np.isfinite(y[i]).all() for y in
+                   (state.q, state.p, state.A_mat, state.B_mat)):
+            return "non-finite state", i
+        try:
+            np.linalg.cholesky(0.5 * (state.B_mat[i] + state.B_mat[i].T))
+        except np.linalg.LinAlgError:
+            return "width matrix B lost positive definiteness", i
+    return None
+
+
+@pytest.mark.parametrize("shape, nan_at, indefinite_at, expected", [
+    ((4,), (3,), (1,), ("width matrix B lost positive definiteness", (1,))),
+    ((4,), (1,), (3,), ("non-finite state", (1,))),
+    ((2, 3), (1, 0), (0, 2), ("width matrix B lost positive definiteness", (0, 2))),
+    ((2, 3), (0, 1), (1, 1), ("non-finite state", (0, 1))),
+    ((4,), None, None, None),
+], ids=["indefinite-first", "non-finite-first", "2x3-indefinite-first",
+        "2x3-non-finite-first", "healthy"])
+def test_stack_check_names_the_member_the_loop_names(shape, nan_at, indefinite_at,
+                                                      expected, bench_state_2d):
+    # the batched check of a whole stack falls back to the member loop on
+    # failure, so it reports the same first member and reason
+    stack = PacketState(*(np.broadcast_to(y, shape + y.shape).copy() for y in
+                          (bench_state_2d.q, bench_state_2d.p,
+                           bench_state_2d.A_mat, bench_state_2d.B_mat)))
+    if nan_at is not None:
+        stack.B_mat[nan_at][0, 1] = np.nan
+    if indefinite_at is not None:
+        stack.B_mat[indefinite_at] = [[1.0, 2.0], [2.0, 1.0]]
+    assert dynamics._state_ok(stack) == _member_by_member(stack) == expected
+
+
 def _counting(model):
     """The model with every callback wrapped by a call counter."""
     counts = collections.Counter()

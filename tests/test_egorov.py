@@ -427,8 +427,143 @@ def test_too_few_survivors_is_an_error(cos_model, bench_state_1d):
     x = ens.x.copy()
     x[:2] = np.inf
     bad = dataclasses.replace(ens, x=x)
-    with pytest.raises(RuntimeError, match="surviving"):
+    with pytest.raises(ValueError, match="surviving"):
         propagate_ensemble(bad, cos_model, dt=0.01, t_final=0.1)
+
+
+# ---------------------------------------------------------------------------
+# antithetic pairs
+
+
+@pytest.mark.parametrize("chunk_size", [777, 1000])
+def test_rate_sweep_draws_antithetic_pairs(chunk_size, monkeypatch, quartic_model,
+                                           bench_state_2d):
+    # row 2j is wigner_sample's draw j bitwise, row 2j + 1 its mirror
+    # through the packet center, whatever the sampling chunk
+    hbars, counts, seed = [0.5, 0.1], [2002, 1600], 4
+    bases = [wigner_sample(bench_state_2d, h, seed=seed + i, N=n // 2)
+             for i, (h, n) in enumerate(zip(hbars, counts))]
+    monkeypatch.setattr(egorov, "DEFAULT_CHUNK", chunk_size)
+    drawn = []
+    real = egorov.propagate_ensemble
+
+    def recording(ens, *args, **kwargs):
+        drawn.append(ens)
+        return real(ens, *args, **kwargs)
+
+    monkeypatch.setattr(egorov, "propagate_ensemble", recording)
+    egorov.rate_sweep(quartic_model, bench_state_2d, hbars, counts, 0.01, 0.05, seed)
+    assert len(drawn) == 2
+    for ens, base, n in zip(drawn, bases, counts):
+        assert ens.paired and ens.n == n and ens.x.shape == (n, 2)
+        assert np.array_equal(ens.x[0::2], base.x)
+        assert np.array_equal(ens.xi[0::2], base.xi)
+        assert np.array_equal(ens.x[1::2], 2.0 * bench_state_2d.q - base.x)
+        assert np.array_equal(ens.xi[1::2], 2.0 * bench_state_2d.p - base.xi)
+
+
+def test_paired_mean_is_exact_on_a_linear_flow():
+    # RK4 on an affine flow is an affine map, so a pair's mean moves as
+    # the packet center does and the paired reference has no sampling error
+    model = quadratic_linear([[1.0, 0.3], [0.3, 2.0]], [0.2, -0.1], 0.0,
+                             [[0.1, 0.8], [-0.4, 0.2]], [0.3, 0.1])
+    state = make_packet_state([0.4, -0.2], [0.5, 0.3],
+                              [[0.2, 0.1], [0.1, -0.3]], [[1.0, 0.2], [0.2, 0.7]])
+    pairs = egorov.antithetic(wigner_sample(state, 0.1, seed=2, N=2000), state)
+    est = propagate_ensemble(pairs, model, dt=0.01, t_final=1.0,
+                             observables=("q", "p"), final_only=True)
+    traj = simulate(model, "classical", state, 0.1, 0.01, 1.0)
+    assert np.max(np.abs(est.means["q"][-1] - traj.states.q[-1])) < 1e-12
+    assert np.max(np.abs(est.means["p"][-1] - traj.states.p[-1])) < 1e-12
+    # what is left of the standard errors is round-off in sum(u^2) - P m^2
+    assert np.max(est.ses["q"]) < 1e-9 and np.max(est.ses["p"]) < 1e-9
+
+
+def test_paired_standard_error_matches_the_spread_over_seeds(cos_model,
+                                                             bench_state_1d):
+    # the standard error from pair means describes how the paired mean
+    # varies from seed to seed, and it is well below the standard error
+    # of as many independent draws
+    seeds, n = 40, 1000
+    means, ses, ses_independent = [], [], []
+    for seed in range(seeds):
+        base = wigner_sample(bench_state_1d, 0.1, seed=100 + seed, N=2 * n)
+        half = dataclasses.replace(base, x=base.x[:n], xi=base.xi[:n], n=n)
+        paired = propagate_ensemble(egorov.antithetic(half, bench_state_1d),
+                                    cos_model, dt=0.01, t_final=1.0,
+                                    observables=("q", "p"), final_only=True)
+        independent = propagate_ensemble(base, cos_model, dt=0.01, t_final=1.0,
+                                         observables=("q", "p"), final_only=True)
+        means.append(np.concatenate([paired.means["q"][-1], paired.means["p"][-1]]))
+        ses.append(np.concatenate([paired.ses["q"][-1], paired.ses["p"][-1]]))
+        ses_independent.append(np.concatenate([independent.ses["q"][-1],
+                                               independent.ses["p"][-1]]))
+    spread = np.std(means, axis=0, ddof=1)
+    reported = np.sqrt(np.mean(np.square(ses), axis=0))
+    # 40 seeds give the spread to about 11% (one sigma)
+    assert np.all(np.abs(spread / reported - 1.0) < 0.35), spread / reported
+    assert np.all(np.median(ses_independent, axis=0) > 3.0 * np.median(ses, axis=0))
+
+
+@pytest.mark.parametrize("kind", ["runaway", "quartic2d"])
+def test_paired_output_is_independent_of_workers_and_chunk_rounding(
+        kind, monkeypatch, bench_state_2d):
+    # a paired ensemble's blocks start on even rows: an odd chunk size is
+    # rounded up, so 699 and 700 cut the same blocks, and pooled and
+    # serial runs add them in the same order
+    if kind == "runaway":
+        model = quadratic_linear([[-900.0]], [0.0], 0.0, [[0.0]], [0.0])
+        state = make_packet_state([0.0], [0.0], [[0.0]], [[1.0]])
+        base = wigner_sample(state, 0.5, seed=5, N=1000)
+        obs, t_final = ("q", "p", "H0"), 23.43
+    else:
+        model, state = quartic_rotational_2d(), bench_state_2d
+        base = wigner_sample(state, 0.1, seed=6, N=1073)
+        obs, t_final = ("q", "p", "H0", "Lz"), 0.3
+    pairs = egorov.antithetic(base, state)
+
+    def run(chunk_size, workers):
+        with monkeypatch.context() as m:
+            m.setattr(egorov, "DEFAULT_CHUNK", chunk_size)
+            m.setattr(egorov, "MAX_WORKERS", workers)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return propagate_ensemble(pairs, model, dt=0.01, t_final=t_final,
+                                          observables=obs)
+
+    reference = run(700, 1)
+    if kind == "runaway":
+        assert 0 < reference.excluded < 2000 and reference.excluded % 2 == 0
+    for other in (run(699, 1), run(700, 4)):
+        assert other.excluded == reference.excluded
+        for name in obs:
+            assert _same_bits(other.means[name], reference.means[name])
+            assert _same_bits(other.ses[name], reference.ses[name])
+
+
+def test_a_dead_member_drops_its_pair(cos_model, bench_state_1d):
+    pairs = egorov.antithetic(wigner_sample(bench_state_1d, 0.1, seed=13, N=1500),
+                              bench_state_1d)
+    x = pairs.x.copy()
+    x[7] = np.nan       # the mirror of draw 3
+    x[20] = np.inf      # draw 10
+    est = propagate_ensemble(dataclasses.replace(pairs, x=x), cos_model,
+                             dt=0.01, t_final=0.3)
+    rest = np.delete(np.arange(pairs.n), [6, 7, 20, 21])
+    kept = dataclasses.replace(pairs, x=pairs.x[rest], xi=pairs.xi[rest],
+                               n=rest.size)
+    ref = propagate_ensemble(kept, cos_model, dt=0.01, t_final=0.3)
+    assert est.excluded == 4 and est.n_samples == 3000
+    for name in ("q", "p", "H0"):
+        np.testing.assert_allclose(est.means[name], ref.means[name],
+                                   rtol=1e-12, atol=1e-14)
+        # a pair's mean is nearly the center, so the SEs' sum(u^2) - P m^2
+        # cancels to about 1e-15 absolute
+        np.testing.assert_allclose(est.ses[name], ref.ses[name],
+                                   rtol=1e-10, atol=1e-13)
+    x[2:] = np.nan      # one live pair is too few
+    with pytest.raises(ValueError, match="fewer than two surviving pairs"):
+        propagate_ensemble(dataclasses.replace(pairs, x=x), cos_model,
+                           dt=0.01, t_final=0.3)
 
 
 def test_observable_validation(cos_model, quartic_model, bench_state_1d,
