@@ -382,7 +382,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command][0](resolve_settings(args))
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -299,20 +299,24 @@ class Trajectory:
 
     states holds the accepted states stacked along a leading time axis:
     a PacketState or ClassicalPhasePoint whose fields have shapes (n, d)
-    and (n, d, d).  completed is False when the integrator aborted
-    (non-finite state or loss of positive definiteness), in which case
-    abort_step is the 1-based index of the failed step, abort_member the
-    index of a stack's first failing member (() for a single state), and
-    times, states and monitors hold the surviving prefix.
+    and (n, d, d).  abort_step is None, and completed True, unless the
+    integrator aborted (non-finite state or loss of positive
+    definiteness); then abort_step is the 1-based index of the failed
+    step, abort_member the index of a stack's first failing member (()
+    for a single state), and times, states and monitors hold the
+    surviving prefix.
     """
 
     times: np.ndarray
     states: PacketState | ClassicalPhasePoint
     monitors: dict = field(default_factory=dict)
-    completed: bool = True
     abort_reason: str | None = None
     abort_step: int | None = None
     abort_member: tuple | None = None
+
+    @property
+    def completed(self) -> bool:
+        return self.abort_step is None
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -428,7 +432,7 @@ def rk4_integrate(rhs, initial, dt: float, t_final: float,
     state must be finite and (for packets) keep B positive definite,
     every member of a stacked state included; otherwise integration
     stops and the trajectory (monitors included) holds the surviving
-    prefix with completed=False and the first failing member.  Steps
+    prefix with its abort_step and first failing member.  Steps
     and monitors run with numpy's overflow and invalid warnings off.
     """
     times = time_grid(dt, t_final)
@@ -460,8 +464,7 @@ def rk4_integrate(rhs, initial, dt: float, t_final: float,
         states = cls(*(stack[:n] for stack in stacks))
         mon = {name: _monitor_values(name, fn, states) for name, fn in monitors.items()}
     reason, member = bad or (None, None)
-    return Trajectory(times=times[:n], states=states, monitors=mon,
-                      completed=bad is None, abort_reason=reason,
+    return Trajectory(times=times[:n], states=states, monitors=mon, abort_reason=reason,
                       abort_step=None if bad is None else n, abort_member=member)
 
 

@@ -96,8 +96,11 @@ class PhaseEnsemble:
 
     x: np.ndarray       # (n, d)
     xi: np.ndarray      # (n, d)
-    n: int
     paired: bool = False
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[0]
 
     @property
     def d(self) -> int:
@@ -159,7 +162,7 @@ def wigner_sample(state0: PacketState, hbar: float, seed: int,
         eta = scale * (e[:, d:] @ L.T)
         x[i0:i1] = state0.q + dx
         xi[i0:i1] = state0.p + dx @ state0.A_mat.T + eta
-    return PhaseEnsemble(x=x, xi=xi, n=N)
+    return PhaseEnsemble(x=x, xi=xi)
 
 
 def antithetic(ensemble: PhaseEnsemble, state0: PacketState) -> PhaseEnsemble:
@@ -175,7 +178,7 @@ def antithetic(ensemble: PhaseEnsemble, state0: PacketState) -> PhaseEnsemble:
         out[0::2] = v
         out[1::2] = 2.0 * c - v
         rows.append(out)
-    return PhaseEnsemble(x=rows[0], xi=rows[1], n=2 * ensemble.n, paired=True)
+    return PhaseEnsemble(x=rows[0], xi=rows[1], paired=True)
 
 
 def _classical_flow_step(x, xi, model: FieldModel, dt: float):
@@ -211,7 +214,7 @@ class _Transport:
 
     def zero_sums(self):
         """Zeroed sums of each observable, sums of its squared unit means
-        and alive sample counts, one row per reduced grid time."""
+        and sample counts of live units, one row per reduced grid time."""
         R, d = self.steps - self.first, self.ensemble.d
         sums = {name: np.zeros((R, d) if name in ("q", "p") else (R,))
                 for name in self.observables}
@@ -221,37 +224,35 @@ class _Transport:
 
 def _transport_block(job: _Transport, i0: int):
     """Carry the block of samples starting at i0 through every step and
-    return its sums, sums of squared unit means and alive counts (see
-    zero_sums).  A unit with a non-finite member is dropped whole."""
+    return its sums, sums of squared unit means and live counts (see
+    zero_sums).  A unit with a non-finite member at a reduced time is
+    dropped whole.  No mask is kept between steps: RK4's y + h k leaves a
+    non-finite entry non-finite, whatever the fields return there.
+    """
     ensemble, model, k = job.ensemble, job.model, job.unit
     sums, sqs, counts = job.zero_sums()
     i1 = min(i0 + job.chunk_size, ensemble.n)
     x = ensemble.x[i0:i1].T.copy()     # component-major (d, b)
     xi = ensemble.xi[i0:i1].T.copy()
-    # alive is None while every row of the block is finite; rows that
-    # arrive non-finite are excluded from the start
-    alive = None
     # runaway samples overflow; they are masked out, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(job.steps):
             if t > 0:
                 xs, xis = _classical_flow_step(x.T, xi.T, model, job.dt)
                 x, xi = xs.T, xis.T
-            # one pass over the block; the per-sample mask only on failure
-            if not (np.isfinite(x).all() and np.isfinite(xi).all()):
-                ok = np.isfinite(x).all(axis=0) & np.isfinite(xi).all(axis=0)
-                ok = ok.reshape(-1, k).all(axis=1).repeat(k)
-                x[:, ~ok] = 0.0
-                xi[:, ~ok] = 0.0
-                alive = ok if alive is None else alive & ok
             if t < job.first:
                 continue
             r = t - job.first
-            counts[r] = x.shape[1] if alive is None else int(alive.sum())
+            # one pass over the block; the per-unit mask only on failure
+            ok = None
+            if not (np.isfinite(x).all() and np.isfinite(xi).all()):
+                ok = np.isfinite(x).all(axis=0) & np.isfinite(xi).all(axis=0)
+                ok = ok.reshape(-1, k).all(axis=1).repeat(k)
+            counts[r] = x.shape[1] if ok is None else int(ok.sum())
             for name in job.observables:
                 vals = _observe(name, x.T, xi.T, model).T
-                if alive is not None:
-                    vals = np.where(alive, vals, 0.0)
+                if ok is not None:
+                    vals = np.where(ok, vals, 0.0)
                 sums[name][r] = vals.sum(axis=-1)
                 if k > 1:
                     vals = vals.reshape(vals.shape[:-1] + (-1, k)).mean(axis=-1)
@@ -311,8 +312,8 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
     (ensemble, dt, t_final) are bitwise reproducible whatever the number
     of workers.  With final_only the statistics are reduced at t_final
     alone and `times` holds only t_final; that row is bitwise the last
-    row of the full series.  Samples that blow up are zeroed, masked out
-    from their failure time onward, and counted in `excluded`.
+    row of the full series.  A sample that turns non-finite stays so, and
+    is masked out of every later reduction and counted in `excluded`.
 
     Statistics are taken over units of k samples, k = 2 for a paired
     ensemble (its blocks then start on even rows) and 1 otherwise.  A

@@ -308,7 +308,6 @@ class FdReport:
 
     deviations: dict = field(default_factory=dict)
     failed: tuple = ()
-    tol: float = 1e-6
 
     @property
     def ok(self) -> bool:
@@ -367,7 +366,7 @@ def fd_cross_check(model: FieldModel, x, tol: float = 1e-6, M=None) -> FdReport:
     devs["grad_hess_trace_V"] = _rel_dev(fd_gv, model.grad_hess_trace_V(x, M))
 
     failed = tuple(name for name, dev in devs.items() if not dev <= tol)
-    return FdReport(deviations=devs, failed=failed, tol=tol)
+    return FdReport(deviations=devs, failed=failed)
 
 
 def rotational_symmetry_check(model: FieldModel, R, x, tol: float = 1e-10) -> bool:

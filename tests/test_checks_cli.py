@@ -467,6 +467,21 @@ def test_step_count_must_be_storable(base, tmp_path, capsys):
 ONE_1D = ["--potential", "cosine1d", "--q", "0.5", "--p=-1"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["egorov", *ONE_1D, "--hbar", "0.1", "--t-final", "0.02"],
+    ["converge", *ONE_1D, "--hbars", "0.5,0.3", "--t-star", "0.02"],
+], ids=["egorov", "converge"])
+def test_unallocatable_sample_count_exits_2(argv, tmp_path, capsys):
+    # 10^16 draws take 71 PiB (35 PiB for converge's half that are
+    # mirrored), more than any address space, so the allocation fails at
+    # once; it used to end in a numpy _ArrayMemoryError traceback
+    out = tmp_path / "big.csv"
+    assert cli.main(argv + ["--samples", "10000000000000000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+    assert not out.exists() and not (tmp_path / "big.gp").exists()
+
+
 @pytest.mark.parametrize("argv, hbar", [
     (["simulate", *ONE_1D, "--t-final", "0.1", "--hbar"], "{}"),
     (["egorov", *ONE_1D, "--t-final", "0.1", "--samples", "500", "--hbar"], "{}"),

@@ -193,8 +193,7 @@ def test_corrupt_rows_are_excluded_from_statistics(cos_model, bench_state_1d):
     x[-7:] = np.nan
     dirty = dataclasses.replace(clean, x=x)
     est_dirty = propagate_ensemble(dirty, cos_model, dt=0.01, t_final=0.3)
-    prefix = dataclasses.replace(clean, x=clean.x[:-7], xi=clean.xi[:-7],
-                                 n=clean.n - 7)
+    prefix = dataclasses.replace(clean, x=clean.x[:-7], xi=clean.xi[:-7])
     est_clean = propagate_ensemble(prefix, cos_model, dt=0.01, t_final=0.3)
     assert est_dirty.excluded == 7
     assert est_dirty.n_samples == 3000
@@ -202,6 +201,47 @@ def test_corrupt_rows_are_excluded_from_statistics(cos_model, bench_state_1d):
         np.testing.assert_allclose(est_dirty.means[name],
                                    est_clean.means[name],
                                    rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["unpaired", "paired"])
+def test_exclusion_follows_the_state_not_the_fields(paired, bench_state_1d):
+    # fields read at nan_to_num(x) stay finite where x is not, so only the
+    # state can tell that a row is dead: RK4 keeps a non-finite entry
+    # non-finite, and the row is excluded at every reduced time
+    base = cosine_1d()
+    model = dataclasses.replace(base, **{
+        name: (lambda f: lambda x: f(np.nan_to_num(x)))(getattr(base, name))
+        for name in ("V", "A", "jacA", "gradV")})
+    ens = wigner_sample(bench_state_1d, 0.1, seed=21, N=1000)
+    if paired:
+        ens = egorov.antithetic(ens, bench_state_1d)
+    x, xi = ens.x.copy(), ens.xi.copy()
+    x[5] = np.inf
+    xi[12] = np.nan
+    dead = [4, 5, 12, 13] if paired else [5, 12]
+    dirty = dataclasses.replace(ens, x=x, xi=xi)
+    rest = np.delete(np.arange(ens.n), dead)
+    kept = dataclasses.replace(ens, x=ens.x[rest], xi=ens.xi[rest])
+    runs = [dict(t_final=0.3)] + [dict(t_final=t, final_only=True)
+                                  for t in (0.0, 0.1, 0.3)]
+    for run in runs:
+        est = propagate_ensemble(dirty, model, dt=0.01, **run)
+        ref = propagate_ensemble(kept, model, dt=0.01, **run)
+        assert est.excluded == len(dead) and est.n_samples == ens.n
+        for name in ("q", "p", "H0"):
+            np.testing.assert_allclose(est.means[name], ref.means[name],
+                                       rtol=1e-12, atol=1e-14)
+
+
+def test_ensemble_size_is_its_row_count(cos_model, bench_state_1d):
+    # n is read off the rows, so a sliced ensemble cannot count rows it lacks
+    ens = wigner_sample(bench_state_1d, 0.1, seed=3, N=1000)
+    head = dataclasses.replace(ens, x=ens.x[:600], xi=ens.xi[:600])
+    assert head.n == 600
+    est = propagate_ensemble(head, cos_model, dt=0.01, t_final=0.1)
+    assert est.n_samples == 600 and est.excluded == 0
+    pairs = egorov.antithetic(head, bench_state_1d)
+    assert pairs.n == 1200 and pairs.x.shape == pairs.xi.shape == (1200, 1)
 
 
 def test_runaway_samples_are_excluded_mid_flight(monkeypatch):
@@ -488,7 +528,7 @@ def test_paired_standard_error_matches_the_spread_over_seeds(cos_model,
     means, ses, ses_independent = [], [], []
     for seed in range(seeds):
         base = wigner_sample(bench_state_1d, 0.1, seed=100 + seed, N=2 * n)
-        half = dataclasses.replace(base, x=base.x[:n], xi=base.xi[:n], n=n)
+        half = dataclasses.replace(base, x=base.x[:n], xi=base.xi[:n])
         paired = propagate_ensemble(egorov.antithetic(half, bench_state_1d),
                                     cos_model, dt=0.01, t_final=1.0,
                                     observables=("q", "p"), final_only=True)
@@ -549,8 +589,7 @@ def test_a_dead_member_drops_its_pair(cos_model, bench_state_1d):
     est = propagate_ensemble(dataclasses.replace(pairs, x=x), cos_model,
                              dt=0.01, t_final=0.3)
     rest = np.delete(np.arange(pairs.n), [6, 7, 20, 21])
-    kept = dataclasses.replace(pairs, x=pairs.x[rest], xi=pairs.xi[rest],
-                               n=rest.size)
+    kept = dataclasses.replace(pairs, x=pairs.x[rest], xi=pairs.xi[rest])
     ref = propagate_ensemble(kept, cos_model, dt=0.01, t_final=0.3)
     assert est.excluded == 4 and est.n_samples == 3000
     for name in ("q", "p", "H0"):
