@@ -277,7 +277,7 @@ def cmd_egorov(s: argparse.Namespace) -> int:
     dynamics.time_grid(s.dt, s.t_final)  # reject a bad horizon before sampling
 
     obs = ("q", "p", "H0") + (("Lz",) if d == 2 else ())
-    ens = egorov.wigner_sample(state, s.hbar, seed=s.seed, N=n)
+    ens = egorov.wigner_sample(state, s.hbar, seed=s.seed, N=n, paired=True)
     est = egorov.propagate_ensemble(ens, model, s.dt, s.t_final, observables=obs)
 
     cols = ["t"] + [f"{stat}_{v}{i + 1}" for stat in ("mean", "se")

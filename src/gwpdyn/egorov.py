@@ -13,13 +13,15 @@ quantum evolution and is used here as the reference the packet
 propagators are measured against; rate_sweep measures both packet
 flows' errors at one time over a list of hbars, the paper's rate sweep.
 
-rate_sweep draws its references as antithetic pairs (antithetic): each
-draw is followed by its mirror through the packet center, which has the
-same Gaussian distribution.  The odd part of the flow's response
-cancels within a pair, so on the 2D rate sweep the mean of N paired rows
-has about 9 times less variance than that of N independent draws, at
-the same transport cost.  A paired ensemble's standard errors come from
-its pair means, and a pair with a non-finite member is dropped whole.
+rate_sweep and the egorov command draw their references as antithetic
+pairs (wigner_sample with paired=True): each draw is followed by its
+mirror through the packet center, which has the same Gaussian
+distribution.  The odd part of the flow's response cancels within a
+pair, so the mean of N paired rows has about 9 times less variance than
+that of N independent draws on the 2D rate sweep, and about 67 times
+less on the 1D cosine series, at the same transport cost.  A paired
+ensemble's standard errors come from its pair means, and a pair with a
+non-finite member is dropped whole.
 
 The ensemble owns no equations of its own: it is moved by
 dynamics.rk4_step applied to the batched dynamics.classical_rhs, on the
@@ -69,7 +71,6 @@ __all__ = [
     "PhaseEnsemble",
     "EgorovEstimate",
     "wigner_sample",
-    "antithetic",
     "propagate_ensemble",
     "phase_error",
     "rate_sweep",
@@ -90,7 +91,7 @@ MAX_WORKERS = 4
 class PhaseEnsemble:
     """Phase-space draws (x, xi) from the Wigner density of a packet.
 
-    A paired ensemble (see antithetic) holds antithetic pairs in rows
+    A paired ensemble (see wigner_sample) holds antithetic pairs in rows
     2j and 2j + 1; its statistics treat each pair as one unit.
     """
 
@@ -125,18 +126,35 @@ class EgorovEstimate:
     excluded: int
 
 
+def _check_pair_count(n: int) -> None:
+    """ValueError unless n rows make at least two antithetic pairs."""
+    if n < 4 or n % 2:
+        raise ValueError(f"sample counts must be even and at least 4 "
+                         f"(antithetic pairs), got {n}")
+
+
 def wigner_sample(state0: PacketState, hbar: float, seed: int,
-                  N: int) -> PhaseEnsemble:
+                  N: int, paired: bool = False) -> PhaseEnsemble:
     """Draw N phase-space points from the Wigner density of state0.
 
     Uses the factorization x ~ N(q, (hbar/2) B^-1) and
     xi = p + A_w (x - q) + eta with eta ~ N(0, (hbar/2) B), which
-    reproduces W exactly.  Sample i is a pure function of (seed, i): it
+    reproduces W exactly.  Draw i is a pure function of (seed, i): it
     reads a fixed stride of the Philox(key=seed) stream, block-aligned
-    so that results are bitwise independent of the DEFAULT_CHUNK samples
-    drawn at a time.
+    so that results are bitwise independent of the DEFAULT_CHUNK draws
+    made at a time.
+
+    With paired, N must be even and at least 4, and the ensemble holds
+    N / 2 draws as antithetic pairs: row 2j is bitwise draw j of
+    wigner_sample(..., N // 2) and row 2j + 1 its mirror
+    (2q - x, 2p - xi) through state0's center.  The Wigner density
+    is a Gaussian centred at (q, p), so every row keeps its distribution;
+    only the rows within a pair are dependent.  Each chunk of draws and
+    its mirrors are written straight into the N-row result.
     """
-    if N < 1:
+    if paired:
+        _check_pair_count(N)
+    elif N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if not (np.isfinite(hbar) and hbar > 0.0):
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
@@ -145,14 +163,15 @@ def wigner_sample(state0: PacketState, hbar: float, seed: int,
     Linv = np.linalg.inv(L)
     scale = np.sqrt(0.5 * hbar)
     # Philox.advance counts 128-bit blocks (4 uint64 draws); pad the
-    # per-sample draw count up to a whole number of blocks so every
-    # chunk start can be reached exactly.
+    # per-draw count up to a whole number of blocks so every chunk start
+    # can be reached exactly.
     stride = -(-2 * d // 4) * 4
+    k = 2 if paired else 1          # rows per draw
 
     x = np.empty((N, d))
     xi = np.empty((N, d))
-    for i0 in range(0, N, DEFAULT_CHUNK):
-        i1 = min(i0 + DEFAULT_CHUNK, N)
+    for i0 in range(0, N // k, DEFAULT_CHUNK):
+        i1 = min(i0 + DEFAULT_CHUNK, N // k)
         bg = np.random.Philox(key=seed)
         bg.advance(stride // 4 * i0)
         u = np.random.Generator(bg).random((i1 - i0, stride))[:, :2 * d]
@@ -160,25 +179,15 @@ def wigner_sample(state0: PacketState, hbar: float, seed: int,
         e = ndtri(np.clip(u, 1e-300, None))
         dx = scale * (e[:, :d] @ Linv)
         eta = scale * (e[:, d:] @ L.T)
-        x[i0:i1] = state0.q + dx
-        xi[i0:i1] = state0.p + dx @ state0.A_mat.T + eta
-    return PhaseEnsemble(x=x, xi=xi)
-
-
-def antithetic(ensemble: PhaseEnsemble, state0: PacketState) -> PhaseEnsemble:
-    """The paired ensemble of 2n rows: row 2j is draw j of ensemble and row
-    2j + 1 its mirror (2q - x, 2p - xi) through state0's center.
-
-    The Wigner density is a Gaussian centred at (q, p), so every row
-    keeps its distribution; only the rows within a pair are dependent.
-    """
-    rows = []
-    for v, c in ((ensemble.x, state0.q), (ensemble.xi, state0.p)):
-        out = np.empty((2 * ensemble.n, ensemble.d))
-        out[0::2] = v
-        out[1::2] = 2.0 * c - v
-        rows.append(out)
-    return PhaseEnsemble(x=rows[0], xi=rows[1], paired=True)
+        rows = slice(k * i0, k * i1, k)
+        np.add(state0.q, dx, out=x[rows])
+        np.add(state0.p, dx @ state0.A_mat.T, out=xi[rows])
+        xi[rows] += eta
+        if paired:
+            mirrors = slice(k * i0 + 1, k * i1, k)
+            np.subtract(2.0 * state0.q, x[rows], out=x[mirrors])
+            np.subtract(2.0 * state0.p, xi[rows], out=xi[mirrors])
+    return PhaseEnsemble(x=x, xi=xi, paired=paired)
 
 
 def _classical_flow_step(x, xi, model: FieldModel, dt: float):
@@ -213,24 +222,26 @@ class _Transport:
     unit: int            # samples per statistical unit: 2 if paired, else 1
 
     def zero_sums(self):
-        """Zeroed sums of each observable, sums of its squared unit means
-        and sample counts of live units, one row per reduced grid time."""
+        """Zeroed sums of each observable, sums of squared deviations of
+        its unit means from their mean, and sample counts of live units,
+        one row per reduced grid time."""
         R, d = self.steps - self.first, self.ensemble.d
         sums = {name: np.zeros((R, d) if name in ("q", "p") else (R,))
                 for name in self.observables}
-        sqs = {name: np.zeros_like(v) for name, v in sums.items()}
-        return sums, sqs, np.zeros(R, dtype=np.int64)
+        m2 = {name: np.zeros_like(v) for name, v in sums.items()}
+        return sums, m2, np.zeros(R, dtype=np.int64)
 
 
 def _transport_block(job: _Transport, i0: int):
     """Carry the block of samples starting at i0 through every step and
-    return its sums, sums of squared unit means and live counts (see
-    zero_sums).  A unit with a non-finite member at a reduced time is
-    dropped whole.  No mask is kept between steps: RK4's y + h k leaves a
-    non-finite entry non-finite, whatever the fields return there.
+    return its sums, squared deviations and live counts (see zero_sums),
+    the deviations taken from the block's own mean in a second pass.  A
+    unit with a non-finite member at a reduced time is dropped whole.  No
+    mask is kept between steps: RK4's y + h k leaves a non-finite entry
+    non-finite, whatever the fields return there.
     """
     ensemble, model, k = job.ensemble, job.model, job.unit
-    sums, sqs, counts = job.zero_sums()
+    sums, m2, counts = job.zero_sums()
     i1 = min(i0 + job.chunk_size, ensemble.n)
     x = ensemble.x[i0:i1].T.copy()     # component-major (d, b)
     xi = ensemble.xi[i0:i1].T.copy()
@@ -244,20 +255,23 @@ def _transport_block(job: _Transport, i0: int):
                 continue
             r = t - job.first
             # one pass over the block; the per-unit mask only on failure
-            ok = None
+            live = None
             if not (np.isfinite(x).all() and np.isfinite(xi).all()):
                 ok = np.isfinite(x).all(axis=0) & np.isfinite(xi).all(axis=0)
-                ok = ok.reshape(-1, k).all(axis=1).repeat(k)
-            counts[r] = x.shape[1] if ok is None else int(ok.sum())
+                live = ok.reshape(-1, k).all(axis=1)
+            counts[r] = x.shape[1] if live is None else k * int(live.sum())
             for name in job.observables:
                 vals = _observe(name, x.T, xi.T, model).T
-                if ok is not None:
-                    vals = np.where(ok, vals, 0.0)
+                if live is not None:
+                    vals = np.where(live.repeat(k), vals, 0.0)
                 sums[name][r] = vals.sum(axis=-1)
-                if k > 1:
-                    vals = vals.reshape(vals.shape[:-1] + (-1, k)).mean(axis=-1)
-                sqs[name][r] = (vals * vals).sum(axis=-1)
-    return sums, sqs, counts
+                if k > 1:   # pair means; a reshaped mean over 2 is slower
+                    vals = (vals[..., 0::2] + vals[..., 1::2]) / 2
+                dev = vals - np.asarray(sums[name][r] / counts[r])[..., None]
+                if live is not None:
+                    dev = np.where(live, dev, 0.0)
+                m2[name][r] = (dev * dev).sum(axis=-1)
+    return sums, m2, counts
 
 
 # The job a forked pool worker serves; set only in the worker, by the
@@ -318,9 +332,12 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
     Statistics are taken over units of k samples, k = 2 for a paired
     ensemble (its blocks then start on even rows) and 1 otherwise.  A
     mean is the sum over live samples over their count.  Its standard
-    error is sqrt((sum of u^2 - P m^2) / ((P - 1) P)), with u a live
-    unit's mean, P the number of live units and m the mean; at k = 1
-    that is stddev / sqrt(n_alive).  A unit with a non-finite member is
+    error is sqrt(M2 / ((P - 1) P)), with P the number of live units and
+    M2 the sum of squared deviations of the live units' means from their
+    mean; at k = 1 that is stddev / sqrt(n_alive).  Each block forms its
+    own M2 in two passes, and the blocks' M2 are merged in block order by
+    the pairwise update of Chan, Golub & LeVeque, so a standard error far
+    below its mean keeps its digits.  A unit with a non-finite member is
     dropped whole, all its samples counted in `excluded`.  Fewer than
     two live units at a reduced time is a ValueError.
     """
@@ -338,26 +355,31 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
     k = 2 if ensemble.paired else 1
     job = _Transport(ensemble, model, dt, T, first, observables,
                      -(-DEFAULT_CHUNK // k) * k, k)
-    sums, sqs, counts = job.zero_sums()
-    for part_sums, part_sqs, part_counts in _block_results(
-            job, range(0, ensemble.n, job.chunk_size)):
-        for name in observables:
-            sums[name] += part_sums[name]
-            sqs[name] += part_sqs[name]
-        counts += part_counts
+    sums, m2, counts = job.zero_sums()
+    # overflowed survivors make inf and nan statistics, not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part_sums, part_m2, part_counts in _block_results(
+                job, range(0, ensemble.n, job.chunk_size)):
+            # Chan et al.: M2 += M2_b + delta^2 P_a P_b / (P_a + P_b)
+            pa, pb = counts // k, part_counts // k
+            weight = pa * pb / np.maximum(pa + pb, 1)
+            for name in observables:
+                col = (slice(None),) + (None,) * (sums[name].ndim - 1)
+                delta = np.where(weight[col] > 0, part_sums[name] / part_counts[col]
+                                 - sums[name] / counts[col], 0.0)
+                m2[name] += part_m2[name] + delta * delta * weight[col]
+                sums[name] += part_sums[name]
+            counts += part_counts
 
-    if np.any(counts < 2 * k):
-        raise ValueError(f"fewer than two surviving {'pairs' if k > 1 else 'samples'}"
-                         "; cannot form errors")
-    means = {}
-    ses = {}
-    for name in observables:
-        c = counts if sums[name].ndim == 1 else counts[:, None]
-        units = c // k
-        mean = sums[name] / c
-        var = np.maximum(sqs[name] - units * mean * mean, 0.0) / (units - 1)
-        means[name] = mean
-        ses[name] = np.sqrt(var / units)
+        if np.any(counts < 2 * k):
+            raise ValueError(f"fewer than two surviving {'pairs' if k > 1 else 'samples'}"
+                             "; cannot form errors")
+        means = {}
+        ses = {}
+        for name in observables:
+            c = counts if sums[name].ndim == 1 else counts[:, None]
+            means[name] = sums[name] / c
+            ses[name] = np.sqrt(m2[name] / (c // k - 1) / (c // k))
     return EgorovEstimate(times=times[first:], means=means, ses=ses,
                           n_samples=ensemble.n,
                           excluded=int(ensemble.n - counts[-1]))
@@ -392,13 +414,11 @@ def rate_sweep(model: FieldModel, state: PacketState, hbars, counts, dt: float,
     aborts, ValueError names its step and hbar: hbars[0] for the
     classical run, and for the stack the packet that failed first (on a
     tie, the earlier in hbars).  Only then does hbar i's reference draw
-    counts[i] / 2 samples with seed seed + i, pair each with its mirror
-    (antithetic) and transport the counts[i] rows to t_star alone.
+    counts[i] rows as antithetic pairs with seed seed + i (wigner_sample
+    with paired=True) and transport them to t_star alone.
     """
     for n in counts:
-        if n < 4 or n % 2:
-            raise ValueError(f"sample counts must be even and at least 4 "
-                             f"(antithetic pairs), got {n}")
+        _check_pair_count(n)
 
     def ensure_completed(traj, label):
         if not traj.completed:
@@ -418,8 +438,7 @@ def rate_sweep(model: FieldModel, state: PacketState, hbars, counts, dt: float,
     err_c, err_s, ses = [], [], []
     for i, hbar in enumerate(hbars):
         est = propagate_ensemble(
-            antithetic(wigner_sample(state, hbar, seed=seed + i, N=counts[i] // 2),
-                       state),
+            wigner_sample(state, hbar, seed=seed + i, N=counts[i], paired=True),
             model, dt, t_star, observables=("q", "p"), final_only=True)
         member = dynamics.Trajectory(ts.times, ClassicalPhasePoint(
             q=ts.states.q[:, i], p=ts.states.p[:, i]))

@@ -258,7 +258,39 @@ def test_egorov_csv_and_footer(tmp_path):
                       "mean_H0", "se_H0"]
     assert rows.shape == (21, 7)
     assert footers == ["# excluded_samples,0"]
-    assert abs(rows[0, 1] - 0.5) < 5 * rows[0, 3]
+    # antithetic pairs: at t = 0 every pair's mean is the packet center
+    assert rows[0, 1] == 0.5 and rows[0, 3] <= 1e-15
+
+
+def test_egorov_csv_is_the_paired_estimate(tmp_path):
+    # the CSV is propagate_ensemble's estimate of the paired draw, bit for bit
+    argv = ["egorov", "--potential", "quartic2d", "--q", "1,0", "--p", "0,1",
+            "--A=-3,-6,-6,-6", "--B", "1,0.5,0.5,1", "--hbar", "0.1",
+            "--t-final", "0.1", "--samples", "3000", "--seed", "5"]
+    out = tmp_path / "eg.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    _, rows, footers = _read_csv(out)
+    s = cli.resolve_settings(cli.build_parser().parse_args(argv))
+    model, state = cli.build_model_and_state(s)
+    ens = egorov.wigner_sample(state, 0.1, seed=5, N=3000, paired=True)
+    est = egorov.propagate_ensemble(ens, model, s.dt, s.t_final,
+                                    observables=("q", "p", "H0", "Lz"))
+    assert np.array_equal(rows, np.column_stack(
+        [est.times, est.means["q"], est.means["p"], est.ses["q"], est.ses["p"],
+         est.means["H0"], est.ses["H0"], est.means["Lz"], est.ses["Lz"]]))
+    assert footers == [f"# excluded_samples,{est.excluded}"]
+
+
+@pytest.mark.parametrize("samples", ["2", "3", "501"])
+def test_egorov_counts_must_be_even_pairs(samples, tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert cli.main(["egorov", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
+                     "--hbar", "0.1", "--t-final", "0.1", "--samples", samples,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: sample counts must be even and at least 4 (antithetic pairs), "
+        f"got {samples}\n"))
+    assert not out.exists()
 
 
 def test_egorov_2d_includes_angular_momentum(tmp_path):
@@ -338,8 +370,8 @@ def test_converge_errors_equal_per_hbar_runs(argv, tmp_path, capsys):
     model, state = cli.build_model_and_state(s)
     counts = list(s.samples) * len(s.hbars) if len(s.samples) == 1 else s.samples
     for i, h in enumerate(s.hbars):
-        pairs = egorov.antithetic(
-            egorov.wigner_sample(state, h, seed=s.seed + i, N=counts[i] // 2), state)
+        pairs = egorov.wigner_sample(state, h, seed=s.seed + i, N=counts[i],
+                                     paired=True)
         est = egorov.propagate_ensemble(pairs, model, s.dt, s.t_star,
                                         observables=("q", "p"), final_only=True)
         for col, flavor in ((1, "classical"), (2, "semiclassical")):
@@ -372,7 +404,7 @@ def test_egorov_with_no_survivors_exits_2_without_warnings(tmp_path, capsys):
     assert cli.main(["egorov", "--config", str(cfg), "--hbar", "0.5", "--dt", "0.1",
                      "--t-final", "20", "--samples", "100", "--out", str(out)]) == 2
     assert capsys.readouterr() == (
-        "", "error: fewer than two surviving samples; cannot form errors\n")
+        "", "error: fewer than two surviving pairs; cannot form errors\n")
     assert not out.exists()
 
 
@@ -472,9 +504,9 @@ ONE_1D = ["--potential", "cosine1d", "--q", "0.5", "--p=-1"]
     ["converge", *ONE_1D, "--hbars", "0.5,0.3", "--t-star", "0.02"],
 ], ids=["egorov", "converge"])
 def test_unallocatable_sample_count_exits_2(argv, tmp_path, capsys):
-    # 10^16 draws take 71 PiB (35 PiB for converge's half that are
-    # mirrored), more than any address space, so the allocation fails at
-    # once; it used to end in a numpy _ArrayMemoryError traceback
+    # 10^16 rows take 71 PiB, more than any address space, so the
+    # allocation fails at once; it used to end in a numpy
+    # _ArrayMemoryError traceback
     out = tmp_path / "big.csv"
     assert cli.main(argv + ["--samples", "10000000000000000", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()

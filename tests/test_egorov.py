@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 import multiprocessing.context
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,9 +213,8 @@ def test_exclusion_follows_the_state_not_the_fields(paired, bench_state_1d):
     model = dataclasses.replace(base, **{
         name: (lambda f: lambda x: f(np.nan_to_num(x)))(getattr(base, name))
         for name in ("V", "A", "jacA", "gradV")})
-    ens = wigner_sample(bench_state_1d, 0.1, seed=21, N=1000)
-    if paired:
-        ens = egorov.antithetic(ens, bench_state_1d)
+    ens = wigner_sample(bench_state_1d, 0.1, seed=21, N=2000 if paired else 1000,
+                        paired=paired)
     x, xi = ens.x.copy(), ens.xi.copy()
     x[5] = np.inf
     xi[12] = np.nan
@@ -240,8 +240,10 @@ def test_ensemble_size_is_its_row_count(cos_model, bench_state_1d):
     assert head.n == 600
     est = propagate_ensemble(head, cos_model, dt=0.01, t_final=0.1)
     assert est.n_samples == 600 and est.excluded == 0
-    pairs = egorov.antithetic(head, bench_state_1d)
-    assert pairs.n == 1200 and pairs.x.shape == pairs.xi.shape == (1200, 1)
+    pairs = wigner_sample(bench_state_1d, 0.1, seed=3, N=1000, paired=True)
+    head = dataclasses.replace(pairs, x=pairs.x[:600], xi=pairs.xi[:600])
+    est = propagate_ensemble(head, cos_model, dt=0.01, t_final=0.1)
+    assert head.n == 600 and est.n_samples == 600 and est.excluded == 0
 
 
 def test_runaway_samples_are_excluded_mid_flight(monkeypatch):
@@ -298,6 +300,19 @@ def test_ensemble_moves_by_the_packet_classical_flow(model, component_major):
         assert lz[i] == classical_angular_momentum(z)
 
 
+def test_overflowed_statistics_raise_no_warning():
+    # the survivors' squares overflow long before t = 23.43, and so do the
+    # block totals; pytest turns numpy warnings into errors, and no
+    # np.errstate encloses the call
+    model = quadratic_linear([[-900.0]], [0.0], 0.0, [[0.0]], [0.0])
+    state = make_packet_state([0.0], [0.0], [[0.0]], [[1.0]])
+    ens = wigner_sample(state, 0.5, seed=5, N=2000)
+    est = propagate_ensemble(ens, model, dt=0.01, t_final=23.43)
+    assert 0 < est.excluded < 2000
+    assert np.isfinite(est.means["q"]).all()
+    assert not np.isfinite(est.ses["q"][-1]).any()
+
+
 def test_final_only_is_the_last_row_of_the_series(monkeypatch):
     # reducing at t_final alone changes nothing but the rows kept, also
     # when samples die in mid-flight and intermediate times go unrecorded
@@ -315,8 +330,8 @@ def test_final_only_is_the_last_row_of_the_series(monkeypatch):
     assert last.n_samples == full.n_samples
     assert np.array_equal(last.times, full.times[-1:])
     assert np.isfinite(last.means["q"]).all()
-    # the survivors' squares overflow, so some standard errors are NaN in
-    # both runs alike
+    # the survivors' squares overflow, so some standard errors are not
+    # finite, in both runs alike
     for name in ("q", "p", "H0"):
         assert last.means[name].shape == full.means[name][-1:].shape
         assert np.array_equal(last.means[name], full.means[name][-1:],
@@ -436,7 +451,7 @@ def test_worker_failure_propagates_and_leaves_no_process(bench_state_1d,
 def test_worker_failure_in_cli_egorov_exits_2(monkeypatch, tmp_path, capsys,
                                               bench_state_1d):
     n = 2 * egorov.DEFAULT_CHUNK + 100
-    ens = wigner_sample(bench_state_1d, 0.1, seed=4, N=n)
+    ens = wigner_sample(bench_state_1d, 0.1, seed=4, N=n, paired=True)
     bad_x = float(ens.x[2 * egorov.DEFAULT_CHUNK + 3, 0])
     monkeypatch.setattr(cli, "model_by_name",
                         lambda *args, **kwargs: _failing_cosine(bad_x))
@@ -502,6 +517,45 @@ def test_rate_sweep_draws_antithetic_pairs(chunk_size, monkeypatch, quartic_mode
         assert np.array_equal(ens.xi[1::2], 2.0 * bench_state_2d.p - base.xi)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("chunk_size", [777, 1000, 1001])
+def test_paired_sampler_interleaves_draws_and_mirrors(chunk_size, d, monkeypatch):
+    # row 2j is draw j of the N/2-row draw bitwise and row 2j + 1 its
+    # mirror; chunks count draws, so no chunk, odd or even, splits a pair
+    # (2002 draws leave a short last chunk at every size here)
+    state = random_state(np.random.default_rng(70 + d), d)
+    base = wigner_sample(state, 0.2, seed=9, N=2002)
+    monkeypatch.setattr(egorov, "DEFAULT_CHUNK", chunk_size)
+    pairs = wigner_sample(state, 0.2, seed=9, N=4004, paired=True)
+    assert pairs.paired and pairs.n == 4004 and pairs.x.shape == (4004, d)
+    assert np.array_equal(pairs.x[0::2], base.x)
+    assert np.array_equal(pairs.xi[0::2], base.xi)
+    assert np.array_equal(pairs.x[1::2], 2.0 * state.q - base.x)
+    assert np.array_equal(pairs.xi[1::2], 2.0 * state.p - base.xi)
+
+
+@pytest.mark.parametrize("N", [0, 2, 3, 1001])
+def test_paired_sampler_needs_two_whole_pairs(N, bench_state_1d):
+    with pytest.raises(ValueError, match=f"even and at least 4 .antithetic pairs., "
+                                         f"got {N}$"):
+        wigner_sample(bench_state_1d, 0.1, seed=0, N=N, paired=True)
+
+
+def test_paired_sampler_allocates_no_more_than_independent_draws(bench_state_2d):
+    # the mirrors are written into the result, so no N/2-row draw is alive
+    # beside it; a separate draw-then-mirror step would add about a
+    # quarter of the result (1.6 MB here)
+    def peak(paired):
+        tracemalloc.start()
+        try:
+            wigner_sample(bench_state_2d, 0.1, seed=3, N=200_000, paired=paired)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(True) <= peak(False) + 64 * 1024
+
+
 def test_paired_mean_is_exact_on_a_linear_flow():
     # RK4 on an affine flow is an affine map, so a pair's mean moves as
     # the packet center does and the paired reference has no sampling error
@@ -509,14 +563,14 @@ def test_paired_mean_is_exact_on_a_linear_flow():
                              [[0.1, 0.8], [-0.4, 0.2]], [0.3, 0.1])
     state = make_packet_state([0.4, -0.2], [0.5, 0.3],
                               [[0.2, 0.1], [0.1, -0.3]], [[1.0, 0.2], [0.2, 0.7]])
-    pairs = egorov.antithetic(wigner_sample(state, 0.1, seed=2, N=2000), state)
+    pairs = wigner_sample(state, 0.1, seed=2, N=4000, paired=True)
     est = propagate_ensemble(pairs, model, dt=0.01, t_final=1.0,
                              observables=("q", "p"), final_only=True)
     traj = simulate(model, "classical", state, 0.1, 0.01, 1.0)
     assert np.max(np.abs(est.means["q"][-1] - traj.states.q[-1])) < 1e-12
     assert np.max(np.abs(est.means["p"][-1] - traj.states.p[-1])) < 1e-12
-    # what is left of the standard errors is round-off in sum(u^2) - P m^2
-    assert np.max(est.ses["q"]) < 1e-9 and np.max(est.ses["p"]) < 1e-9
+    # what is left of the standard errors is the round-off of the pair means
+    assert np.max(est.ses["q"]) < 1e-15 and np.max(est.ses["p"]) < 1e-15
 
 
 def test_paired_standard_error_matches_the_spread_over_seeds(cos_model,
@@ -528,9 +582,9 @@ def test_paired_standard_error_matches_the_spread_over_seeds(cos_model,
     means, ses, ses_independent = [], [], []
     for seed in range(seeds):
         base = wigner_sample(bench_state_1d, 0.1, seed=100 + seed, N=2 * n)
-        half = dataclasses.replace(base, x=base.x[:n], xi=base.xi[:n])
-        paired = propagate_ensemble(egorov.antithetic(half, bench_state_1d),
-                                    cos_model, dt=0.01, t_final=1.0,
+        pairs = wigner_sample(bench_state_1d, 0.1, seed=100 + seed, N=2 * n,
+                              paired=True)
+        paired = propagate_ensemble(pairs, cos_model, dt=0.01, t_final=1.0,
                                     observables=("q", "p"), final_only=True)
         independent = propagate_ensemble(base, cos_model, dt=0.01, t_final=1.0,
                                          observables=("q", "p"), final_only=True)
@@ -554,13 +608,12 @@ def test_paired_output_is_independent_of_workers_and_chunk_rounding(
     if kind == "runaway":
         model = quadratic_linear([[-900.0]], [0.0], 0.0, [[0.0]], [0.0])
         state = make_packet_state([0.0], [0.0], [[0.0]], [[1.0]])
-        base = wigner_sample(state, 0.5, seed=5, N=1000)
+        pairs = wigner_sample(state, 0.5, seed=5, N=2000, paired=True)
         obs, t_final = ("q", "p", "H0"), 23.43
     else:
         model, state = quartic_rotational_2d(), bench_state_2d
-        base = wigner_sample(state, 0.1, seed=6, N=1073)
+        pairs = wigner_sample(state, 0.1, seed=6, N=2146, paired=True)
         obs, t_final = ("q", "p", "H0", "Lz"), 0.3
-    pairs = egorov.antithetic(base, state)
 
     def run(chunk_size, workers):
         with monkeypatch.context() as m:
@@ -581,8 +634,7 @@ def test_paired_output_is_independent_of_workers_and_chunk_rounding(
 
 
 def test_a_dead_member_drops_its_pair(cos_model, bench_state_1d):
-    pairs = egorov.antithetic(wigner_sample(bench_state_1d, 0.1, seed=13, N=1500),
-                              bench_state_1d)
+    pairs = wigner_sample(bench_state_1d, 0.1, seed=13, N=3000, paired=True)
     x = pairs.x.copy()
     x[7] = np.nan       # the mirror of draw 3
     x[20] = np.inf      # draw 10
@@ -595,10 +647,11 @@ def test_a_dead_member_drops_its_pair(cos_model, bench_state_1d):
     for name in ("q", "p", "H0"):
         np.testing.assert_allclose(est.means[name], ref.means[name],
                                    rtol=1e-12, atol=1e-14)
-        # a pair's mean is nearly the center, so the SEs' sum(u^2) - P m^2
-        # cancels to about 1e-15 absolute
+        # deviations from the mean keep the digits of SEs far below it;
+        # the atol covers t = 0, where a pair's mean is the center and
+        # the SE is round-off alone
         np.testing.assert_allclose(est.ses[name], ref.ses[name],
-                                   rtol=1e-10, atol=1e-13)
+                                   rtol=1e-12, atol=1e-18)
     x[2:] = np.nan      # one live pair is too few
     with pytest.raises(ValueError, match="fewer than two surviving pairs"):
         propagate_ensemble(dataclasses.replace(pairs, x=x), cos_model,
