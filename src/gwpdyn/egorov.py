@@ -174,11 +174,17 @@ def wigner_sample(state0: PacketState, hbar: float, seed: int,
         i1 = min(i0 + DEFAULT_CHUNK, N // k)
         bg = np.random.Philox(key=seed)
         bg.advance(stride // 4 * i0)
-        u = np.random.Generator(bg).random((i1 - i0, stride))[:, :2 * d]
-        # ndtri(0) is -inf; clamp the (measure-zero) exact zeros
-        e = ndtri(np.clip(u, 1e-300, None))
-        dx = scale * (e[:, :d] @ Linv)
-        eta = scale * (e[:, d:] @ L.T)
+        u = np.random.Generator(bg).random((i1 - i0, stride))
+        # ndtri(0) is -inf; clamp the (measure-zero) exact zeros.  The
+        # chunk's temporaries are updated in place: they are alive beside
+        # the whole result.
+        e = np.clip(u[:, :2 * d], 1e-300, None)
+        del u
+        ndtri(e, out=e)
+        dx = e[:, :d] @ Linv
+        dx *= scale
+        eta = e[:, d:] @ L.T
+        eta *= scale
         rows = slice(k * i0, k * i1, k)
         np.add(state0.q, dx, out=x[rows])
         np.add(state0.p, dx @ state0.A_mat.T, out=xi[rows])
