@@ -146,11 +146,11 @@ def wigner_sample(state0: PacketState, hbar: float, seed: int,
 
     With paired, N must be even and at least 4, and the ensemble holds
     N / 2 draws as antithetic pairs: row 2j is bitwise draw j of
-    wigner_sample(..., N // 2) and row 2j + 1 its mirror
-    (2q - x, 2p - xi) through state0's center.  The Wigner density
-    is a Gaussian centred at (q, p), so every row keeps its distribution;
-    only the rows within a pair are dependent.  Each chunk of draws and
-    its mirrors are written straight into the N-row result.
+    wigner_sample(..., N // 2) and row 2j + 1 its mirror (2q - x, 2p - xi)
+    through state0's center.  The Wigner density is a Gaussian centred at
+    (q, p), so every row keeps its distribution; only the rows within a
+    pair are dependent.  Each chunk of draws and its mirrors are written
+    straight into the N-row result.
     """
     if paired:
         _check_pair_count(N)
