@@ -17,7 +17,7 @@ import numpy as np
 from . import dynamics, egorov
 from .expectations import DEFAULT_NODES, QuadratureRule, full_hamiltonian
 from .packet import PacketState, make_packet_state
-from .potentials import (FieldModel, cosine_1d, fd_cross_check,
+from .potentials import (FieldModel, _rel_dev, cosine_1d, fd_cross_check,
                          quadratic_linear, quartic_rotational_2d,
                          rotational_symmetry_check)
 
@@ -51,10 +51,7 @@ def rel_field_dev(lhs, rhs) -> float:
     to max(1, max |rhs entry|)."""
     dev = 0.0
     for a, b in zip(lhs, rhs):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(b))))
-        dev = max(dev, float(np.max(np.abs(a - b))) / scale)
+        dev = max(dev, _rel_dev(a, b))
     return dev
 
 
@@ -67,7 +64,10 @@ def run_check_suite(noether_model: FieldModel | None = None,
                     seed: int = 0) -> list[CheckResult]:
     """Run all consistency checks; `noether_model` overrides the
     rotation-equivariant model used by the conservation checks (used by
-    the test suite to verify the suite catches broken physics)."""
+    the test suite to verify the suite catches broken physics).  Fewer
+    than two egorov_samples is a ValueError."""
+    if egorov_samples < 2:
+        raise ValueError("samples must be >= 2 (a standard error needs two samples)")
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     models = {"cosine1d": cosine_1d(), "quartic2d": quartic_rotational_2d()}

@@ -82,10 +82,7 @@ def _hbars(value, key: str) -> tuple:
 
 
 def _counts(value, key: str) -> tuple:
-    counts = tuple(_to_int(t, key) for t in str(value).split(","))
-    if any(n < 2 for n in counts):
-        raise CliError("samples must be >= 2 (a standard error needs two samples)")
-    return counts
+    return tuple(_to_int(t, key) for t in str(value).split(","))
 
 
 # flag -> (help, parser of its value, default).  A flag's config-file key

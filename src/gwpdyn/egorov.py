@@ -227,27 +227,18 @@ class _Transport:
     chunk_size: int      # a whole number of units
     unit: int            # samples per statistical unit: 2 if paired, else 1
 
-    def zero_sums(self):
-        """Zeroed sums of each observable, sums of squared deviations of
-        its unit means from their mean, and sample counts of live units,
-        one row per reduced grid time."""
-        R, d = self.steps - self.first, self.ensemble.d
-        sums = {name: np.zeros((R, d) if name in ("q", "p") else (R,))
-                for name in self.observables}
-        m2 = {name: np.zeros_like(v) for name, v in sums.items()}
-        return sums, m2, np.zeros(R, dtype=np.int64)
-
 
 def _transport_block(job: _Transport, i0: int):
     """Carry the block of samples starting at i0 through every step and
-    return its sums, squared deviations and live counts (see zero_sums),
-    the deviations taken from the block's own mean in a second pass.  A
-    unit with a non-finite member at a reduced time is dropped whole.  No
-    mask is kept between steps: RK4's y + h k leaves a non-finite entry
-    non-finite, whatever the fields return there.
+    return its (R, C) sums and M2 and its (R,) live sample counts, one row
+    per reduced grid time, the C columns stacking the observables in order
+    (d for q or p, one for H0 or Lz).  M2 sums squared deviations of unit
+    means from the block's own mean, taken in a second pass.  A unit with
+    a non-finite member at a reduced time is dropped whole.  No mask is
+    kept between steps: RK4's y + h k leaves a non-finite entry non-finite.
     """
     ensemble, model, k = job.ensemble, job.model, job.unit
-    sums, m2, counts = job.zero_sums()
+    sums, m2, counts = [], [], []
     i1 = min(i0 + job.chunk_size, ensemble.n)
     x = ensemble.x[i0:i1].T.copy()     # component-major (d, b)
     xi = ensemble.xi[i0:i1].T.copy()
@@ -259,25 +250,24 @@ def _transport_block(job: _Transport, i0: int):
                 x, xi = xs.T, xis.T
             if t < job.first:
                 continue
-            r = t - job.first
             # one pass over the block; the per-unit mask only on failure
             live = None
             if not (np.isfinite(x).all() and np.isfinite(xi).all()):
                 ok = np.isfinite(x).all(axis=0) & np.isfinite(xi).all(axis=0)
                 live = ok.reshape(-1, k).all(axis=1)
-            counts[r] = x.shape[1] if live is None else k * int(live.sum())
-            for name in job.observables:
-                vals = _observe(name, x.T, xi.T, model).T
-                if live is not None:
-                    vals = np.where(live.repeat(k), vals, 0.0)
-                sums[name][r] = vals.sum(axis=-1)
-                if k > 1:   # pair means; a reshaped mean over 2 is slower
-                    vals = (vals[..., 0::2] + vals[..., 1::2]) / 2
-                dev = vals - np.asarray(sums[name][r] / counts[r])[..., None]
-                if live is not None:
-                    dev = np.where(live, dev, 0.0)
-                m2[name][r] = (dev * dev).sum(axis=-1)
-    return sums, m2, counts
+            counts.append(x.shape[1] if live is None else k * int(live.sum()))
+            vals = np.vstack([_observe(name, x.T, xi.T, model).T
+                              for name in job.observables])
+            if live is not None:
+                vals = np.where(live.repeat(k), vals, 0.0)
+            sums.append(vals.sum(axis=1))
+            if k > 1:   # pair means; a reshaped mean over 2 is slower
+                vals = (vals[:, 0::2] + vals[:, 1::2]) / 2
+            dev = vals - (sums[-1] / counts[-1])[:, None]
+            if live is not None:
+                dev = np.where(live, dev, 0.0)
+            m2.append((dev * dev).sum(axis=1))
+    return np.array(sums), np.array(m2), np.array(counts)
 
 
 # The job a forked pool worker serves; set only in the worker, by the
@@ -343,50 +333,53 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
     mean; at k = 1 that is stddev / sqrt(n_alive).  Each block forms its
     own M2 in two passes, and the blocks' M2 are merged in block order by
     the pairwise update of Chan, Golub & LeVeque, so a standard error far
-    below its mean keeps its digits.  A unit with a non-finite member is
-    dropped whole, all its samples counted in `excluded`.  Fewer than
-    two live units at a reduced time is a ValueError.
+    below its mean keeps its digits.  All observables are reduced as the
+    columns of one array; means and ses hold views of each one's columns.
+    A unit with a non-finite member is dropped whole, all its samples
+    counted in `excluded`.  Fewer than two live units at a reduced time
+    is a ValueError.
     """
     times = time_grid(dt, t_final)
     T = times.shape[0]
     d = ensemble.d
     observables = tuple(observables)
+    columns, C = {}, 0     # each observable's columns of the statistics
     for name in observables:
         if name not in OBSERVABLES:
             raise ValueError(f"unknown observable {name!r}; choose from {OBSERVABLES}")
         if name == "Lz" and d != 2:
             raise ValueError("observable Lz requires d = 2")
+        columns[name] = slice(C, C + d) if name in ("q", "p") else C
+        C += d if name in ("q", "p") else 1
 
     first = T - 1 if final_only else 0
     k = 2 if ensemble.paired else 1
     job = _Transport(ensemble, model, dt, T, first, observables,
                      -(-DEFAULT_CHUNK // k) * k, k)
-    sums, m2, counts = job.zero_sums()
+    sums, m2 = np.zeros((T - first, C)), np.zeros((T - first, C))
+    counts = np.zeros(T - first, dtype=np.int64)
     # overflowed survivors make inf and nan statistics, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for part_sums, part_m2, part_counts in _block_results(
                 job, range(0, ensemble.n, job.chunk_size)):
             # Chan et al.: M2 += M2_b + delta^2 P_a P_b / (P_a + P_b)
             pa, pb = counts // k, part_counts // k
-            weight = pa * pb / np.maximum(pa + pb, 1)
-            for name in observables:
-                col = (slice(None),) + (None,) * (sums[name].ndim - 1)
-                delta = np.where(weight[col] > 0, part_sums[name] / part_counts[col]
-                                 - sums[name] / counts[col], 0.0)
-                m2[name] += part_m2[name] + delta * delta * weight[col]
-                sums[name] += part_sums[name]
+            weight = (pa * pb / np.maximum(pa + pb, 1))[:, None]
+            delta = np.where(weight > 0, part_sums / part_counts[:, None]
+                             - sums / counts[:, None], 0.0)
+            m2 += part_m2 + delta * delta * weight
+            sums += part_sums
             counts += part_counts
 
         if np.any(counts < 2 * k):
             raise ValueError(f"fewer than two surviving {'pairs' if k > 1 else 'samples'}"
                              "; cannot form errors")
-        means = {}
-        ses = {}
-        for name in observables:
-            c = counts if sums[name].ndim == 1 else counts[:, None]
-            means[name] = sums[name] / c
-            ses[name] = np.sqrt(m2[name] / (c // k - 1) / (c // k))
-    return EgorovEstimate(times=times[first:], means=means, ses=ses,
+        units = counts[:, None] // k
+        mean = sums / counts[:, None]
+        se = np.sqrt(m2 / (units - 1) / units)
+    return EgorovEstimate(times=times[first:],
+                          means={name: mean[:, j] for name, j in columns.items()},
+                          ses={name: se[:, j] for name, j in columns.items()},
                           n_samples=ensemble.n,
                           excluded=int(ensemble.n - counts[-1]))
 
@@ -414,7 +407,8 @@ def rate_sweep(model: FieldModel, state: PacketState, hbars, counts, dt: float,
     """Lists of the classical and semiclassical centers' (q, p) errors at
     t_star and of the reference's standard errors, one entry per hbar.
 
-    Every count must be even and at least 4; otherwise ValueError.  One
+    hbars and counts must have the same length, and every count must be
+    even and at least 4; otherwise ValueError, before any run.  One
     classical run serves every hbar (the flow does not read hbar), and
     all hbars' packets are integrated as one stack.  If either run
     aborts, ValueError names its step and hbar: hbars[0] for the
@@ -423,6 +417,8 @@ def rate_sweep(model: FieldModel, state: PacketState, hbars, counts, dt: float,
     counts[i] rows as antithetic pairs with seed seed + i (wigner_sample
     with paired=True) and transport them to t_star alone.
     """
+    if len(counts) != len(hbars):
+        raise ValueError(f"{len(counts)} sample counts for {len(hbars)} hbars")
     for n in counts:
         _check_pair_count(n)
 

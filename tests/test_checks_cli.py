@@ -529,14 +529,19 @@ def test_hbar_must_be_positive_and_finite(argv, hbar, value, tmp_path, capsys):
     assert not out.exists()
 
 
+PAIRS = "sample counts must be even and at least 4 (antithetic pairs), got 1"
+
+
 @pytest.mark.parametrize("argv, message", [
-    (EG_1D[:-1] + ["1", "--t-final", "0.1"], "samples must be >= 2"),
-    (CONV_1D + ["--samples", "1"], "samples must be >= 2"),
-    (CONV_1D + ["--samples", "100,1"], "samples must be >= 2"),
+    # egorov and converge draw antithetic pairs; check needs two samples
+    (EG_1D[:-1] + ["1", "--t-final", "0.1"], PAIRS),
+    (CONV_1D + ["--samples", "1"], PAIRS),
+    (CONV_1D + ["--samples", "100,1"], PAIRS),
+    (["check", "--samples", "1"], "samples must be >= 2 (a standard error needs two samples)"),
     # egorov and check take one count; a list used to run with its first
     (EG_1D[:-1] + ["100,200", "--t-final", "0.1"], "samples: expected one count, got 2"),
     (["check", "--samples", "100,5"], "samples: expected one count, got 2"),
-], ids=["egorov", "converge", "converge-list", "egorov-list", "check-list"])
+], ids=["egorov", "converge", "converge-list", "check", "egorov-list", "check-list"])
 def test_samples_below_two_rejected(argv, message, capsys):
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err

@@ -517,6 +517,22 @@ def test_rate_sweep_draws_antithetic_pairs(chunk_size, monkeypatch, quartic_mode
         assert np.array_equal(ens.xi[1::2], 2.0 * bench_state_2d.p - base.xi)
 
 
+@pytest.mark.parametrize("counts", [[400, 400, 400, 6], [400, 400]],
+                         ids=["extra-count", "missing-count"])
+def test_rate_sweep_needs_one_count_per_hbar(counts, monkeypatch, cos_model,
+                                             bench_state_1d):
+    # an extra count used to be ignored, and a missing one to raise an
+    # IndexError after the packet runs and two transports
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(egorov.dynamics, "simulate", no_run)
+    monkeypatch.setattr(egorov, "wigner_sample", no_run)
+    with pytest.raises(ValueError, match=f"{len(counts)} sample counts for 3 hbars"):
+        egorov.rate_sweep(cos_model, bench_state_1d, [0.5, 0.3, 0.1], counts,
+                          0.01, 0.1, 0)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("chunk_size", [777, 1000, 1001])
 def test_paired_sampler_interleaves_draws_and_mirrors(chunk_size, d, monkeypatch):
@@ -656,6 +672,43 @@ def test_a_dead_member_drops_its_pair(cos_model, bench_state_1d):
     with pytest.raises(ValueError, match="fewer than two surviving pairs"):
         propagate_ensemble(dataclasses.replace(pairs, x=x), cos_model,
                            dt=0.01, t_final=0.3)
+
+
+def test_observables_get_their_own_columns(monkeypatch, quartic_model,
+                                           bench_state_2d):
+    # the statistics of all observables are one stacked array; in any
+    # order, each name must get its own columns, checked here against a
+    # direct reduction over the same rows moved by the same flow step
+    pairs = wigner_sample(bench_state_2d, 0.1, seed=9, N=1000, paired=True)
+    x = pairs.x.copy()
+    x[301] = np.inf     # the mirror of draw 150, in the second block
+    ens = dataclasses.replace(pairs, x=x)
+    monkeypatch.setattr(egorov, "DEFAULT_CHUNK", 300)
+    obs = ("Lz", "p", "H0", "q")
+    est = propagate_ensemble(ens, quartic_model, dt=0.01, t_final=0.2,
+                             observables=obs)
+    assert est.excluded == 2
+
+    live = np.ones(ens.n, dtype=bool)
+    live[300:302] = False
+    xs, xis = ens.x, ens.xi
+    for t in range(est.times.size):
+        if t > 0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                xs, xis = _classical_flow_step(xs, xis, quartic_model, 0.01)
+        q, p = xs[live], xis[live]
+        direct = {"q": q, "p": p,
+                  "H0": classical_hamiltonian(ClassicalPhasePoint(q, p), quartic_model),
+                  "Lz": q[:, 0] * p[:, 1] - q[:, 1] * p[:, 0]}
+        for name in obs:
+            v = direct[name]
+            u = (v[0::2] + v[1::2]) / 2
+            np.testing.assert_allclose(est.means[name][t], v.mean(axis=0), rtol=1e-12)
+            # at t = 0 a pair's mean is the center and the q, p SEs are
+            # round-off alone
+            np.testing.assert_allclose(
+                est.ses[name][t], u.std(axis=0, ddof=1) / np.sqrt(u.shape[0]),
+                rtol=1e-12, atol=1e-15 if t == 0 else 0.0)
 
 
 def test_observable_validation(cos_model, quartic_model, bench_state_1d,
