@@ -156,12 +156,12 @@ def run_check_suite(noether_model: FieldModel | None = None,
                             [[0.5, -0.3], [-0.3, 0.2]], [[1.0, 0.4], [0.4, 2.0]])
     hbar = 0.2
     ens = egorov.wigner_sample(stw, hbar, seed=seed + 1, N=egorov_samples)
+    x, xi = ens.rows(0, ens.n)
     Binv = np.linalg.inv(stw.B_mat)
     cov_x = 0.5 * hbar * Binv
     cov_xi = 0.5 * hbar * (stw.B_mat + stw.A_mat @ Binv @ stw.A_mat)
     worst_z = 0.0
-    for data, target_mean, target_cov in ((ens.x, stw.q, cov_x),
-                                          (ens.xi, stw.p, cov_xi)):
+    for data, target_mean, target_cov in ((x.T, stw.q, cov_x), (xi.T, stw.p, cov_xi)):
         se = np.sqrt(np.diag(target_cov) / ens.n)
         worst_z = max(worst_z, float(np.max(np.abs(data.mean(axis=0) - target_mean) / se)))
         emp = np.cov(data.T)

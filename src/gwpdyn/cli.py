@@ -70,6 +70,13 @@ def _to_int(value, key: str) -> int:
     return int(v)
 
 
+def _seed(value, key: str) -> int:
+    v = _to_int(value, key)
+    if v < 0:
+        raise CliError(f"{key}: expected a nonnegative integer, got {value!r}")
+    return v
+
+
 def _hbar(value, key: str) -> float:
     h = _to_float(value, key)
     if not (np.isfinite(h) and h > 0.0):
@@ -101,7 +108,7 @@ FLAGS = {
     "t-final": ("final time", _to_float, None),
     "t-star": ("comparison time for convergence errors", _to_float, None),
     "samples": ("Monte-Carlo sample count (or per-hbar list)", _counts, None),
-    "seed": ("RNG seed (default 0)", _to_int, 0),
+    "seed": ("RNG seed (default 0)", _seed, 0),
     "out": ("output CSV path, '-' for stdout", _text, "-"),
 }
 

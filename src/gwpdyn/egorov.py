@@ -28,9 +28,10 @@ dynamics.rk4_step applied to the batched dynamics.classical_rhs, on the
 grid of dynamics.time_grid, and H0 and Lz are the batched
 dynamics.classical_hamiltonian and observables.classical_angular_momentum,
 so a sample row follows exactly the classical packet-center trajectory.
-For speed the ensemble is moved in cache-sized blocks stored
-component-major, (d, b); the flow sees their (b, d) transposed views,
-which the batched classical_rhs keeps in the same memory layout.
+An ensemble is a recipe, never an N-row array: for speed it is moved in
+cache-sized blocks, each of which draws its own rows (PhaseEnsemble.rows)
+stored component-major, (d, b); the flow sees their (b, d) transposed
+views, which the batched classical_rhs keeps in the same memory layout.
 
 Blocks are independent, so propagate_ensemble hands them to a pool of
 W = min(MAX_WORKERS, usable CPUs, number of blocks) worker processes
@@ -44,11 +45,6 @@ calling process that is itself a daemonic worker, the same block
 function runs in-process through a plain map.  A fork copies only the
 calling thread, so a caller whose other threads may hold locks should
 transport from a process of its own.
-
-Sampling is counter-based: sample i consumes exactly 2d fixed slots of
-the Philox stream, so ensembles are reproducible bit-for-bit regardless
-of generation chunking, and uniforms are mapped through the exact
-inverse normal CDF.
 """
 
 from __future__ import annotations
@@ -85,27 +81,61 @@ DEFAULT_CHUNK = 8192
 # Most transport worker processes one propagate_ensemble call forks; the
 # usable CPUs and the number of blocks cap it further.
 MAX_WORKERS = 4
+# Largest ensemble wigner_sample accepts.  Rows are drawn block by block,
+# so no allocation refuses a huge count; at this limit one transport step
+# already takes hours, so a larger count is refused before any run.
+MAX_SAMPLES = 10 ** 12
 
 
 @dataclass(frozen=True)
 class PhaseEnsemble:
-    """Phase-space draws (x, xi) from the Wigner density of a packet.
-
-    A paired ensemble (see wigner_sample) holds antithetic pairs in rows
-    2j and 2j + 1; its statistics treat each pair as one unit.
+    """The recipe of n draws from the Wigner density of state0 (see
+    wigner_sample).  A paired ensemble holds antithetic pairs in rows 2j
+    and 2j + 1; its statistics treat each pair as one unit.
     """
 
-    x: np.ndarray       # (n, d)
-    xi: np.ndarray      # (n, d)
+    state0: PacketState
+    hbar: float
+    seed: int
+    n: int
     paired: bool = False
 
     @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
     def d(self) -> int:
-        return self.x.shape[1]
+        return self.state0.d
+
+    def rows(self, i0: int, i1: int):
+        """Rows i0..i1 (both even if paired) as component-major (d, b) arrays
+        x and xi, from x ~ N(q, (hbar/2) B^-1) and xi = p + A_w (x - q) + eta
+        with eta ~ N(0, (hbar/2) B), which reproduces W exactly.  Draw j
+        maps its own stride of the Philox(key=seed) stream, reached by
+        Philox.advance, through the exact inverse normal CDF, so a row is
+        bitwise the same however rows are cut into calls.
+        """
+        st, d, k = self.state0, self.d, 2 if self.paired else 1
+        L = np.linalg.cholesky(st.B_mat)
+        scale = np.sqrt(0.5 * self.hbar)
+        # Philox.advance counts 128-bit blocks (4 uint64 draws); a draw's
+        # stride is padded to whole blocks, so every draw can be reached.
+        stride = -(-2 * d // 4) * 4
+        bg = np.random.Philox(key=self.seed)
+        bg.advance(stride // 4 * (i0 // k))
+        u = np.random.Generator(bg).random(((i1 - i0) // k, stride))
+        # ndtri(0) is -inf; clamp the (measure-zero) exact zeros
+        e = np.clip(u[:, :2 * d], 1e-300, None)
+        ndtri(e, out=e)
+        dx = e[:, :d] @ np.linalg.inv(L)
+        dx *= scale
+        eta = e[:, d:] @ L.T
+        eta *= scale
+        x, xi = np.empty((d, i1 - i0)), np.empty((d, i1 - i0))
+        np.add(st.q, dx, out=x.T[::k])
+        np.add(st.p, dx @ st.A_mat.T, out=xi.T[::k])
+        xi.T[::k] += eta
+        if self.paired:
+            np.subtract(2.0 * st.q, x.T[::2], out=x.T[1::2])
+            np.subtract(2.0 * st.p, xi.T[::2], out=xi.T[1::2])
+        return x, xi
 
 
 @dataclass(frozen=True)
@@ -126,74 +156,33 @@ class EgorovEstimate:
     excluded: int
 
 
-def _check_pair_count(n: int) -> None:
-    """ValueError unless n rows make at least two antithetic pairs."""
-    if n < 4 or n % 2:
+def _check_draw(hbar: float, n: int, paired: bool) -> None:
+    """ValueError unless hbar > 0 is finite and n rows make an ensemble:
+    1 to MAX_SAMPLES rows, and if paired an even number of at least 4."""
+    if paired and (n < 4 or n % 2):
         raise ValueError(f"sample counts must be even and at least 4 "
                          f"(antithetic pairs), got {n}")
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"sample count {n} exceeds the limit of "
+                         f"{MAX_SAMPLES} samples")
+    if not (np.isfinite(hbar) and hbar > 0.0):
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
 
 
 def wigner_sample(state0: PacketState, hbar: float, seed: int,
                   N: int, paired: bool = False) -> PhaseEnsemble:
-    """Draw N phase-space points from the Wigner density of state0.
-
-    Uses the factorization x ~ N(q, (hbar/2) B^-1) and
-    xi = p + A_w (x - q) + eta with eta ~ N(0, (hbar/2) B), which
-    reproduces W exactly.  Draw i is a pure function of (seed, i): it
-    reads a fixed stride of the Philox(key=seed) stream, block-aligned
-    so that results are bitwise independent of the DEFAULT_CHUNK draws
-    made at a time.
-
-    With paired, N must be even and at least 4, and the ensemble holds
-    N / 2 draws as antithetic pairs: row 2j is bitwise draw j of
-    wigner_sample(..., N // 2) and row 2j + 1 its mirror (2q - x, 2p - xi)
-    through state0's center.  The Wigner density is a Gaussian centred at
-    (q, p), so every row keeps its distribution; only the rows within a
-    pair are dependent.  Each chunk of draws and its mirrors are written
-    straight into the N-row result.
+    """The ensemble of N draws from the Wigner density of state0, as a
+    recipe whose rows are drawn block by block, inside transport.  With
+    paired, N must be even and at least 4, and the ensemble holds N / 2
+    draws as antithetic pairs: row 2j is bitwise draw j of
+    wigner_sample(..., N // 2) and row 2j + 1 its mirror through state0's
+    center.  The Wigner density is a Gaussian centred at (q, p), so every
+    row keeps its distribution; only the rows within a pair are dependent.
     """
-    if paired:
-        _check_pair_count(N)
-    elif N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if not (np.isfinite(hbar) and hbar > 0.0):
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
-    d = state0.d
-    L = np.linalg.cholesky(state0.B_mat)
-    Linv = np.linalg.inv(L)
-    scale = np.sqrt(0.5 * hbar)
-    # Philox.advance counts 128-bit blocks (4 uint64 draws); pad the
-    # per-draw count up to a whole number of blocks so every chunk start
-    # can be reached exactly.
-    stride = -(-2 * d // 4) * 4
-    k = 2 if paired else 1          # rows per draw
-
-    x = np.empty((N, d))
-    xi = np.empty((N, d))
-    for i0 in range(0, N // k, DEFAULT_CHUNK):
-        i1 = min(i0 + DEFAULT_CHUNK, N // k)
-        bg = np.random.Philox(key=seed)
-        bg.advance(stride // 4 * i0)
-        u = np.random.Generator(bg).random((i1 - i0, stride))
-        # ndtri(0) is -inf; clamp the (measure-zero) exact zeros.  The
-        # chunk's temporaries are updated in place: they are alive beside
-        # the whole result.
-        e = np.clip(u[:, :2 * d], 1e-300, None)
-        del u
-        ndtri(e, out=e)
-        dx = e[:, :d] @ Linv
-        dx *= scale
-        eta = e[:, d:] @ L.T
-        eta *= scale
-        rows = slice(k * i0, k * i1, k)
-        np.add(state0.q, dx, out=x[rows])
-        np.add(state0.p, dx @ state0.A_mat.T, out=xi[rows])
-        xi[rows] += eta
-        if paired:
-            mirrors = slice(k * i0 + 1, k * i1, k)
-            np.subtract(2.0 * state0.q, x[rows], out=x[mirrors])
-            np.subtract(2.0 * state0.p, xi[rows], out=xi[mirrors])
-    return PhaseEnsemble(x=x, xi=xi, paired=paired)
+    _check_draw(hbar, N, paired)
+    return PhaseEnsemble(state0, hbar, seed, N, paired)
 
 
 def _classical_flow_step(x, xi, model: FieldModel, dt: float):
@@ -224,24 +213,22 @@ class _Transport:
     steps: int           # grid times, t = 0 included
     first: int           # first grid time reduced
     observables: tuple
-    chunk_size: int      # a whole number of units
-    unit: int            # samples per statistical unit: 2 if paired, else 1
+    chunk_size: int      # a whole number of statistical units
 
 
 def _transport_block(job: _Transport, i0: int):
-    """Carry the block of samples starting at i0 through every step and
-    return its (R, C) sums and M2 and its (R,) live sample counts, one row
-    per reduced grid time, the C columns stacking the observables in order
-    (d for q or p, one for H0 or Lz).  M2 sums squared deviations of unit
-    means from the block's own mean, taken in a second pass.  A unit with
-    a non-finite member at a reduced time is dropped whole.  No mask is
-    kept between steps: RK4's y + h k leaves a non-finite entry non-finite.
+    """Draw the block of samples starting at i0, carry it through every
+    step and return its (R, C) sums and M2 and its (R,) live sample
+    counts, one row per reduced grid time, the C columns stacking the
+    observables in order (d for q or p, one for H0 or Lz).  M2 sums
+    squared deviations of unit means from the block's own mean, taken in
+    a second pass.  A unit with a non-finite member at a reduced time is
+    dropped whole.  No mask is kept between steps: RK4's y + h k leaves a
+    non-finite entry non-finite.
     """
-    ensemble, model, k = job.ensemble, job.model, job.unit
+    model, k = job.model, 2 if job.ensemble.paired else 1   # samples per unit
     sums, m2, counts = [], [], []
-    i1 = min(i0 + job.chunk_size, ensemble.n)
-    x = ensemble.x[i0:i1].T.copy()     # component-major (d, b)
-    xi = ensemble.xi[i0:i1].T.copy()
+    x, xi = job.ensemble.rows(i0, min(i0 + job.chunk_size, job.ensemble.n))
     # runaway samples overflow; they are masked out, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(job.steps):
@@ -314,16 +301,17 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
                        final_only: bool = False) -> EgorovEstimate:
     """Transport the ensemble classically, recording observable statistics.
 
-    Each block of DEFAULT_CHUNK samples is stored component-major, (d, b),
-    and carried through every step on its own; the flow and the
-    observables see its (b, d) transposed views.  Blocks run on up to
-    MAX_WORKERS forked processes, and their partial sums are added into
-    the totals in block order, so means and standard errors for a given
-    (ensemble, dt, t_final) are bitwise reproducible whatever the number
-    of workers.  With final_only the statistics are reduced at t_final
-    alone and `times` holds only t_final; that row is bitwise the last
-    row of the full series.  A sample that turns non-finite stays so, and
-    is masked out of every later reduction and counted in `excluded`.
+    Each block of DEFAULT_CHUNK samples draws its rows (ensemble.rows),
+    stored component-major, (d, b), and is carried through every step on
+    its own; the flow and the observables see its (b, d) transposed
+    views.  Blocks run on up to MAX_WORKERS forked processes, and their
+    partial sums are added into the totals in block order, so means and
+    standard errors for a given (ensemble, dt, t_final) are bitwise
+    reproducible whatever the number of workers.  With final_only the
+    statistics are reduced at t_final alone and `times` holds only
+    t_final; that row is bitwise the last row of the full series.  A
+    sample that turns non-finite stays so, and is masked out of every
+    later reduction and counted in `excluded`.
 
     Statistics are taken over units of k samples, k = 2 for a paired
     ensemble (its blocks then start on even rows) and 1 otherwise.  A
@@ -342,7 +330,12 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
     times = time_grid(dt, t_final)
     T = times.shape[0]
     d = ensemble.d
+    if d != model.dim:
+        raise ValueError(f"state has dimension {d} but model {model.name!r} "
+                         f"is {model.dim}-dimensional")
     observables = tuple(observables)
+    if not observables:
+        raise ValueError(f"no observables; choose from {OBSERVABLES}")
     columns, C = {}, 0     # each observable's columns of the statistics
     for name in observables:
         if name not in OBSERVABLES:
@@ -355,7 +348,7 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
     first = T - 1 if final_only else 0
     k = 2 if ensemble.paired else 1
     job = _Transport(ensemble, model, dt, T, first, observables,
-                     -(-DEFAULT_CHUNK // k) * k, k)
+                     -(-DEFAULT_CHUNK // k) * k)
     sums, m2 = np.zeros((T - first, C)), np.zeros((T - first, C))
     counts = np.zeros(T - first, dtype=np.int64)
     # overflowed survivors make inf and nan statistics, not warnings
@@ -419,8 +412,8 @@ def rate_sweep(model: FieldModel, state: PacketState, hbars, counts, dt: float,
     """
     if len(counts) != len(hbars):
         raise ValueError(f"{len(counts)} sample counts for {len(hbars)} hbars")
-    for n in counts:
-        _check_pair_count(n)
+    for hbar, n in zip(hbars, counts):
+        _check_draw(hbar, n, paired=True)
 
     def ensure_completed(traj, label):
         if not traj.completed:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,33 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@dataclasses.dataclass(frozen=True)
+class StoredRows:
+    """An ensemble held as stored (n, d) rows, for tests that corrupt or
+    drop rows; propagate_ensemble reads only n, d, paired and rows."""
+
+    x: np.ndarray
+    xi: np.ndarray
+    paired: bool = False
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.x.shape[1]
+
+    def rows(self, i0: int, i1: int):
+        return self.x[i0:i1].T.copy(), self.xi[i0:i1].T.copy()
+
+
+def stored_rows(ens) -> StoredRows:
+    """The rows of an ensemble, drawn once and stored as (n, d) arrays."""
+    x, xi = ens.rows(0, ens.n)
+    return StoredRows(x.T.copy(), xi.T.copy(), ens.paired)
 
 
 @pytest.fixture

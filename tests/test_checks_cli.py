@@ -504,13 +504,15 @@ ONE_1D = ["--potential", "cosine1d", "--q", "0.5", "--p=-1"]
     ["converge", *ONE_1D, "--hbars", "0.5,0.3", "--t-star", "0.02"],
 ], ids=["egorov", "converge"])
 def test_unallocatable_sample_count_exits_2(argv, tmp_path, capsys):
-    # 10^16 rows take 71 PiB, more than any address space, so the
-    # allocation fails at once; it used to end in a numpy
-    # _ArrayMemoryError traceback
+    # 10^16 rows would take 71 PiB, and drawn block by block about
+    # 1.2 * 10^12 blocks; the count is refused before any run.  It used
+    # to end in a numpy _ArrayMemoryError traceback
     out = tmp_path / "big.csv"
     assert cli.main(argv + ["--samples", "10000000000000000", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+    assert len(err) == 1 and err[0] == (
+        f"error: sample count 10000000000000000 exceeds the limit of "
+        f"{egorov.MAX_SAMPLES} samples")
     assert not out.exists() and not (tmp_path / "big.gp").exists()
 
 
@@ -547,15 +549,24 @@ def test_samples_below_two_rejected(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+NEGATIVE_SEED = "seed: expected a nonnegative integer, got '-1'"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["check", "--samples", "inf"], "samples: expected an integer, got 'inf'"),
     (["check", "--samples", "2.5"], "samples: expected an integer, got '2.5'"),
     (EG_1D + ["--t-final", "0.1", "--seed", "inf"], "seed: expected an integer, got 'inf'"),
     (EG_1D + ["--t-final", "0.1", "--seed", "nan"], "seed: expected an integer, got 'nan'"),
-], ids=["samples-inf", "samples-fraction", "seed-inf", "seed-nan"])
+    (EG_1D + ["--t-final", "0.1", "--seed=-1"], NEGATIVE_SEED),
+    (CONV_1D + ["--seed=-1"], NEGATIVE_SEED),
+    (["check", "--seed=-1"], NEGATIVE_SEED),
+], ids=["samples-inf", "samples-fraction", "seed-inf", "seed-nan",
+        "seed-negative-egorov", "seed-negative-converge", "seed-negative-check"])
 def test_integer_settings_rejected(argv, message, capsys):
     # inf used to end in an OverflowError traceback, and nan in numpy's
-    # bare message; egorov writes its CSV to stdout here
+    # bare message; a negative seed in Philox's or numpy's message, which
+    # named no setting, and in converge only after its packet runs.
+    # egorov writes its CSV to stdout here
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 

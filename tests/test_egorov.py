@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import plane_wave_gauge_2d
+from conftest import plane_wave_gauge_2d, stored_rows
 from gwpdyn import cli, egorov
 from gwpdyn.checks import random_state
 from gwpdyn.dynamics import (ClassicalPhasePoint, classical_hamiltonian,
@@ -86,7 +86,7 @@ def test_sample_moments_match_density():
     cov = 0.5 * hbar * np.block(
         [[Binv, Binv @ state.A_mat],
          [state.A_mat @ Binv, state.B_mat + state.A_mat @ Binv @ state.A_mat]])
-    z = np.hstack([ens.x, ens.xi])
+    z = np.vstack(ens.rows(0, N)).T
     mean_err = z.mean(axis=0) - np.concatenate([state.q, state.p])
     assert np.all(np.abs(mean_err) < 6 * np.sqrt(np.diag(cov) / N))
     c_hat = np.cov(z.T)
@@ -96,26 +96,32 @@ def test_sample_moments_match_density():
 
 def test_sampling_is_deterministic_and_seed_sensitive():
     state = make_packet_state([0.5], [-1.0], [[0.2]], [[1.4]])
-    a = wigner_sample(state, 0.1, seed=3, N=5000)
-    b = wigner_sample(state, 0.1, seed=3, N=5000)
-    c = wigner_sample(state, 0.1, seed=4, N=5000)
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.xi, b.xi)
-    assert not np.array_equal(a.x, c.x)
+    a, b, c = (wigner_sample(state, 0.1, seed=seed, N=5000).rows(0, 5000)
+               for seed in (3, 3, 4))
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert not np.array_equal(a[0], c[0])
+
+
+def _rows_in_blocks(ens, size):
+    """ens's rows read block by block, as transport reads them."""
+    blocks = [ens.rows(i0, min(i0 + size, ens.n)) for i0 in range(0, ens.n, size)]
+    return np.hstack([x for x, _ in blocks]), np.hstack([xi for _, xi in blocks])
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_samples_independent_of_chunking(d, monkeypatch):
+def test_samples_independent_of_chunking(d):
+    # a row is the same bits whatever block draws it
     rng = np.random.default_rng(60 + d)
     state = random_state(rng, d)
-    monkeypatch.setattr(egorov, "DEFAULT_CHUNK", 10001)
-    whole = wigner_sample(state, 0.2, seed=9, N=10001)
-    monkeypatch.setattr(egorov, "DEFAULT_CHUNK", 777)
-    split = wigner_sample(state, 0.2, seed=9, N=10001)
-    assert np.array_equal(whole.x, split.x)
-    assert np.array_equal(whole.xi, split.xi)
-    # a longer run starts with exactly the same draws
+    ens = wigner_sample(state, 0.2, seed=9, N=10001)
+    whole = ens.rows(0, ens.n)
+    assert whole[0].shape == whole[1].shape == (d, 10001)
+    split = _rows_in_blocks(ens, 777)
+    assert np.array_equal(whole[0], split[0])
+    assert np.array_equal(whole[1], split[1])
+    # a longer ensemble starts with exactly the same draws
     longer = wigner_sample(state, 0.2, seed=9, N=12000)
-    assert np.array_equal(longer.x[:10001], whole.x)
+    assert np.array_equal(longer.rows(0, 10001)[0], whole[0])
 
 
 def test_wigner_sample_validation():
@@ -127,6 +133,14 @@ def test_wigner_sample_validation():
     for hbar in (np.inf, np.nan):
         with pytest.raises(ValueError, match="hbar must be positive and finite"):
             wigner_sample(state, hbar, seed=0, N=10)
+    # nothing is drawn up front, so no allocation refuses a huge count;
+    # the limit does, and the largest count allowed costs nothing to make
+    assert wigner_sample(state, 0.1, seed=0, N=egorov.MAX_SAMPLES).n == egorov.MAX_SAMPLES
+    for paired in (False, True):
+        with pytest.raises(ValueError, match=f"^sample count {egorov.MAX_SAMPLES + 2} "
+                                             f"exceeds the limit of {egorov.MAX_SAMPLES} "
+                                             f"samples$"):
+            wigner_sample(state, 0.1, seed=0, N=egorov.MAX_SAMPLES + 2, paired=paired)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +203,7 @@ def test_statistics_independent_of_chunking(cos_model, bench_state_1d,
 
 
 def test_corrupt_rows_are_excluded_from_statistics(cos_model, bench_state_1d):
-    clean = wigner_sample(bench_state_1d, 0.1, seed=13, N=3000)
+    clean = stored_rows(wigner_sample(bench_state_1d, 0.1, seed=13, N=3000))
     x = clean.x.copy()
     x[-7:] = np.nan
     dirty = dataclasses.replace(clean, x=x)
@@ -213,8 +227,8 @@ def test_exclusion_follows_the_state_not_the_fields(paired, bench_state_1d):
     model = dataclasses.replace(base, **{
         name: (lambda f: lambda x: f(np.nan_to_num(x)))(getattr(base, name))
         for name in ("V", "A", "jacA", "gradV")})
-    ens = wigner_sample(bench_state_1d, 0.1, seed=21, N=2000 if paired else 1000,
-                        paired=paired)
+    ens = stored_rows(wigner_sample(bench_state_1d, 0.1, seed=21,
+                                    N=2000 if paired else 1000, paired=paired))
     x, xi = ens.x.copy(), ens.xi.copy()
     x[5] = np.inf
     xi[12] = np.nan
@@ -234,16 +248,20 @@ def test_exclusion_follows_the_state_not_the_fields(paired, bench_state_1d):
 
 
 def test_ensemble_size_is_its_row_count(cos_model, bench_state_1d):
-    # n is read off the rows, so a sliced ensemble cannot count rows it lacks
-    ens = wigner_sample(bench_state_1d, 0.1, seed=3, N=1000)
-    head = dataclasses.replace(ens, x=ens.x[:600], xi=ens.xi[:600])
-    assert head.n == 600
-    est = propagate_ensemble(head, cos_model, dt=0.01, t_final=0.1)
-    assert est.n_samples == 600 and est.excluded == 0
-    pairs = wigner_sample(bench_state_1d, 0.1, seed=3, N=1000, paired=True)
-    head = dataclasses.replace(pairs, x=pairs.x[:600], xi=pairs.xi[:600])
-    est = propagate_ensemble(head, cos_model, dt=0.01, t_final=0.1)
-    assert head.n == 600 and est.n_samples == 600 and est.excluded == 0
+    # an ensemble of n rows is transported as the first n rows of a
+    # longer one with the same seed, and counts n samples
+    for paired in (False, True):
+        full = stored_rows(wigner_sample(bench_state_1d, 0.1, seed=3, N=1000,
+                                         paired=paired))
+        head = wigner_sample(bench_state_1d, 0.1, seed=3, N=600, paired=paired)
+        est = propagate_ensemble(head, cos_model, dt=0.01, t_final=0.1)
+        ref = propagate_ensemble(
+            dataclasses.replace(full, x=full.x[:600], xi=full.xi[:600]),
+            cos_model, dt=0.01, t_final=0.1)
+        assert head.n == 600 and est.n_samples == 600 and est.excluded == 0
+        for name in ("q", "p", "H0"):
+            assert _same_bits(est.means[name], ref.means[name])
+            assert _same_bits(est.ses[name], ref.ses[name])
 
 
 def test_runaway_samples_are_excluded_mid_flight(monkeypatch):
@@ -441,7 +459,7 @@ def _failing_cosine(bad_x: float):
 def test_worker_failure_propagates_and_leaves_no_process(bench_state_1d,
                                                          monkeypatch):
     ens = wigner_sample(bench_state_1d, 0.1, seed=12, N=2000)
-    bad_x = float(ens.x[2 * 500 + 17, 0])    # in the third of four blocks
+    bad_x = float(ens.rows(1017, 1018)[0][0, 0])    # in the third of four blocks
     monkeypatch.setattr(egorov, "DEFAULT_CHUNK", 500)
     with pytest.raises(ValueError, match="field undefined at x = "):
         propagate_ensemble(ens, _failing_cosine(bad_x), dt=0.01, t_final=0.1)
@@ -452,7 +470,9 @@ def test_worker_failure_in_cli_egorov_exits_2(monkeypatch, tmp_path, capsys,
                                               bench_state_1d):
     n = 2 * egorov.DEFAULT_CHUNK + 100
     ens = wigner_sample(bench_state_1d, 0.1, seed=4, N=n, paired=True)
-    bad_x = float(ens.x[2 * egorov.DEFAULT_CHUNK + 3, 0])
+    # row 2 * DEFAULT_CHUNK + 3, a mirror in the third block
+    bad_x = float(ens.rows(2 * egorov.DEFAULT_CHUNK + 2,
+                           2 * egorov.DEFAULT_CHUNK + 4)[0][0, 1])
     monkeypatch.setattr(cli, "model_by_name",
                         lambda *args, **kwargs: _failing_cosine(bad_x))
     out = tmp_path / "e.csv"
@@ -478,7 +498,7 @@ def test_final_only_feeds_phase_error(quartic_model, bench_state_2d):
 
 
 def test_too_few_survivors_is_an_error(cos_model, bench_state_1d):
-    ens = wigner_sample(bench_state_1d, 0.1, seed=1, N=3)
+    ens = stored_rows(wigner_sample(bench_state_1d, 0.1, seed=1, N=3))
     x = ens.x.copy()
     x[:2] = np.inf
     bad = dataclasses.replace(ens, x=x)
@@ -494,9 +514,9 @@ def test_too_few_survivors_is_an_error(cos_model, bench_state_1d):
 def test_rate_sweep_draws_antithetic_pairs(chunk_size, monkeypatch, quartic_model,
                                            bench_state_2d):
     # row 2j is wigner_sample's draw j bitwise, row 2j + 1 its mirror
-    # through the packet center, whatever the sampling chunk
+    # through the packet center, whatever the transport block size
     hbars, counts, seed = [0.5, 0.1], [2002, 1600], 4
-    bases = [wigner_sample(bench_state_2d, h, seed=seed + i, N=n // 2)
+    bases = [wigner_sample(bench_state_2d, h, seed=seed + i, N=n // 2).rows(0, n // 2)
              for i, (h, n) in enumerate(zip(hbars, counts))]
     monkeypatch.setattr(egorov, "DEFAULT_CHUNK", chunk_size)
     drawn = []
@@ -509,12 +529,13 @@ def test_rate_sweep_draws_antithetic_pairs(chunk_size, monkeypatch, quartic_mode
     monkeypatch.setattr(egorov, "propagate_ensemble", recording)
     egorov.rate_sweep(quartic_model, bench_state_2d, hbars, counts, 0.01, 0.05, seed)
     assert len(drawn) == 2
-    for ens, base, n in zip(drawn, bases, counts):
-        assert ens.paired and ens.n == n and ens.x.shape == (n, 2)
-        assert np.array_equal(ens.x[0::2], base.x)
-        assert np.array_equal(ens.xi[0::2], base.xi)
-        assert np.array_equal(ens.x[1::2], 2.0 * bench_state_2d.q - base.x)
-        assert np.array_equal(ens.xi[1::2], 2.0 * bench_state_2d.p - base.xi)
+    for ens, (bx, bxi), n in zip(drawn, bases, counts):
+        x, xi = _rows_in_blocks(ens, chunk_size + chunk_size % 2)
+        assert ens.paired and ens.n == n and x.shape == (2, n)
+        assert np.array_equal(x[:, 0::2], bx)
+        assert np.array_equal(xi[:, 0::2], bxi)
+        assert np.array_equal(x[:, 1::2], 2.0 * bench_state_2d.q[:, None] - bx)
+        assert np.array_equal(xi[:, 1::2], 2.0 * bench_state_2d.p[:, None] - bxi)
 
 
 @pytest.mark.parametrize("counts", [[400, 400, 400, 6], [400, 400]],
@@ -533,21 +554,43 @@ def test_rate_sweep_needs_one_count_per_hbar(counts, monkeypatch, cos_model,
                           0.01, 0.1, 0)
 
 
+@pytest.mark.parametrize("hbars, counts, message", [
+    ([0.5, 0.3, -0.1], [400] * 3, "hbar must be positive and finite, got -0.1"),
+    ([0.5, 0.3, np.nan], [400] * 3, "hbar must be positive and finite, got nan"),
+    ([0.5, 0.3, 0.1], [400, egorov.MAX_SAMPLES + 2, 400],
+     f"sample count {egorov.MAX_SAMPLES + 2} exceeds the limit"),
+], ids=["negative-hbar", "nan-hbar", "count-over-limit"])
+def test_rate_sweep_refuses_bad_draws_before_any_run(hbars, counts, message,
+                                                     monkeypatch, cos_model,
+                                                     bench_state_1d):
+    # a bad third hbar used to be refused only after the classical run, the
+    # packet stack and two transports (-0.1), or to abort the stack (nan)
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run was started")
+
+    for name in ("simulate", "rk4_integrate"):
+        monkeypatch.setattr(egorov.dynamics, name, no_run)
+    monkeypatch.setattr(egorov, "wigner_sample", no_run)
+    with pytest.raises(ValueError, match=message):
+        egorov.rate_sweep(cos_model, bench_state_1d, hbars, counts, 0.01, 0.1, 0)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("chunk_size", [777, 1000, 1001])
 def test_paired_sampler_interleaves_draws_and_mirrors(chunk_size, d, monkeypatch):
     # row 2j is draw j of the N/2-row draw bitwise and row 2j + 1 its
-    # mirror; chunks count draws, so no chunk, odd or even, splits a pair
-    # (2002 draws leave a short last chunk at every size here)
+    # mirror; a paired ensemble's blocks start on even rows, as transport
+    # rounds them, so no block splits a pair (4004 rows leave a short last
+    # block at every size here)
     state = random_state(np.random.default_rng(70 + d), d)
-    base = wigner_sample(state, 0.2, seed=9, N=2002)
-    monkeypatch.setattr(egorov, "DEFAULT_CHUNK", chunk_size)
+    bx, bxi = wigner_sample(state, 0.2, seed=9, N=2002).rows(0, 2002)
     pairs = wigner_sample(state, 0.2, seed=9, N=4004, paired=True)
-    assert pairs.paired and pairs.n == 4004 and pairs.x.shape == (4004, d)
-    assert np.array_equal(pairs.x[0::2], base.x)
-    assert np.array_equal(pairs.xi[0::2], base.xi)
-    assert np.array_equal(pairs.x[1::2], 2.0 * state.q - base.x)
-    assert np.array_equal(pairs.xi[1::2], 2.0 * state.p - base.xi)
+    x, xi = _rows_in_blocks(pairs, chunk_size + chunk_size % 2)
+    assert pairs.paired and pairs.n == 4004 and x.shape == (d, 4004)
+    assert np.array_equal(x[:, 0::2], bx)
+    assert np.array_equal(xi[:, 0::2], bxi)
+    assert np.array_equal(x[:, 1::2], 2.0 * state.q[:, None] - bx)
+    assert np.array_equal(xi[:, 1::2], 2.0 * state.p[:, None] - bxi)
 
 
 @pytest.mark.parametrize("N", [0, 2, 3, 1001])
@@ -557,19 +600,24 @@ def test_paired_sampler_needs_two_whole_pairs(N, bench_state_1d):
         wigner_sample(bench_state_1d, 0.1, seed=0, N=N, paired=True)
 
 
-def test_paired_sampler_allocates_no_more_than_independent_draws(bench_state_2d):
-    # the mirrors are written into the result, so no N/2-row draw is alive
-    # beside it; a separate draw-then-mirror step would add about a
-    # quarter of the result (1.6 MB here)
-    def peak(paired):
+def test_transport_memory_does_not_grow_with_the_sample_count(
+        monkeypatch, quartic_model, bench_state_2d):
+    # each block draws its own rows, so no N-row array is alive at any
+    # time; stored (x, xi) rows would add 61 MiB at N = 2 * 10^6
+    monkeypatch.setattr(egorov, "MAX_WORKERS", 1)
+
+    def peak(n):
         tracemalloc.start()
         try:
-            wigner_sample(bench_state_2d, 0.1, seed=3, N=200_000, paired=paired)
+            ens = wigner_sample(bench_state_2d, 0.1, seed=3, N=n, paired=True)
+            propagate_ensemble(ens, quartic_model, dt=0.01, t_final=0.01,
+                               observables=("q", "p"), final_only=True)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(True) <= peak(False) + 64 * 1024
+    small, large = peak(20_000), peak(2_000_000)
+    assert large <= small + 256 * 1024, (small, large)
 
 
 def test_paired_mean_is_exact_on_a_linear_flow():
@@ -650,7 +698,8 @@ def test_paired_output_is_independent_of_workers_and_chunk_rounding(
 
 
 def test_a_dead_member_drops_its_pair(cos_model, bench_state_1d):
-    pairs = wigner_sample(bench_state_1d, 0.1, seed=13, N=3000, paired=True)
+    pairs = stored_rows(wigner_sample(bench_state_1d, 0.1, seed=13, N=3000,
+                                      paired=True))
     x = pairs.x.copy()
     x[7] = np.nan       # the mirror of draw 3
     x[20] = np.inf      # draw 10
@@ -679,7 +728,8 @@ def test_observables_get_their_own_columns(monkeypatch, quartic_model,
     # the statistics of all observables are one stacked array; in any
     # order, each name must get its own columns, checked here against a
     # direct reduction over the same rows moved by the same flow step
-    pairs = wigner_sample(bench_state_2d, 0.1, seed=9, N=1000, paired=True)
+    pairs = stored_rows(wigner_sample(bench_state_2d, 0.1, seed=9, N=1000,
+                                      paired=True))
     x = pairs.x.copy()
     x[301] = np.inf     # the mirror of draw 150, in the second block
     ens = dataclasses.replace(pairs, x=x)
@@ -724,6 +774,19 @@ def test_observable_validation(cos_model, quartic_model, bench_state_1d,
     est = propagate_ensemble(ens2, quartic_model, dt=0.01, t_final=0.1,
                              observables=("q", "p", "H0", "Lz"))
     assert est.means["Lz"].shape == est.times.shape
+
+
+def test_propagate_refuses_bad_arguments_by_name(cos_model, bench_state_2d):
+    # a 2D ensemble under a 1D model used to end in numpy's IndexError, and
+    # no observables in its "need at least one array to concatenate"
+    ens = wigner_sample(bench_state_2d, 0.1, seed=0, N=50)
+    with pytest.raises(ValueError, match="^state has dimension 2 but model "
+                                         "'cosine1d' is 1-dimensional$"):
+        propagate_ensemble(ens, cos_model, dt=0.01, t_final=0.1)
+    with pytest.raises(ValueError, match=r"^no observables; choose from "
+                                         r"\('q', 'p', 'H0', 'Lz'\)$"):
+        propagate_ensemble(ens, quartic_rotational_2d(), dt=0.01, t_final=0.1,
+                           observables=())
 
 
 def test_propagate_grid_validation(cos_model, bench_state_1d):
