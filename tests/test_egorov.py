@@ -577,7 +577,7 @@ def test_rate_sweep_refuses_bad_draws_before_any_run(hbars, counts, message,
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("chunk_size", [777, 1000, 1001])
-def test_paired_sampler_interleaves_draws_and_mirrors(chunk_size, d, monkeypatch):
+def test_paired_sampler_interleaves_draws_and_mirrors(chunk_size, d):
     # row 2j is draw j of the N/2-row draw bitwise and row 2j + 1 its
     # mirror; a paired ensemble's blocks start on even rows, as transport
     # rounds them, so no block splits a pair (4004 rows leave a short last
