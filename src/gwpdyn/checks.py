@@ -65,9 +65,15 @@ def run_check_suite(noether_model: FieldModel | None = None,
     """Run all consistency checks; `noether_model` overrides the
     rotation-equivariant model used by the conservation checks (used by
     the test suite to verify the suite catches broken physics).  Fewer
-    than two egorov_samples is a ValueError."""
+    than two egorov_samples, or a sampler seed (seed + 1) or count that
+    wigner_sample refuses, is a ValueError before any check."""
     if egorov_samples < 2:
         raise ValueError("samples must be >= 2 (a standard error needs two samples)")
+    # the sampler check's ensemble is a recipe, made first so that a bad
+    # seed or count is refused before any check runs
+    stw = make_packet_state([0.3, -0.2], [0.4, 1.0],
+                            [[0.5, -0.3], [-0.3, 0.2]], [[1.0, 0.4], [0.4, 2.0]])
+    ens = egorov.wigner_sample(stw, 0.2, seed=seed + 1, N=egorov_samples)
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     models = {"cosine1d": cosine_1d(), "quartic2d": quartic_rotational_2d()}
@@ -152,10 +158,7 @@ def run_check_suite(noether_model: FieldModel | None = None,
         f"[0, 10] at dt=0.01 (tol 1e-7), symmetry {'ok' if sym_ok else 'BROKEN'}"))
 
     # --- Wigner sampler moments at reduced N
-    stw = make_packet_state([0.3, -0.2], [0.4, 1.0],
-                            [[0.5, -0.3], [-0.3, 0.2]], [[1.0, 0.4], [0.4, 2.0]])
-    hbar = 0.2
-    ens = egorov.wigner_sample(stw, hbar, seed=seed + 1, N=egorov_samples)
+    hbar = ens.hbar
     x, xi = ens.rows(0, ens.n)
     Binv = np.linalg.inv(stw.B_mat)
     cov_x = 0.5 * hbar * Binv

@@ -64,6 +64,10 @@ def _to_float(value, key: str) -> float:
 
 
 def _to_int(value, key: str) -> int:
+    # an integer literal exactly, beyond 2**53 too; other forms, such as
+    # 1e3, through float
+    with contextlib.suppress(ValueError):
+        return int(value)
     v = _to_float(value, key)
     if not (np.isfinite(v) and v == int(v)):
         raise CliError(f"{key}: expected an integer, got {value!r}")
@@ -278,7 +282,6 @@ def cmd_egorov(s: argparse.Namespace) -> int:
     model, state = build_model_and_state(s)
     d = state.d
     n = _one_count(s.samples, 10 ** 6)
-    dynamics.time_grid(s.dt, s.t_final)  # reject a bad horizon before sampling
 
     obs = ("q", "p", "H0") + (("Lz",) if d == 2 else ())
     ens = egorov.wigner_sample(state, s.hbar, seed=s.seed, N=n, paired=True)

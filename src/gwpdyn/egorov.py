@@ -156,9 +156,10 @@ class EgorovEstimate:
     excluded: int
 
 
-def _check_draw(hbar: float, n: int, paired: bool) -> None:
-    """ValueError unless hbar > 0 is finite and n rows make an ensemble:
-    1 to MAX_SAMPLES rows, and if paired an even number of at least 4."""
+def _check_draw(hbar: float, n: int, paired: bool, seed: int) -> None:
+    """ValueError unless hbar > 0 is finite, n rows make an ensemble (1 to
+    MAX_SAMPLES rows, and if paired an even number of at least 4) and seed
+    is a Philox key, in [0, 2**128)."""
     if paired and (n < 4 or n % 2):
         raise ValueError(f"sample counts must be even and at least 4 "
                          f"(antithetic pairs), got {n}")
@@ -169,19 +170,22 @@ def _check_draw(hbar: float, n: int, paired: bool) -> None:
                          f"{MAX_SAMPLES} samples")
     if not (np.isfinite(hbar) and hbar > 0.0):
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed must be nonnegative and below 2**128, got {seed}")
 
 
 def wigner_sample(state0: PacketState, hbar: float, seed: int,
                   N: int, paired: bool = False) -> PhaseEnsemble:
     """The ensemble of N draws from the Wigner density of state0, as a
-    recipe whose rows are drawn block by block, inside transport.  With
+    recipe whose rows are drawn block by block, inside transport.  seed
+    is the key of the Philox stream, an integer in [0, 2**128).  With
     paired, N must be even and at least 4, and the ensemble holds N / 2
     draws as antithetic pairs: row 2j is bitwise draw j of
     wigner_sample(..., N // 2) and row 2j + 1 its mirror through state0's
     center.  The Wigner density is a Gaussian centred at (q, p), so every
     row keeps its distribution; only the rows within a pair are dependent.
     """
-    _check_draw(hbar, N, paired)
+    _check_draw(hbar, N, paired, seed)
     return PhaseEnsemble(state0, hbar, seed, N, paired)
 
 
@@ -400,8 +404,9 @@ def rate_sweep(model: FieldModel, state: PacketState, hbars, counts, dt: float,
     """Lists of the classical and semiclassical centers' (q, p) errors at
     t_star and of the reference's standard errors, one entry per hbar.
 
-    hbars and counts must have the same length, and every count must be
-    even and at least 4; otherwise ValueError, before any run.  One
+    hbars and counts must have the same length, every hbar and count must
+    make a paired draw and every seed + i must be a Philox key (see
+    wigner_sample); otherwise ValueError, before any run.  One
     classical run serves every hbar (the flow does not read hbar), and
     all hbars' packets are integrated as one stack.  If either run
     aborts, ValueError names its step and hbar: hbars[0] for the
@@ -412,8 +417,8 @@ def rate_sweep(model: FieldModel, state: PacketState, hbars, counts, dt: float,
     """
     if len(counts) != len(hbars):
         raise ValueError(f"{len(counts)} sample counts for {len(hbars)} hbars")
-    for hbar, n in zip(hbars, counts):
-        _check_draw(hbar, n, paired=True)
+    for i, (hbar, n) in enumerate(zip(hbars, counts)):
+        _check_draw(hbar, n, paired=True, seed=seed + i)
 
     def ensure_completed(traj, label):
         if not traj.completed:

@@ -550,6 +550,7 @@ def test_samples_below_two_rejected(argv, message, capsys):
 
 
 NEGATIVE_SEED = "seed: expected a nonnegative integer, got '-1'"
+KEY_LIMIT = f"seed must be nonnegative and below 2**128, got {2 ** 128}"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -560,15 +561,28 @@ NEGATIVE_SEED = "seed: expected a nonnegative integer, got '-1'"
     (EG_1D + ["--t-final", "0.1", "--seed=-1"], NEGATIVE_SEED),
     (CONV_1D + ["--seed=-1"], NEGATIVE_SEED),
     (["check", "--seed=-1"], NEGATIVE_SEED),
+    # converge draws its second hbar, and check its sampler, with key seed + 1
+    (EG_1D + ["--t-final", "0.1", "--seed", str(2 ** 128)], KEY_LIMIT),
+    (CONV_1D + ["--seed", str(2 ** 128 - 1)], KEY_LIMIT),
+    (["check", "--seed", str(2 ** 128 - 1)], KEY_LIMIT),
 ], ids=["samples-inf", "samples-fraction", "seed-inf", "seed-nan",
-        "seed-negative-egorov", "seed-negative-converge", "seed-negative-check"])
+        "seed-negative-egorov", "seed-negative-converge", "seed-negative-check",
+        "seed-key-egorov", "seed-key-converge", "seed-key-check"])
 def test_integer_settings_rejected(argv, message, capsys):
     # inf used to end in an OverflowError traceback, and nan in numpy's
-    # bare message; a negative seed in Philox's or numpy's message, which
-    # named no setting, and in converge only after its packet runs.
-    # egorov writes its CSV to stdout here
+    # bare message; a negative seed or one of 2**128 and more in Philox's
+    # or numpy's message, which named no setting, and in converge only
+    # after its packet runs.  egorov writes its CSV to stdout here
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_integer_settings_resolve_exactly():
+    # integers above 2**53 used to be rounded through float: seed
+    # 2**53 + 1 resolved to 2**53, another stream
+    s = cli.resolve_settings(cli.build_parser().parse_args(
+        ["check", "--seed", str(2 ** 53 + 1), "--samples", "1e3"]))
+    assert (s.seed, s.samples) == (2 ** 53 + 1, (1000,))
 
 
 @pytest.mark.parametrize("state, message", [

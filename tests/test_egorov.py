@@ -554,17 +554,20 @@ def test_rate_sweep_needs_one_count_per_hbar(counts, monkeypatch, cos_model,
                           0.01, 0.1, 0)
 
 
-@pytest.mark.parametrize("hbars, counts, message", [
-    ([0.5, 0.3, -0.1], [400] * 3, "hbar must be positive and finite, got -0.1"),
-    ([0.5, 0.3, np.nan], [400] * 3, "hbar must be positive and finite, got nan"),
-    ([0.5, 0.3, 0.1], [400, egorov.MAX_SAMPLES + 2, 400],
+@pytest.mark.parametrize("hbars, counts, seed, message", [
+    ([0.5, 0.3, -0.1], [400] * 3, 0, "hbar must be positive and finite, got -0.1"),
+    ([0.5, 0.3, np.nan], [400] * 3, 0, "hbar must be positive and finite, got nan"),
+    ([0.5, 0.3, 0.1], [400, egorov.MAX_SAMPLES + 2, 400], 0,
      f"sample count {egorov.MAX_SAMPLES + 2} exceeds the limit"),
-], ids=["negative-hbar", "nan-hbar", "count-over-limit"])
-def test_rate_sweep_refuses_bad_draws_before_any_run(hbars, counts, message,
+    ([0.5, 0.3, 0.1], [400] * 3, 2 ** 128 - 2,
+     f"seed must be nonnegative and below 2..128, got {2 ** 128}$"),
+], ids=["negative-hbar", "nan-hbar", "count-over-limit", "seed-over-key-range"])
+def test_rate_sweep_refuses_bad_draws_before_any_run(hbars, counts, seed, message,
                                                      monkeypatch, cos_model,
                                                      bench_state_1d):
     # a bad third hbar used to be refused only after the classical run, the
-    # packet stack and two transports (-0.1), or to abort the stack (nan)
+    # packet stack and two transports (-0.1), or to abort the stack (nan);
+    # a third seed + 2 of 2**128 after them, in Philox's message
     def no_run(*args, **kwargs):
         raise AssertionError("a run was started")
 
@@ -572,7 +575,7 @@ def test_rate_sweep_refuses_bad_draws_before_any_run(hbars, counts, message,
         monkeypatch.setattr(egorov.dynamics, name, no_run)
     monkeypatch.setattr(egorov, "wigner_sample", no_run)
     with pytest.raises(ValueError, match=message):
-        egorov.rate_sweep(cos_model, bench_state_1d, hbars, counts, 0.01, 0.1, 0)
+        egorov.rate_sweep(cos_model, bench_state_1d, hbars, counts, 0.01, 0.1, seed)
 
 
 @pytest.mark.parametrize("d", [1, 2])
