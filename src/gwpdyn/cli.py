@@ -111,7 +111,9 @@ FLAGS = {
     "dt": ("time step (default 0.01)", _to_float, 0.01),
     "t-final": ("final time", _to_float, None),
     "t-star": ("comparison time for convergence errors", _to_float, None),
-    "samples": ("Monte-Carlo sample count (or per-hbar list)", _counts, None),
+    "samples": ("Monte-Carlo sample count (or per-hbar list); egorov and "
+                f"converge take positive multiples of {egorov.REPLICATES}",
+                _counts, None),
     "seed": ("RNG seed (default 0)", _seed, 0),
     "out": ("output CSV path, '-' for stdout", _text, "-"),
 }
@@ -284,7 +286,7 @@ def cmd_egorov(s: argparse.Namespace) -> int:
     n = _one_count(s.samples, 10 ** 6)
 
     obs = ("q", "p", "H0") + (("Lz",) if d == 2 else ())
-    ens = egorov.wigner_sample(state, s.hbar, seed=s.seed, N=n, paired=True)
+    ens = egorov.wigner_sample(state, s.hbar, seed=s.seed, N=n, sobol=True)
     est = egorov.propagate_ensemble(ens, model, s.dt, s.t_final, observables=obs)
 
     cols = ["t"] + [f"{stat}_{v}{i + 1}" for stat in ("mean", "se")

@@ -13,15 +13,18 @@ quantum evolution and is used here as the reference the packet
 propagators are measured against; rate_sweep measures both packet
 flows' errors at one time over a list of hbars, the paper's rate sweep.
 
-rate_sweep and the egorov command draw their references as antithetic
-pairs (wigner_sample with paired=True): each draw is followed by its
-mirror through the packet center, which has the same Gaussian
-distribution.  The odd part of the flow's response cancels within a
-pair, so the mean of N paired rows has about 9 times less variance than
-that of N independent draws on the 2D rate sweep, and about 67 times
-less on the 1D cosine series, at the same transport cost.  A paired
-ensemble's standard errors come from its pair means, and a pair with a
-non-finite member is dropped whole.
+rate_sweep and the egorov command draw their references by randomized
+quasi-Monte Carlo (wigner_sample with sobol=True): REPLICATES
+independently scrambled Sobol sequences (Owen 1997, "Scrambled net
+variance for integrals of smooth functions"), generated here from Joe &
+Kuo's direction numbers, mapped to the Wigner density as independent
+draws are.  The integrand is smooth and only 2d-dimensional, so over
+three seeds the mean had 152 to 277 times less variance than that of
+antithetic pairs (each draw followed by its mirror through the packet
+center) at the same transport cost at the smallest hbar of the
+benchmark's 2D rate sweep (30 000 rows), and 283 to 1225 times less on
+its 1D cosine series (260 000 rows).  Its standard error comes from the
+spread of the replicate means.
 
 The ensemble owns no equations of its own: it is moved by
 dynamics.rk4_step applied to the batched dynamics.classical_rhs, on the
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -85,56 +88,140 @@ MAX_WORKERS = 4
 # so no allocation refuses a huge count; at this limit one transport step
 # already takes hours, so a larger count is refused before any run.
 MAX_SAMPLES = 10 ** 12
+# Independently scrambled Sobol replicates of a sobol ensemble; its
+# standard errors come from the spread of their means.
+REPLICATES = 8
+# Digits of a Sobol point: a uint64 holds them, and a float64 holds the
+# point exactly.
+SOBOL_BITS = 52
+# Joe & Kuo's primitive polynomials (degree s, coefficients a, initial
+# direction integers m) of Sobol dimensions 2 to 4; dimension 1 is van
+# der Corput's sequence.  A d-dimensional packet needs 2d dimensions.
+_JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
+
+
+def _sobol_directions():
+    """(4, SOBOL_BITS) uint64 direction numbers, V[j, k] that of bit k of
+    the Gray code in dimension j, by Joe & Kuo's recurrence."""
+    V = [[1 << (SOBOL_BITS - 1 - k) for k in range(SOBOL_BITS)]]
+    for s, a, m in _JOE_KUO:
+        v = [mk << (SOBOL_BITS - 1 - k) for k, mk in enumerate(m)]
+        for k in range(s, SOBOL_BITS):
+            vk = v[k - s] ^ (v[k - s] >> s)
+            for i in range(1, s):
+                if (a >> (s - 1 - i)) & 1:
+                    vk ^= v[k - i]
+            v.append(vk)
+        V.append(v)
+    return np.array(V, dtype=np.uint64)
+
+
+_SOBOL_V = _sobol_directions()
+
+
+def _sobol_points(V, shift, j0: int, j1: int):
+    """Points j0..j1 of the digital sequence with direction numbers V
+    (D, SOBOL_BITS) and digital shift (D,), as (j1 - j0, D) uint64 digits.
+    Point j0 comes from its Gray code directly; each next point j flips
+    V[:, ctz(j)] of the one before it."""
+    steps = np.empty((j1 - j0, V.shape[0]), dtype=np.uint64)
+    gray = int(j0) ^ (int(j0) >> 1)     # a numpy integer has no bit_length
+    steps[0] = shift ^ np.bitwise_xor.reduce(
+        V[:, [k for k in range(gray.bit_length()) if gray >> k & 1]], axis=1)
+    j = np.arange(j0 + 1, j1, dtype=np.uint64)
+    steps[1:] = V.T[np.bitwise_count(j ^ (j - np.uint64(1))) - 1]
+    return np.bitwise_xor.accumulate(steps, axis=0, out=steps)
+
+
+def _replicate_cuts(n: int, i0: int, i1: int):
+    """Rows i0..i1 of an n-row sobol ensemble cut where replicates meet,
+    as (replicate, first row, end row) triples."""
+    m = n // REPLICATES
+    return [(r, max(i0, r * m), min(i1, (r + 1) * m))
+            for r in range(i0 // m, (i1 - 1) // m + 1)]
 
 
 @dataclass(frozen=True)
 class PhaseEnsemble:
     """The recipe of n draws from the Wigner density of state0 (see
-    wigner_sample).  A paired ensemble holds antithetic pairs in rows 2j
-    and 2j + 1; its statistics treat each pair as one unit.
+    wigner_sample).  A sobol ensemble holds REPLICATES scrambled Sobol
+    replicates of n / REPLICATES rows each, replicate r in rows
+    r n / REPLICATES onward; its statistics treat each replicate as one
+    unit.
     """
 
     state0: PacketState
     hbar: float
     seed: int
     n: int
-    paired: bool = False
+    sobol: bool = False
 
     @property
     def d(self) -> int:
         return self.state0.d
 
-    def rows(self, i0: int, i1: int):
-        """Rows i0..i1 (both even if paired) as component-major (d, b) arrays
-        x and xi, from x ~ N(q, (hbar/2) B^-1) and xi = p + A_w (x - q) + eta
-        with eta ~ N(0, (hbar/2) B), which reproduces W exactly.  Draw j
-        maps its own stride of the Philox(key=seed) stream, reached by
-        Philox.advance, through the exact inverse normal CDF, so a row is
-        bitwise the same however rows are cut into calls.
-        """
-        st, d, k = self.state0, self.d, 2 if self.paired else 1
-        L = np.linalg.cholesky(st.B_mat)
-        scale = np.sqrt(0.5 * self.hbar)
+    @cached_property
+    def _scrambles(self):
+        """Each replicate's scrambled direction numbers (R, 2d, SOBOL_BITS)
+        and digital shifts (R, 2d), drawn from Philox(key=seed) as
+        scipy.stats.qmc.Sobol scrambles: a random lower-triangular binary
+        matrix with unit diagonal, digits most significant first, applied
+        to the direction numbers, and a random digital shift."""
+        D, bits = 2 * self.d, SOBOL_BITS
+        rng = np.random.Generator(np.random.Philox(key=self.seed))
+        # the bit of digit p, and row p of each matrix as a mask of digits:
+        # random digits before p, then digit p itself
+        bit = np.uint64(1) << np.arange(bits - 1, -1, -1, dtype=np.uint64)
+        rows = rng.integers(0, 2 ** bits, size=(REPLICATES, D, bits), dtype=np.uint64)
+        rows = rows & ~(2 * bit - np.uint64(1)) | bit
+        shift = rng.integers(0, 2 ** bits, size=(REPLICATES, D), dtype=np.uint64)
+        V = np.zeros((REPLICATES, D, bits), dtype=np.uint64)
+        for p in range(bits):    # digit p of every scrambled number, over GF(2)
+            V |= (np.bitwise_count(rows[:, :, p, None] & _SOBOL_V[:D]) & 1
+                  ).astype(np.uint64) * bit[p]
+        return V, shift
+
+    def _uniforms(self, i0: int, i1: int):
+        """Rows i0..i1 of the ensemble's (n, 2d) uniform draws."""
+        if self.sobol:
+            V, shift = self._scrambles
+            m = self.n // REPLICATES
+            u = np.empty((i1 - i0, 2 * self.d))
+            for r, a, b in _replicate_cuts(self.n, i0, i1):
+                u[a - i0:b - i0] = _sobol_points(V[r], shift[r], a - r * m, b - r * m)
+            u *= 2.0 ** -SOBOL_BITS     # exact: the digits fit a float64
+            return u
         # Philox.advance counts 128-bit blocks (4 uint64 draws); a draw's
         # stride is padded to whole blocks, so every draw can be reached.
-        stride = -(-2 * d // 4) * 4
+        stride = -(-2 * self.d // 4) * 4
         bg = np.random.Philox(key=self.seed)
-        bg.advance(stride // 4 * (i0 // k))
-        u = np.random.Generator(bg).random(((i1 - i0) // k, stride))
+        bg.advance(stride // 4 * i0)
+        return np.random.Generator(bg).random((i1 - i0, stride))[:, :2 * self.d]
+
+    def rows(self, i0: int, i1: int):
+        """Rows i0..i1 as component-major (d, b) arrays x and xi, from
+        x ~ N(q, (hbar/2) B^-1) and xi = p + A_w (x - q) + eta with
+        eta ~ N(0, (hbar/2) B), which reproduces W exactly.  Each row maps
+        2d uniforms through the exact inverse normal CDF: those of draw j
+        from its own stride of the Philox(key=seed) stream, reached by
+        Philox.advance, or for a sobol ensemble those of its point of its
+        replicate's scrambled Sobol sequence.  So a row is bitwise the
+        same however rows are cut into calls.
+        """
+        st, d = self.state0, self.d
+        L = np.linalg.cholesky(st.B_mat)
+        scale = np.sqrt(0.5 * self.hbar)
         # ndtri(0) is -inf; clamp the (measure-zero) exact zeros
-        e = np.clip(u[:, :2 * d], 1e-300, None)
+        e = np.clip(self._uniforms(i0, i1), 1e-300, None)
         ndtri(e, out=e)
         dx = e[:, :d] @ np.linalg.inv(L)
         dx *= scale
         eta = e[:, d:] @ L.T
         eta *= scale
         x, xi = np.empty((d, i1 - i0)), np.empty((d, i1 - i0))
-        np.add(st.q, dx, out=x.T[::k])
-        np.add(st.p, dx @ st.A_mat.T, out=xi.T[::k])
-        xi.T[::k] += eta
-        if self.paired:
-            np.subtract(2.0 * st.q, x.T[::2], out=x.T[1::2])
-            np.subtract(2.0 * st.p, xi.T[::2], out=xi.T[1::2])
+        np.add(st.q, dx, out=x.T)
+        np.add(st.p, dx @ st.A_mat.T, out=xi.T)
+        xi.T[...] += eta
         return x, xi
 
 
@@ -156,13 +243,13 @@ class EgorovEstimate:
     excluded: int
 
 
-def _check_draw(hbar: float, n: int, paired: bool, seed: int) -> None:
+def _check_draw(hbar: float, n: int, sobol: bool, seed: int) -> None:
     """ValueError unless hbar > 0 is finite, n rows make an ensemble (1 to
-    MAX_SAMPLES rows, and if paired an even number of at least 4) and seed
-    is a Philox key, in [0, 2**128)."""
-    if paired and (n < 4 or n % 2):
-        raise ValueError(f"sample counts must be even and at least 4 "
-                         f"(antithetic pairs), got {n}")
+    MAX_SAMPLES rows, and if sobol a positive multiple of REPLICATES) and
+    seed is a Philox key, in [0, 2**128)."""
+    if sobol and (n < REPLICATES or n % REPLICATES):
+        raise ValueError(f"sample counts must be positive multiples of {REPLICATES} "
+                         f"(scrambled Sobol replicates), got {n}")
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
     if n > MAX_SAMPLES:
@@ -175,18 +262,18 @@ def _check_draw(hbar: float, n: int, paired: bool, seed: int) -> None:
 
 
 def wigner_sample(state0: PacketState, hbar: float, seed: int,
-                  N: int, paired: bool = False) -> PhaseEnsemble:
+                  N: int, sobol: bool = False) -> PhaseEnsemble:
     """The ensemble of N draws from the Wigner density of state0, as a
     recipe whose rows are drawn block by block, inside transport.  seed
-    is the key of the Philox stream, an integer in [0, 2**128).  With
-    paired, N must be even and at least 4, and the ensemble holds N / 2
-    draws as antithetic pairs: row 2j is bitwise draw j of
-    wigner_sample(..., N // 2) and row 2j + 1 its mirror through state0's
-    center.  The Wigner density is a Gaussian centred at (q, p), so every
-    row keeps its distribution; only the rows within a pair are dependent.
+    is the key of the Philox stream, an integer in [0, 2**128).  Rows are
+    independent draws, or with sobol, for which N must be a positive
+    multiple of REPLICATES, REPLICATES independently scrambled Sobol
+    sequences of N / REPLICATES points each, mapped to the Wigner density
+    alike: every row keeps its distribution, rows of one replicate are
+    dependent and the replicates are independent.
     """
-    _check_draw(hbar, N, paired, seed)
-    return PhaseEnsemble(state0, hbar, seed, N, paired)
+    _check_draw(hbar, N, sobol, seed)
+    return PhaseEnsemble(state0, hbar, seed, N, sobol)
 
 
 def _classical_flow_step(x, xi, model: FieldModel, dt: float):
@@ -217,22 +304,29 @@ class _Transport:
     steps: int           # grid times, t = 0 included
     first: int           # first grid time reduced
     observables: tuple
-    chunk_size: int      # a whole number of statistical units
+    chunk_size: int      # samples per block
 
 
 def _transport_block(job: _Transport, i0: int):
     """Draw the block of samples starting at i0, carry it through every
-    step and return its (R, C) sums and M2 and its (R,) live sample
-    counts, one row per reduced grid time, the C columns stacking the
-    observables in order (d for q or p, one for H0 or Lz).  M2 sums
-    squared deviations of unit means from the block's own mean, taken in
-    a second pass.  A unit with a non-finite member at a reduced time is
-    dropped whole.  No mask is kept between steps: RK4's y + h k leaves a
-    non-finite entry non-finite.
+    step and return its partial statistics, one row per each of the T
+    reduced grid times, the C columns stacking the observables in order
+    (d for q or p, one for H0 or Lz).  A sample with a non-finite entry
+    at a reduced time is left out of them.  No mask is kept between
+    steps: RK4's y + h k leaves a non-finite entry non-finite.
+
+    For independent draws they are the (T, C) sums and M2 and the (T,)
+    live sample counts, M2 summing squared deviations from the block's own
+    mean, taken in a second pass.  For a sobol ensemble they are the
+    (T, C, P) sums, no M2 and the (T, P) live counts of the P replicates
+    the block meets, in order from that of row i0.
     """
-    model, k = job.model, 2 if job.ensemble.paired else 1   # samples per unit
+    ens, model = job.ensemble, job.model
+    i1 = min(i0 + job.chunk_size, ens.n)
+    cuts = [(a - i0, b - i0) for _, a, b in _replicate_cuts(ens.n, i0, i1)] \
+        if ens.sobol else None
     sums, m2, counts = [], [], []
-    x, xi = job.ensemble.rows(i0, min(i0 + job.chunk_size, job.ensemble.n))
+    x, xi = ens.rows(i0, i1)
     # runaway samples overflow; they are masked out, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(job.steps):
@@ -241,19 +335,22 @@ def _transport_block(job: _Transport, i0: int):
                 x, xi = xs.T, xis.T
             if t < job.first:
                 continue
-            # one pass over the block; the per-unit mask only on failure
+            # one pass over the block; the per-sample mask only on failure
             live = None
             if not (np.isfinite(x).all() and np.isfinite(xi).all()):
-                ok = np.isfinite(x).all(axis=0) & np.isfinite(xi).all(axis=0)
-                live = ok.reshape(-1, k).all(axis=1)
-            counts.append(x.shape[1] if live is None else k * int(live.sum()))
+                live = np.isfinite(x).all(axis=0) & np.isfinite(xi).all(axis=0)
             vals = np.vstack([_observe(name, x.T, xi.T, model).T
                               for name in job.observables])
             if live is not None:
-                vals = np.where(live.repeat(k), vals, 0.0)
+                vals = np.where(live, vals, 0.0)
+            if cuts:
+                sums.append(np.stack([vals[:, a:b].sum(axis=1) for a, b in cuts],
+                                     axis=1))
+                counts.append([b - a if live is None else int(live[a:b].sum())
+                               for a, b in cuts])
+                continue
+            counts.append(x.shape[1] if live is None else int(live.sum()))
             sums.append(vals.sum(axis=1))
-            if k > 1:   # pair means; a reshaped mean over 2 is slower
-                vals = (vals[:, 0::2] + vals[:, 1::2]) / 2
             dev = vals - (sums[-1] / counts[-1])[:, None]
             if live is not None:
                 dev = np.where(live, dev, 0.0)
@@ -317,19 +414,20 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
     sample that turns non-finite stays so, and is masked out of every
     later reduction and counted in `excluded`.
 
-    Statistics are taken over units of k samples, k = 2 for a paired
-    ensemble (its blocks then start on even rows) and 1 otherwise.  A
-    mean is the sum over live samples over their count.  Its standard
-    error is sqrt(M2 / ((P - 1) P)), with P the number of live units and
-    M2 the sum of squared deviations of the live units' means from their
-    mean; at k = 1 that is stddev / sqrt(n_alive).  Each block forms its
-    own M2 in two passes, and the blocks' M2 are merged in block order by
-    the pairwise update of Chan, Golub & LeVeque, so a standard error far
-    below its mean keeps its digits.  All observables are reduced as the
+    A mean is the sum over live samples over their count.  For
+    independent draws its standard error is stddev / sqrt(n_alive), from
+    M2, the sum of squared deviations of the live samples from their mean:
+    each block forms its own M2 in two passes, and the blocks' M2 are
+    merged in block order by the pairwise update of Chan, Golub & LeVeque,
+    so a standard error far below its mean keeps its digits.  For a sobol
+    ensemble it is the standard deviation of the live replicates' means
+    over sqrt(P), P the number of live replicates, each replicate's sums
+    and counts added over its blocks in block order; a non-finite sample
+    is dropped from its replicate, and a replicate mean that overflowed
+    makes the standard error inf.  All observables are reduced as the
     columns of one array; means and ses hold views of each one's columns.
-    A unit with a non-finite member is dropped whole, all its samples
-    counted in `excluded`.  Fewer than two live units at a reduced time
-    is a ValueError.
+    Fewer than two live samples (replicates, for a sobol ensemble) at a
+    reduced time is a ValueError.
     """
     times = time_grid(dt, t_final)
     T = times.shape[0]
@@ -350,28 +448,45 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
         C += d if name in ("q", "p") else 1
 
     first = T - 1 if final_only else 0
-    k = 2 if ensemble.paired else 1
-    job = _Transport(ensemble, model, dt, T, first, observables,
-                     -(-DEFAULT_CHUNK // k) * k)
-    sums, m2 = np.zeros((T - first, C)), np.zeros((T - first, C))
-    counts = np.zeros(T - first, dtype=np.int64)
+    job = _Transport(ensemble, model, dt, T, first, observables, DEFAULT_CHUNK)
+    starts = range(0, ensemble.n, job.chunk_size)
+    blocks = zip(starts, _block_results(job, starts))
     # overflowed survivors make inf and nan statistics, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for part_sums, part_m2, part_counts in _block_results(
-                job, range(0, ensemble.n, job.chunk_size)):
-            # Chan et al.: M2 += M2_b + delta^2 P_a P_b / (P_a + P_b)
-            pa, pb = counts // k, part_counts // k
-            weight = (pa * pb / np.maximum(pa + pb, 1))[:, None]
-            delta = np.where(weight > 0, part_sums / part_counts[:, None]
-                             - sums / counts[:, None], 0.0)
-            m2 += part_m2 + delta * delta * weight
-            sums += part_sums
-            counts += part_counts
-
-        if np.any(counts < 2 * k):
-            raise ValueError(f"fewer than two surviving {'pairs' if k > 1 else 'samples'}"
+        if ensemble.sobol:
+            m = ensemble.n // REPLICATES
+            sums = np.zeros((T - first, C, REPLICATES))
+            counts = np.zeros((T - first, REPLICATES), dtype=np.int64)
+            for i0, (part_sums, _, part_counts) in blocks:
+                reps = slice(i0 // m, i0 // m + part_counts.shape[1])
+                sums[:, :, reps] += part_sums
+                counts[:, reps] += part_counts
+            live = (counts > 0)[:, None, :]
+            units = live.sum(axis=2)
+            means = np.where(live, sums / np.maximum(counts, 1)[:, None, :], 0.0)
+            dev = np.where(live, means - (means.sum(axis=2) / units)[..., None], 0.0)
+            m2 = (dev * dev).sum(axis=2)
+            # a replicate mean that overflowed leaves the spread unbounded:
+            # inf, not the nan of inf - inf
+            m2[~np.isfinite(means).all(axis=2)] = np.inf
+            sums, counts = sums.sum(axis=2), counts.sum(axis=1)
+        else:
+            sums, m2 = np.zeros((T - first, C)), np.zeros((T - first, C))
+            counts = np.zeros(T - first, dtype=np.int64)
+            for _, (part_sums, part_m2, part_counts) in blocks:
+                # Chan et al.: M2 += M2_b + delta^2 n_a n_b / (n_a + n_b)
+                weight = (counts * part_counts
+                          / np.maximum(counts + part_counts, 1))[:, None]
+                delta = np.where(weight > 0, part_sums / part_counts[:, None]
+                                 - sums / counts[:, None], 0.0)
+                m2 += part_m2 + delta * delta * weight
+                sums += part_sums
+                counts += part_counts
+            units = counts[:, None]
+        if np.any(units < 2):
+            raise ValueError(f"fewer than two surviving "
+                             f"{'replicates' if ensemble.sobol else 'samples'}"
                              "; cannot form errors")
-        units = counts[:, None] // k
         mean = sums / counts[:, None]
         se = np.sqrt(m2 / (units - 1) / units)
     return EgorovEstimate(times=times[first:],
@@ -405,20 +520,20 @@ def rate_sweep(model: FieldModel, state: PacketState, hbars, counts, dt: float,
     t_star and of the reference's standard errors, one entry per hbar.
 
     hbars and counts must have the same length, every hbar and count must
-    make a paired draw and every seed + i must be a Philox key (see
+    make a sobol draw and every seed + i must be a Philox key (see
     wigner_sample); otherwise ValueError, before any run.  One
     classical run serves every hbar (the flow does not read hbar), and
     all hbars' packets are integrated as one stack.  If either run
     aborts, ValueError names its step and hbar: hbars[0] for the
     classical run, and for the stack the packet that failed first (on a
     tie, the earlier in hbars).  Only then does hbar i's reference draw
-    counts[i] rows as antithetic pairs with seed seed + i (wigner_sample
-    with paired=True) and transport them to t_star alone.
+    counts[i] rows as scrambled Sobol replicates with seed seed + i
+    (wigner_sample with sobol=True) and transport them to t_star alone.
     """
     if len(counts) != len(hbars):
         raise ValueError(f"{len(counts)} sample counts for {len(hbars)} hbars")
     for i, (hbar, n) in enumerate(zip(hbars, counts)):
-        _check_draw(hbar, n, paired=True, seed=seed + i)
+        _check_draw(hbar, n, sobol=True, seed=seed + i)
 
     def ensure_completed(traj, label):
         if not traj.completed:
@@ -438,7 +553,7 @@ def rate_sweep(model: FieldModel, state: PacketState, hbars, counts, dt: float,
     err_c, err_s, ses = [], [], []
     for i, hbar in enumerate(hbars):
         est = propagate_ensemble(
-            wigner_sample(state, hbar, seed=seed + i, N=counts[i], paired=True),
+            wigner_sample(state, hbar, seed=seed + i, N=counts[i], sobol=True),
             model, dt, t_star, observables=("q", "p"), final_only=True)
         member = dynamics.Trajectory(ts.times, ClassicalPhasePoint(
             q=ts.states.q[:, i], p=ts.states.p[:, i]))

@@ -25,11 +25,13 @@ def pytest_terminal_summary(terminalreporter):
 @dataclasses.dataclass(frozen=True)
 class StoredRows:
     """An ensemble held as stored (n, d) rows, for tests that corrupt or
-    drop rows; propagate_ensemble reads only n, d, paired and rows."""
+    drop rows; propagate_ensemble reads only n, d, sobol and rows.  With
+    sobol, n must stay a multiple of egorov.REPLICATES, and rows
+    r n / REPLICATES onward form replicate r."""
 
     x: np.ndarray
     xi: np.ndarray
-    paired: bool = False
+    sobol: bool = False
 
     @property
     def n(self) -> int:
@@ -46,7 +48,7 @@ class StoredRows:
 def stored_rows(ens) -> StoredRows:
     """The rows of an ensemble, drawn once and stored as (n, d) arrays."""
     x, xi = ens.rows(0, ens.n)
-    return StoredRows(x.T.copy(), xi.T.copy(), ens.paired)
+    return StoredRows(x.T.copy(), xi.T.copy(), ens.sobol)
 
 
 @pytest.fixture

@@ -251,19 +251,21 @@ def test_egorov_csv_and_footer(tmp_path):
     out = tmp_path / "eg.csv"
     code = cli.main(["egorov", "--potential", "cosine1d", "--q", "0.5",
                      "--p=-1", "--hbar", "0.1", "--t-final", "0.2",
-                     "--samples", "500", "--out", str(out)])
+                     "--samples", "512", "--out", str(out)])
     assert code == 0
     header, rows, footers = _read_csv(out)
     assert header == ["t", "mean_q1", "mean_p1", "se_q1", "se_p1",
                       "mean_H0", "se_H0"]
     assert rows.shape == (21, 7)
     assert footers == ["# excluded_samples,0"]
-    # antithetic pairs: at t = 0 every pair's mean is the packet center
-    assert rows[0, 1] == 0.5 and rows[0, 3] <= 1e-15
+    # scrambled Sobol replicates: at t = 0 the mean is the packet center
+    # within its SE, which is far below the 1.4e-2 of as many
+    # independent draws, sqrt(hbar / 2 / 512)
+    assert abs(rows[0, 1] - 0.5) < 5 * rows[0, 3] and rows[0, 3] < 1e-3
 
 
-def test_egorov_csv_is_the_paired_estimate(tmp_path):
-    # the CSV is propagate_ensemble's estimate of the paired draw, bit for bit
+def test_egorov_csv_is_the_sobol_estimate(tmp_path):
+    # the CSV is propagate_ensemble's estimate of the sobol draw, bit for bit
     argv = ["egorov", "--potential", "quartic2d", "--q", "1,0", "--p", "0,1",
             "--A=-3,-6,-6,-6", "--B", "1,0.5,0.5,1", "--hbar", "0.1",
             "--t-final", "0.1", "--samples", "3000", "--seed", "5"]
@@ -272,7 +274,7 @@ def test_egorov_csv_is_the_paired_estimate(tmp_path):
     _, rows, footers = _read_csv(out)
     s = cli.resolve_settings(cli.build_parser().parse_args(argv))
     model, state = cli.build_model_and_state(s)
-    ens = egorov.wigner_sample(state, 0.1, seed=5, N=3000, paired=True)
+    ens = egorov.wigner_sample(state, 0.1, seed=5, N=3000, sobol=True)
     est = egorov.propagate_ensemble(ens, model, s.dt, s.t_final,
                                     observables=("q", "p", "H0", "Lz"))
     assert np.array_equal(rows, np.column_stack(
@@ -282,14 +284,14 @@ def test_egorov_csv_is_the_paired_estimate(tmp_path):
 
 
 @pytest.mark.parametrize("samples", ["2", "3", "501"])
-def test_egorov_counts_must_be_even_pairs(samples, tmp_path, capsys):
+def test_egorov_counts_must_be_replicate_multiples(samples, tmp_path, capsys):
     out = tmp_path / "e.csv"
     assert cli.main(["egorov", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
                      "--hbar", "0.1", "--t-final", "0.1", "--samples", samples,
                      "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", (
-        f"error: sample counts must be even and at least 4 (antithetic pairs), "
-        f"got {samples}\n"))
+        f"error: sample counts must be positive multiples of 8 (scrambled Sobol "
+        f"replicates), got {samples}\n"))
     assert not out.exists()
 
 
@@ -362,7 +364,7 @@ def test_converge_samples_count_mismatch(capsys):
 def test_converge_errors_equal_per_hbar_runs(argv, tmp_path, capsys):
     # converge integrates one classical run and one stacked semiclassical
     # run; its errors must be those of a classical and a semiclassical
-    # simulate per hbar against that hbar's antithetic reference, bit for bit
+    # simulate per hbar against that hbar's replicate reference, bit for bit
     out = tmp_path / "conv.csv"
     assert cli.main(argv + ["--out", str(out)]) == 0
     _, rows, _ = _read_csv(out)
@@ -370,9 +372,9 @@ def test_converge_errors_equal_per_hbar_runs(argv, tmp_path, capsys):
     model, state = cli.build_model_and_state(s)
     counts = list(s.samples) * len(s.hbars) if len(s.samples) == 1 else s.samples
     for i, h in enumerate(s.hbars):
-        pairs = egorov.wigner_sample(state, h, seed=s.seed + i, N=counts[i],
-                                     paired=True)
-        est = egorov.propagate_ensemble(pairs, model, s.dt, s.t_star,
+        ens = egorov.wigner_sample(state, h, seed=s.seed + i, N=counts[i],
+                                   sobol=True)
+        est = egorov.propagate_ensemble(ens, model, s.dt, s.t_star,
                                         observables=("q", "p"), final_only=True)
         for col, flavor in ((1, "classical"), (2, "semiclassical")):
             traj = simulate(model, flavor, state, h, s.dt, s.t_star)
@@ -382,16 +384,18 @@ def test_converge_errors_equal_per_hbar_runs(argv, tmp_path, capsys):
     assert list(sweep) == rows[:, 1:].T.tolist()
 
 
-@pytest.mark.parametrize("samples", ["2", "101", "100,100,3"])
-def test_converge_counts_must_be_even_pairs(samples, tmp_path, capsys):
-    # the reference draws antithetic pairs and needs two of them
+@pytest.mark.parametrize("samples, bad", [("2", 2), ("101", 101), ("100,100,3", 100)],
+                         ids=["2", "101", "100,100,3"])
+def test_converge_counts_must_be_replicate_multiples(samples, bad, tmp_path, capsys):
+    # the reference draws scrambled Sobol replicates of equal size; the
+    # first count that breaks the rule is named
     out = tmp_path / "conv.csv"
     assert cli.main(["converge", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
                      "--hbars", "0.5,0.3,0.1", "--t-star", "0.1",
                      "--samples", samples, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"error: sample counts must be even and at least 4 (antithetic pairs), "
-        f"got {samples.split(',')[-1]}\n")
+        f"error: sample counts must be positive multiples of 8 (scrambled Sobol "
+        f"replicates), got {bad}\n")
     assert not out.exists()
 
 
@@ -402,9 +406,9 @@ def test_egorov_with_no_survivors_exits_2_without_warnings(tmp_path, capsys):
     cfg.write_text(STEEP_1D)
     out = tmp_path / "e.csv"
     assert cli.main(["egorov", "--config", str(cfg), "--hbar", "0.5", "--dt", "0.1",
-                     "--t-final", "20", "--samples", "100", "--out", str(out)]) == 2
+                     "--t-final", "20", "--samples", "96", "--out", str(out)]) == 2
     assert capsys.readouterr() == (
-        "", "error: fewer than two surviving pairs; cannot form errors\n")
+        "", "error: fewer than two surviving replicates; cannot form errors\n")
     assert not out.exists()
 
 
@@ -414,7 +418,7 @@ def test_converge_classical_abort(tmp_path, capsys):
     cfg.write_text(STEEP_1D)
     out = tmp_path / "conv.csv"
     assert cli.main(["converge", "--config", str(cfg), "--hbars", "0.5,0.1",
-                     "--t-star", "20", "--dt", "0.1", "--samples", "100",
+                     "--t-star", "20", "--dt", "0.1", "--samples", "96",
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error: classical run at hbar=0.5 aborted at step " in err
@@ -439,7 +443,7 @@ def test_converge_semiclassical_abort(tmp_path, capsys, monkeypatch):
                         lambda *args, **kwargs: transports.append(1))
     out = tmp_path / "conv.csv"
     assert cli.main(["converge", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
-                     "--hbars", "0.5,0.3,0.1,0.05", "--t-star", "1", "--samples", "100",
+                     "--hbars", "0.5,0.3,0.1,0.05", "--t-star", "1", "--samples", "96",
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: semiclassical run at hbar=0.1 aborted at step 4: "
@@ -454,7 +458,7 @@ def test_converge_names_the_earliest_abort(tmp_path, capsys):
     # though 0.3 comes first in the list
     out = tmp_path / "conv.csv"
     assert cli.main(["converge", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
-                     "--hbars", "0.3,0.5", "--t-star", "5", "--samples", "100",
+                     "--hbars", "0.3,0.5", "--t-star", "5", "--samples", "96",
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: semiclassical run at hbar=0.5 aborted at step 387: non-finite state\n")
@@ -462,7 +466,7 @@ def test_converge_names_the_earliest_abort(tmp_path, capsys):
 
 
 EG_1D = ["egorov", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
-         "--hbar", "0.1", "--samples", "500"]
+         "--hbar", "0.1", "--samples", "512"]
 CONV_1D = ["converge", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
            "--hbars", "0.5,0.3", "--t-star", "0.1"]
 
@@ -531,14 +535,15 @@ def test_hbar_must_be_positive_and_finite(argv, hbar, value, tmp_path, capsys):
     assert not out.exists()
 
 
-PAIRS = "sample counts must be even and at least 4 (antithetic pairs), got 1"
+REPLICATES = "sample counts must be positive multiples of 8 (scrambled Sobol replicates), got 1"
 
 
 @pytest.mark.parametrize("argv, message", [
-    # egorov and converge draw antithetic pairs; check needs two samples
-    (EG_1D[:-1] + ["1", "--t-final", "0.1"], PAIRS),
-    (CONV_1D + ["--samples", "1"], PAIRS),
-    (CONV_1D + ["--samples", "100,1"], PAIRS),
+    # egorov and converge draw scrambled Sobol replicates; check needs two
+    # samples
+    (EG_1D[:-1] + ["1", "--t-final", "0.1"], REPLICATES),
+    (CONV_1D + ["--samples", "1"], REPLICATES),
+    (CONV_1D + ["--samples", "104,1"], REPLICATES),
     (["check", "--samples", "1"], "samples must be >= 2 (a standard error needs two samples)"),
     # egorov and check take one count; a list used to run with its first
     (EG_1D[:-1] + ["100,200", "--t-final", "0.1"], "samples: expected one count, got 2"),
@@ -705,3 +710,20 @@ def test_python_m_gwpdyn(tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "checks passed" in proc.stdout
+
+
+def test_commands_import_no_scipy_stats(tmp_path):
+    # importing scipy.stats (for its Sobol points, say) would add about
+    # 45 MiB of peak memory and half a second to every command
+    script = ("import sys\n"
+              "from gwpdyn import cli\n"
+              "argv = ['--potential', 'cosine1d', '--q', '0.5', '--p=-1']\n"
+              "assert cli.main(['egorov', *argv, '--hbar', '0.1', '--t-final', '0.02',"
+              " '--samples', '64', '--out', 'e.csv']) == 0\n"
+              "assert cli.main(['converge', *argv, '--hbars', '0.5,0.3', '--t-star',"
+              " '0.02', '--samples', '64', '--out', 'c.csv']) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_env_with_this_src(),
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
