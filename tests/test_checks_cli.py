@@ -284,7 +284,9 @@ def test_egorov_csv_is_the_sobol_estimate(tmp_path):
 
 
 @pytest.mark.parametrize("samples", ["2", "3", "501"])
-def test_egorov_counts_must_be_replicate_multiples(samples, tmp_path, capsys):
+def test_egorov_counts_must_be_even_pairs(samples, tmp_path, capsys):
+    # the name dates from the antithetic-pair rule; the same counts now
+    # break the replicate rule
     out = tmp_path / "e.csv"
     assert cli.main(["egorov", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
                      "--hbar", "0.1", "--t-final", "0.1", "--samples", samples,
@@ -386,9 +388,10 @@ def test_converge_errors_equal_per_hbar_runs(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("samples, bad", [("2", 2), ("101", 101), ("100,100,3", 100)],
                          ids=["2", "101", "100,100,3"])
-def test_converge_counts_must_be_replicate_multiples(samples, bad, tmp_path, capsys):
+def test_converge_counts_must_be_even_pairs(samples, bad, tmp_path, capsys):
     # the reference draws scrambled Sobol replicates of equal size; the
-    # first count that breaks the rule is named
+    # first count that breaks the rule is named (the name dates from the
+    # antithetic-pair rule, which the same counts broke)
     out = tmp_path / "conv.csv"
     assert cli.main(["converge", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
                      "--hbars", "0.5,0.3,0.1", "--t-star", "0.1",

@@ -220,7 +220,8 @@ def test_corrupt_rows_are_excluded_from_statistics(cos_model, bench_state_1d):
                                    rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.parametrize("sobol", [False, True], ids=["independent", "sobol"])
+# the ids date from the antithetic-pair reference: "paired" is the sobol draw
+@pytest.mark.parametrize("sobol", [False, True], ids=["unpaired", "paired"])
 def test_exclusion_follows_the_state_not_the_fields(sobol, bench_state_1d):
     # fields read at nan_to_num(x) stay finite where x is not, so only the
     # state can tell that a row is dead: RK4 keeps a non-finite entry
@@ -554,15 +555,19 @@ def test_sobol_rows_are_independent_of_chunking(chunk_size, d):
 
 
 @pytest.mark.parametrize("N", [0, 2, 3, 1001])
-def test_sobol_sampler_needs_whole_replicates(N, bench_state_1d):
+def test_paired_sampler_needs_two_whole_pairs(N, bench_state_1d):
+    # the name dates from the antithetic-pair rule; the same counts now
+    # break the replicate rule
     with pytest.raises(ValueError, match=f"^sample counts must be positive multiples "
                                          f"of 8 .scrambled Sobol replicates., got {N}$"):
         wigner_sample(bench_state_1d, 0.1, seed=0, N=N, sobol=True)
 
 
 @pytest.mark.parametrize("chunk_size", [777, 1000])
-def test_rate_sweep_draws_sobol_replicates(chunk_size, monkeypatch, quartic_model,
+def test_rate_sweep_draws_antithetic_pairs(chunk_size, monkeypatch, quartic_model,
                                            bench_state_2d):
+    # the name dates from the antithetic-pair reference these replicates
+    # replaced;
     # hbar i's reference is the sobol draw with seed seed + i, bitwise,
     # whatever the transport block size
     hbars, counts, seed = [0.5, 0.1], [2008, 1600], 4
@@ -649,8 +654,10 @@ def test_transport_memory_does_not_grow_with_the_sample_count(
 
 
 
-def test_sobol_standard_error_matches_the_spread_over_seeds(cos_model,
+def test_paired_standard_error_matches_the_spread_over_seeds(cos_model,
                                                             bench_state_1d):
+    # the name dates from the antithetic-pair reference these replicates
+    # replaced;
     # the standard error from replicate means describes how the mean
     # varies from seed to seed, and it is far below the standard error of
     # as many independent draws
@@ -673,8 +680,10 @@ def test_sobol_standard_error_matches_the_spread_over_seeds(cos_model,
 
 
 @pytest.mark.parametrize("kind", ["runaway", "quartic2d"])
-def test_sobol_output_is_independent_of_workers_and_chunking(kind, monkeypatch,
-                                                             bench_state_2d):
+def test_paired_output_is_independent_of_workers_and_chunk_rounding(
+        kind, monkeypatch, bench_state_2d):
+    # the name dates from the antithetic-pair reference, whose blocks
+    # were rounded to even rows;
     # each replicate's partial sums are added in block order, so pooled and
     # serial runs agree bitwise, NaN means and inf standard errors
     # included; another block cut adds them in other groups, which moves
