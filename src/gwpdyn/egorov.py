@@ -17,14 +17,15 @@ rate_sweep and the egorov command draw their references by randomized
 quasi-Monte Carlo (wigner_sample with sobol=True): REPLICATES
 independently scrambled Sobol sequences (Owen 1997, "Scrambled net
 variance for integrals of smooth functions"), generated here from Joe &
-Kuo's direction numbers, mapped to the Wigner density as independent
-draws are.  The integrand is smooth and only 2d-dimensional, so over
-three seeds the mean had 152 to 277 times less variance than that of
-antithetic pairs (each draw followed by its mirror through the packet
-center) at the same transport cost at the smallest hbar of the
-benchmark's 2D rate sweep (30 000 rows), and 283 to 1225 times less on
-its 1D cosine series (260 000 rows).  Its standard error comes from the
-spread of the replicate means.
+Kuo's direction numbers of 20 dimensions, so packets of up to
+SOBOL_MAX_D = 10 dimensions, mapped to the Wigner density as
+independent draws are.  The integrand is smooth and only
+2d-dimensional, so over three seeds the mean had 152 to 277 times less
+variance than that of antithetic pairs (each draw followed by its
+mirror through the packet center) at the same transport cost at the
+smallest hbar of the benchmark's 2D rate sweep (30 000 rows), and 283
+to 1225 times less on its 1D cosine series (260 000 rows).  Its mean is
+the mean of the replicate means, and its standard error their spread.
 
 The ensemble owns no equations of its own: it is moved by
 dynamics.rk4_step applied to the batched dynamics.classical_rhs, on the
@@ -95,14 +96,25 @@ REPLICATES = 8
 # point exactly.
 SOBOL_BITS = 52
 # Joe & Kuo's primitive polynomials (degree s, coefficients a, initial
-# direction integers m) of Sobol dimensions 2 to 4; dimension 1 is van
-# der Corput's sequence.  A d-dimensional packet needs 2d dimensions.
-_JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
+# direction integers m) of Sobol dimensions 2 to 20, as scipy.stats.qmc
+# tabulates them; dimension 1 is van der Corput's sequence.  A
+# d-dimensional packet needs 2d dimensions.
+_JOE_KUO = (
+    (1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)), (3, 2, (1, 1, 1)),
+    (4, 1, (1, 1, 3, 3)), (4, 4, (1, 3, 5, 13)), (5, 2, (1, 1, 5, 5, 17)),
+    (5, 4, (1, 1, 5, 5, 5)), (5, 7, (1, 1, 7, 11, 19)), (5, 11, (1, 1, 5, 1, 1)),
+    (5, 13, (1, 1, 1, 3, 11)), (5, 14, (1, 3, 5, 5, 31)),
+    (6, 1, (1, 3, 3, 9, 7, 49)), (6, 13, (1, 1, 1, 15, 21, 21)),
+    (6, 16, (1, 3, 1, 13, 27, 49)), (6, 19, (1, 1, 1, 15, 7, 5)),
+    (6, 22, (1, 3, 1, 15, 13, 25)), (6, 25, (1, 1, 5, 5, 19, 61)),
+    (7, 1, (1, 3, 7, 11, 23, 15, 103)))
+# Largest packet dimension a sobol ensemble takes.
+SOBOL_MAX_D = (len(_JOE_KUO) + 1) // 2
 
 
 def _sobol_directions():
-    """(4, SOBOL_BITS) uint64 direction numbers, V[j, k] that of bit k of
-    the Gray code in dimension j, by Joe & Kuo's recurrence."""
+    """(2 SOBOL_MAX_D, SOBOL_BITS) uint64 direction numbers, V[j, k] that
+    of bit k of the Gray code in dimension j, by Joe & Kuo's recurrence."""
     V = [[1 << (SOBOL_BITS - 1 - k) for k in range(SOBOL_BITS)]]
     for s, a, m in _JOE_KUO:
         v = [mk << (SOBOL_BITS - 1 - k) for k, mk in enumerate(m)]
@@ -128,9 +140,18 @@ def _sobol_points(V, shift, j0: int, j1: int):
     gray = int(j0) ^ (int(j0) >> 1)     # a numpy integer has no bit_length
     steps[0] = shift ^ np.bitwise_xor.reduce(
         V[:, [k for k in range(gray.bit_length()) if gray >> k & 1]], axis=1)
+    # j ^ (j - 1) = 2^(ctz(j) + 1) - 1 is exact in a float64, whose
+    # exponent is then ctz(j) + 1
     j = np.arange(j0 + 1, j1, dtype=np.uint64)
-    steps[1:] = V.T[np.bitwise_count(j ^ (j - np.uint64(1))) - 1]
+    steps[1:] = V.T[np.frexp((j ^ (j - np.uint64(1))).astype(float))[1] - 1]
     return np.bitwise_xor.accumulate(steps, axis=0, out=steps)
+
+
+def _parity(x):
+    """The parity of the set bits of each uint64 entry of x, 0 or 1."""
+    for k in (32, 16, 8, 4, 2, 1):
+        x = x ^ (x >> np.uint64(k))
+    return x & np.uint64(1)
 
 
 def _replicate_cuts(n: int, i0: int, i1: int):
@@ -177,8 +198,7 @@ class PhaseEnsemble:
         shift = rng.integers(0, 2 ** bits, size=(REPLICATES, D), dtype=np.uint64)
         V = np.zeros((REPLICATES, D, bits), dtype=np.uint64)
         for p in range(bits):    # digit p of every scrambled number, over GF(2)
-            V |= (np.bitwise_count(rows[:, :, p, None] & _SOBOL_V[:D]) & 1
-                  ).astype(np.uint64) * bit[p]
+            V |= _parity(rows[:, :, p, None] & _SOBOL_V[:D]) * bit[p]
         return V, shift
 
     def _uniforms(self, i0: int, i1: int):
@@ -243,13 +263,17 @@ class EgorovEstimate:
     excluded: int
 
 
-def _check_draw(hbar: float, n: int, sobol: bool, seed: int) -> None:
-    """ValueError unless hbar > 0 is finite, n rows make an ensemble (1 to
-    MAX_SAMPLES rows, and if sobol a positive multiple of REPLICATES) and
-    seed is a Philox key, in [0, 2**128)."""
+def _check_draw(hbar: float, n: int, sobol: bool, seed: int, d: int) -> None:
+    """ValueError unless hbar > 0 is finite, n rows of a d-dimensional
+    packet make an ensemble (1 to MAX_SAMPLES rows, and if sobol a
+    positive multiple of REPLICATES and d at most SOBOL_MAX_D) and seed is
+    a Philox key, in [0, 2**128)."""
     if sobol and (n < REPLICATES or n % REPLICATES):
         raise ValueError(f"sample counts must be positive multiples of {REPLICATES} "
                          f"(scrambled Sobol replicates), got {n}")
+    if sobol and d > SOBOL_MAX_D:
+        raise ValueError(f"scrambled Sobol replicates take packets of at most "
+                         f"{SOBOL_MAX_D} dimensions, got {d}")
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
     if n > MAX_SAMPLES:
@@ -267,12 +291,13 @@ def wigner_sample(state0: PacketState, hbar: float, seed: int,
     recipe whose rows are drawn block by block, inside transport.  seed
     is the key of the Philox stream, an integer in [0, 2**128).  Rows are
     independent draws, or with sobol, for which N must be a positive
-    multiple of REPLICATES, REPLICATES independently scrambled Sobol
-    sequences of N / REPLICATES points each, mapped to the Wigner density
-    alike: every row keeps its distribution, rows of one replicate are
-    dependent and the replicates are independent.
+    multiple of REPLICATES and state0.d at most SOBOL_MAX_D, REPLICATES
+    independently scrambled Sobol sequences of N / REPLICATES points
+    each, mapped to the Wigner density alike: every row keeps its
+    distribution, rows of one replicate are dependent and the replicates
+    are independent.
     """
-    _check_draw(hbar, N, sobol, seed)
+    _check_draw(hbar, N, sobol, seed, state0.d)
     return PhaseEnsemble(state0, hbar, seed, N, sobol)
 
 
@@ -318,13 +343,13 @@ def _transport_block(job: _Transport, i0: int):
     For independent draws they are the (T, C) sums and M2 and the (T,)
     live sample counts, M2 summing squared deviations from the block's own
     mean, taken in a second pass.  For a sobol ensemble they are the
-    (T, C, P) sums, no M2 and the (T, P) live counts of the P replicates
-    the block meets, in order from that of row i0.
+    (T, C, P) sums of the P replicates the block meets, in place of M2 the
+    index of the first of them, that of row i0, and their (T, P) live
+    counts.
     """
     ens, model = job.ensemble, job.model
     i1 = min(i0 + job.chunk_size, ens.n)
-    cuts = [(a - i0, b - i0) for _, a, b in _replicate_cuts(ens.n, i0, i1)] \
-        if ens.sobol else None
+    cuts = _replicate_cuts(ens.n, i0, i1) if ens.sobol else None
     sums, m2, counts = [], [], []
     x, xi = ens.rows(i0, i1)
     # runaway samples overflow; they are masked out, not warned about
@@ -344,10 +369,10 @@ def _transport_block(job: _Transport, i0: int):
             if live is not None:
                 vals = np.where(live, vals, 0.0)
             if cuts:
-                sums.append(np.stack([vals[:, a:b].sum(axis=1) for a, b in cuts],
-                                     axis=1))
-                counts.append([b - a if live is None else int(live[a:b].sum())
-                               for a, b in cuts])
+                sums.append(np.stack([vals[:, a - i0:b - i0].sum(axis=1)
+                                      for _, a, b in cuts], axis=1))
+                counts.append([b - a if live is None else int(live[a - i0:b - i0].sum())
+                               for _, a, b in cuts])
                 continue
             counts.append(x.shape[1] if live is None else int(live.sum()))
             sums.append(vals.sum(axis=1))
@@ -355,7 +380,7 @@ def _transport_block(job: _Transport, i0: int):
             if live is not None:
                 dev = np.where(live, dev, 0.0)
             m2.append((dev * dev).sum(axis=1))
-    return np.array(sums), np.array(m2), np.array(counts)
+    return np.array(sums), cuts[0][0] if cuts else np.array(m2), np.array(counts)
 
 
 # The job a forked pool worker serves; set only in the worker, by the
@@ -414,16 +439,17 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
     sample that turns non-finite stays so, and is masked out of every
     later reduction and counted in `excluded`.
 
-    A mean is the sum over live samples over their count.  For
-    independent draws its standard error is stddev / sqrt(n_alive), from
-    M2, the sum of squared deviations of the live samples from their mean:
-    each block forms its own M2 in two passes, and the blocks' M2 are
-    merged in block order by the pairwise update of Chan, Golub & LeVeque,
-    so a standard error far below its mean keeps its digits.  For a sobol
-    ensemble it is the standard deviation of the live replicates' means
-    over sqrt(P), P the number of live replicates, each replicate's sums
-    and counts added over its blocks in block order; a non-finite sample
-    is dropped from its replicate, and a replicate mean that overflowed
+    For independent draws a mean is the sum over live samples over their
+    count, and its standard error is stddev / sqrt(n_alive), from M2, the
+    sum of squared deviations of the live samples from their mean: each
+    block forms its own M2 in two passes, and the blocks' M2 are merged in
+    block order by the pairwise update of Chan, Golub & LeVeque, so a
+    standard error far below its mean keeps its digits.  For a sobol
+    ensemble a mean is the mean of the P live replicates' means, each
+    replicate's sums and counts added over its blocks in block order, and
+    its standard error is their standard deviation over sqrt(P); a
+    non-finite sample is dropped from its replicate (which weighs the same
+    while any of its samples lives), and a replicate mean that overflowed
     makes the standard error inf.  All observables are reduced as the
     columns of one array; means and ses hold views of each one's columns.
     Fewer than two live samples (replicates, for a sobol ensemble) at a
@@ -450,30 +476,30 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
     first = T - 1 if final_only else 0
     job = _Transport(ensemble, model, dt, T, first, observables, DEFAULT_CHUNK)
     starts = range(0, ensemble.n, job.chunk_size)
-    blocks = zip(starts, _block_results(job, starts))
+    blocks = _block_results(job, starts)
     # overflowed survivors make inf and nan statistics, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if ensemble.sobol:
-            m = ensemble.n // REPLICATES
             sums = np.zeros((T - first, C, REPLICATES))
             counts = np.zeros((T - first, REPLICATES), dtype=np.int64)
-            for i0, (part_sums, _, part_counts) in blocks:
-                reps = slice(i0 // m, i0 // m + part_counts.shape[1])
+            for part_sums, r0, part_counts in blocks:
+                reps = slice(r0, r0 + part_counts.shape[1])
                 sums[:, :, reps] += part_sums
                 counts[:, reps] += part_counts
             live = (counts > 0)[:, None, :]
             units = live.sum(axis=2)
             means = np.where(live, sums / np.maximum(counts, 1)[:, None, :], 0.0)
-            dev = np.where(live, means - (means.sum(axis=2) / units)[..., None], 0.0)
+            mean = means.sum(axis=2) / units
+            dev = np.where(live, means - mean[..., None], 0.0)
             m2 = (dev * dev).sum(axis=2)
             # a replicate mean that overflowed leaves the spread unbounded:
             # inf, not the nan of inf - inf
             m2[~np.isfinite(means).all(axis=2)] = np.inf
-            sums, counts = sums.sum(axis=2), counts.sum(axis=1)
+            counts = counts.sum(axis=1)
         else:
             sums, m2 = np.zeros((T - first, C)), np.zeros((T - first, C))
             counts = np.zeros(T - first, dtype=np.int64)
-            for _, (part_sums, part_m2, part_counts) in blocks:
+            for part_sums, part_m2, part_counts in blocks:
                 # Chan et al.: M2 += M2_b + delta^2 n_a n_b / (n_a + n_b)
                 weight = (counts * part_counts
                           / np.maximum(counts + part_counts, 1))[:, None]
@@ -483,11 +509,11 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
                 sums += part_sums
                 counts += part_counts
             units = counts[:, None]
+            mean = sums / units
         if np.any(units < 2):
             raise ValueError(f"fewer than two surviving "
                              f"{'replicates' if ensemble.sobol else 'samples'}"
                              "; cannot form errors")
-        mean = sums / counts[:, None]
         se = np.sqrt(m2 / (units - 1) / units)
     return EgorovEstimate(times=times[first:],
                           means={name: mean[:, j] for name, j in columns.items()},
@@ -533,7 +559,7 @@ def rate_sweep(model: FieldModel, state: PacketState, hbars, counts, dt: float,
     if len(counts) != len(hbars):
         raise ValueError(f"{len(counts)} sample counts for {len(hbars)} hbars")
     for i, (hbar, n) in enumerate(zip(hbars, counts)):
-        _check_draw(hbar, n, sobol=True, seed=seed + i)
+        _check_draw(hbar, n, sobol=True, seed=seed + i, d=state.d)
 
     def ensure_completed(traj, label):
         if not traj.completed:

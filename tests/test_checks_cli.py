@@ -309,6 +309,30 @@ def test_egorov_2d_includes_angular_momentum(tmp_path):
     assert np.all(np.abs(lz - 1.1) < 6 * se)
 
 
+def test_sobol_commands_take_packets_up_to_the_table_dimension(tmp_path, capsys):
+    # free and quadratic take their dimension from --q; a 3D packet needs
+    # 6 Sobol dimensions, and a packet beyond the table is refused by name
+    out = tmp_path / "eg3.csv"
+    zeros = ",".join(["0"] * 3)
+    assert cli.main(["egorov", "--potential", "free", "--q", zeros, "--p", zeros,
+                     "--hbar", "0.1", "--t-final", "0.05", "--samples", "64",
+                     "--out", str(out)]) == 0
+    header, rows, footers = _read_csv(out)
+    assert header[1:4] == ["mean_q1", "mean_q2", "mean_q3"]
+    assert rows.shape == (6, 15) and footers == ["# excluded_samples,0"]
+    d = egorov.SOBOL_MAX_D + 1
+    big = ["--potential", "free", "--q", ",".join(["0"] * d),
+           "--p", ",".join(["0"] * d), "--samples", "64", "--out", str(out)]
+    for argv in (["egorov", "--hbar", "0.1", "--t-final", "0.05"],
+                 ["converge", "--hbars", "0.1,0.05", "--t-star", "0.05"]):
+        out.unlink(missing_ok=True)
+        assert cli.main(argv + big) == 2
+        assert capsys.readouterr().err == (
+            f"error: scrambled Sobol replicates take packets of at most "
+            f"{d - 1} dimensions, got {d}\n")
+        assert not out.exists()
+
+
 def test_converge_outputs_and_fits(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     code = cli.main(["converge", "--potential", "cosine1d", "--q", "0.5",

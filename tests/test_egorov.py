@@ -226,7 +226,8 @@ def test_exclusion_follows_the_state_not_the_fields(sobol, bench_state_1d):
     # fields read at nan_to_num(x) stay finite where x is not, so only the
     # state can tell that a row is dead: RK4 keeps a non-finite entry
     # non-finite, and the row is excluded at every reduced time; a mean is
-    # the live rows' sum over their count, replicates or not
+    # the live rows' sum over their count, or for replicates the mean of
+    # the replicates' live means
     base = cosine_1d()
     model = dataclasses.replace(base, **{
         name: (lambda f: lambda x: f(np.nan_to_num(x)))(getattr(base, name))
@@ -238,16 +239,18 @@ def test_exclusion_follows_the_state_not_the_fields(sobol, bench_state_1d):
     xi[12] = np.nan
     dead = [5, 12]
     dirty = dataclasses.replace(ens, x=x, xi=xi)
-    rest = np.delete(np.arange(ens.n), dead)
-    kept = dataclasses.replace(ens, x=ens.x[rest], xi=ens.xi[rest], sobol=False)
+    live = np.ones(ens.n, dtype=bool)
+    live[dead] = False
+    kept = dataclasses.replace(ens, x=ens.x[live], xi=ens.xi[live], sobol=False)
     runs = [dict(t_final=0.3)] + [dict(t_final=t, final_only=True)
                                   for t in (0.0, 0.1, 0.3)]
     for run in runs:
         est = propagate_ensemble(dirty, model, dt=0.01, **run)
-        ref = propagate_ensemble(kept, model, dt=0.01, **run)
+        ref = _replicate_reference(ens, model, live, dt=0.01, **run)[0] if sobol \
+            else propagate_ensemble(kept, model, dt=0.01, **run).means
         assert est.excluded == len(dead) and est.n_samples == ens.n
         for name in ("q", "p", "H0"):
-            np.testing.assert_allclose(est.means[name], ref.means[name],
+            np.testing.assert_allclose(est.means[name], ref[name],
                                        rtol=1e-12, atol=1e-14)
 
 
@@ -513,12 +516,13 @@ def test_too_few_survivors_is_an_error(cos_model, bench_state_1d):
 # scrambled Sobol replicates
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, egorov.SOBOL_MAX_D])
 @pytest.mark.parametrize("i0, n", [(0, 1024), (0, 1000), (1, 777), (12345, 3001)])
 def test_unscrambled_sobol_points_match_scipy(i0, n, d):
     # with no scramble and no shift the generator gives scipy's 52-bit
     # Sobol points bitwise, from the start and from odd mid-sequence starts
-    # (scipy continues a sequence from where its last draw stopped)
+    # (scipy continues a sequence from where its last draw stopped), in
+    # every dimension of the direction-number table
     sobol = qmc.Sobol(2 * d, scramble=False, bits=egorov.SOBOL_BITS)
     with warnings.catch_warnings():
         # counts that are not powers of 2 lose balance, which scipy warns of
@@ -561,6 +565,30 @@ def test_paired_sampler_needs_two_whole_pairs(N, bench_state_1d):
     with pytest.raises(ValueError, match=f"^sample counts must be positive multiples "
                                          f"of 8 .scrambled Sobol replicates., got {N}$"):
         wigner_sample(bench_state_1d, 0.1, seed=0, N=N, sobol=True)
+
+
+def test_sobol_draws_take_packets_up_to_the_table_dimension(bench_state_1d):
+    # a d-dimensional packet needs 2d Sobol dimensions; independent draws
+    # take any d
+    d = egorov.SOBOL_MAX_D
+    model = quadratic_linear(np.eye(d), np.zeros(d), 0.0, np.zeros((d, d)),
+                             np.zeros(d))
+    state = make_packet_state(np.full(d, 0.5), np.zeros(d), np.zeros((d, d)),
+                              np.eye(d))
+    est = propagate_ensemble(wigner_sample(state, 0.1, seed=1, N=64, sobol=True),
+                             model, dt=0.01, t_final=0.05)
+    assert np.isfinite(est.ses["q"]).all() and est.excluded == 0
+    big = make_packet_state(np.zeros(d + 1), np.zeros(d + 1),
+                            np.zeros((d + 1, d + 1)), np.eye(d + 1))
+    wigner_sample(big, 0.1, seed=1, N=64)
+    message = (f"^scrambled Sobol replicates take packets of at most {d} "
+               f"dimensions, got {d + 1}$")
+    with pytest.raises(ValueError, match=message):
+        wigner_sample(big, 0.1, seed=1, N=64, sobol=True)
+    with pytest.raises(ValueError, match=message):
+        egorov.rate_sweep(quadratic_linear(np.eye(d + 1), np.zeros(d + 1), 0.0,
+                                           np.zeros((d + 1, d + 1)), np.zeros(d + 1)),
+                          big, [0.1, 0.05], [64, 64], 0.01, 0.05, seed=0)
 
 
 @pytest.mark.parametrize("chunk_size", [777, 1000])
@@ -723,17 +751,16 @@ def test_paired_output_is_independent_of_workers_and_chunk_rounding(
 
 def _replicate_reference(ens, model, live, **run):
     """Mean and standard error of a stored sobol ensemble from its live
-    rows, each replicate's mean from a transport of its own rows."""
+    rows: those of the replicate means, each from a transport of the
+    replicate's own rows."""
     m = ens.n // egorov.REPLICATES
     parts = [propagate_ensemble(dataclasses.replace(
         ens, x=ens.x[r * m:(r + 1) * m][keep], xi=ens.xi[r * m:(r + 1) * m][keep],
-        sobol=False), model, **run)
+        sobol=False), model, **run).means
         for r, keep in enumerate(live.reshape(egorov.REPLICATES, m))]
-    kept = propagate_ensemble(dataclasses.replace(
-        ens, x=ens.x[live], xi=ens.xi[live], sobol=False), model, **run)
-    return kept.means, {
-        name: np.std([p.means[name] for p in parts], axis=0, ddof=1)
-        / np.sqrt(egorov.REPLICATES) for name in kept.means}
+    return ({name: np.mean([p[name] for p in parts], axis=0) for name in parts[0]},
+            {name: np.std([p[name] for p in parts], axis=0, ddof=1)
+             / np.sqrt(egorov.REPLICATES) for name in parts[0]})
 
 
 def test_a_dead_sample_leaves_its_replicate_alive(cos_model, bench_state_1d):
@@ -806,7 +833,7 @@ def test_observables_get_their_own_columns(monkeypatch, quartic_model,
             v = direct[name]
             u = np.array([v[replicate == r].mean(axis=0)
                           for r in range(egorov.REPLICATES)])
-            np.testing.assert_allclose(est.means[name][t], v.mean(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(est.means[name][t], u.mean(axis=0), rtol=1e-12)
             np.testing.assert_allclose(
                 est.ses[name][t], u.std(axis=0, ddof=1) / np.sqrt(u.shape[0]),
                 rtol=1e-10)
