@@ -37,7 +37,11 @@ packets in one run; each packet gets the bits of its single-point
 call.  semiclassical_hamiltonian and the other monitors are batched the
 same way, so a trajectory's monitors are computed once from its stacked
 states.  semiclassical_rhs evaluates each field callback once per call
-and hands the values to the |A|^2 calculus of DerivedSquares.
+and hands the values to the |A|^2 calculus of DerivedSquares.  Where
+hessA, or grad_hess_trace_A, vanishes at every packet of a call (a
+linear A, as in a uniform magnetic field), the flow and its energy skip
+the terms it multiplies instead of forming them from zeros, which
+leaves every bit of the result.
 
 bracket_rhs evaluates the bracket by central finite differences of an
 arbitrary scalar function of the state and is the arbiter used to
@@ -106,6 +110,13 @@ def _h0(p, a, v, m):
     return 0.5 * np.einsum("...k,...k->...", w, w) / m + np.asarray(v, dtype=float)
 
 
+def _unless_zero(field_values):
+    """The values of a curvature callback, or None when they vanish at
+    every point: terms with a vanishing hessA or grad_hess_trace_A are
+    skipped, since adding a zero leaves a value unchanged."""
+    return field_values if field_values.any() else None
+
+
 def classical_hamiltonian(z, model: FieldModel):
     """H0 = |p - A(q)|^2 / 2m + V(q) at phase points (packet or classical);
     q and p may carry leading batch axes (..., d)."""
@@ -117,19 +128,21 @@ def semiclassical_hamiltonian(state: PacketState, model: FieldModel, hbar: float
 
     Batched: q, p carry leading axes (..., d) and A_mat, B_mat
     (..., d, d); one value per state is returned.  Each field callback
-    is evaluated once.
+    is evaluated once, and the hessA terms are skipped, with the same
+    bits, when hessA vanishes at every state, as in semiclassical_rhs.
     """
     ds = DerivedSquares()
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
     a = np.asarray(model.A(q), dtype=float)
     ja = np.asarray(model.jacA(q), dtype=float)
-    ha = np.asarray(model.hessA(q), dtype=float)
+    ha = _unless_zero(np.asarray(model.hessA(q), dtype=float))
     # the width coupling A_w^2 + B^2 - DA^T A_w - A_w DA
     # - sum_k p_k hessA_k + hess|A|^2 / 2
     C = (Aw @ Aw + B @ B - np.swapaxes(ja, -1, -2) @ Aw - Aw @ ja
          + 0.5 * ds.hess_asq(a, ja, ha))
-    for k in range(q.shape[-1]):
-        C = C - p[..., k, None, None] * ha[..., k, :, :]
+    if ha is not None:
+        for k in range(q.shape[-1]):
+            C = C - p[..., k, None, None] * ha[..., k, :, :]
     Binv = np.linalg.inv(B)
     h0 = _h0(p, a, model.V(q), model.mass)
     tr_width = np.trace(Binv @ C, axis1=-2, axis2=-1)
@@ -192,13 +205,24 @@ def semiclassical_rhs(state: PacketState, model: FieldModel, hbar):
     (hbar/2m) sum_k (A_w B^-1 hessA_k)_{k,.} whenever the vector
     potential has curvature.  Each field callback is evaluated at most
     once.
+
+    When hessA vanishes at every member (a linear A, as in the paper's
+    uniform magnetic field) its products are skipped: A_k hessA_k in
+    hess|A|^2, p_k hessA_k in the width drive, Tr(B^-1 hessA) in dq, and
+    the hessA parts of the momentum terms.  When grad_hess_trace_A
+    vanishes at every member, p.ght_a and the A.ght_a part of the |A|^2
+    trace gradient are skipped.  The two are decided apart, since hessA
+    can vanish where its gradient does not (A = x^3 at x = 0).  Adding a
+    zero leaves a value unchanged, so the result has the bits of the
+    full sums (but for the sign of an exact zero), and a stack that
+    mixes curved and flat members still gives each its single-point bits.
     """
     ds = DerivedSquares()
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
     m, d = model.mass, state.d
     a = np.asarray(model.A(q), dtype=float)
     ja = np.asarray(model.jacA(q), dtype=float)
-    ha = np.asarray(model.hessA(q), dtype=float)
+    ha = _unless_zero(np.asarray(model.hessA(q), dtype=float))
     jat = ja.swapaxes(-1, -2)
 
     # hbar^0: classical center and Riccati width lines
@@ -207,9 +231,10 @@ def semiclassical_rhs(state: PacketState, model: FieldModel, hbar):
     dp = (np.einsum("...ji,...j->...i", ja, v) / m
           - np.asarray(model.gradV(q), dtype=float))
     drive = jat @ Aw + Aw @ ja - 0.5 * ds.hess_asq(a, ja, ha)
-    p_ha = p[..., :, None, None] * ha
-    for k in range(d):
-        drive = drive + p_ha[..., k, :, :]
+    if ha is not None:
+        p_ha = p[..., :, None, None] * ha
+        for k in range(d):
+            drive = drive + p_ha[..., k, :, :]
     dA = (B @ B - Aw @ Aw + drive) / m - np.asarray(model.hessV(q), dtype=float)
     dB = (jat @ B + B @ ja - Aw @ B - B @ Aw) / m
     if not np.count_nonzero(hbar):
@@ -222,16 +247,22 @@ def semiclassical_rhs(state: PacketState, model: FieldModel, hbar):
     # the q-gradients of (hbar/4m) Tr(B^-1 (hess|A|^2 / 2 - sum_k p_k hessA_k)),
     # of (hbar/4) Tr(B^-1 hessV) and of the width coupling's DA terms
     Binv = np.linalg.inv(B)
-    ght_a = np.asarray(model.grad_hess_trace_A(q, Binv), dtype=float)
-    dq = dq - 0.25 * h / m * np.trace(Binv[..., None, :, :] @ ha, axis1=-2, axis2=-1)
-    p_ght_a = p[..., :, None] * ght_a
-    ght_ap = np.zeros(p.shape)
-    for k in range(d):
-        ght_ap += p_ght_a[..., k, :]
-    ght_asq = ds.grad_hess_trace_asq(Binv, a, ja, ha, ght_a)
-    dp = dp + 0.25 * h * ((ght_ap - 0.5 * ght_asq) / m
-                          - np.asarray(model.grad_hess_trace_V(q, Binv), dtype=float))
-    if ha.any():
+    ght_a = _unless_zero(np.asarray(model.grad_hess_trace_A(q, Binv), dtype=float))
+    ght_v = np.asarray(model.grad_hess_trace_V(q, Binv), dtype=float)
+    if ha is not None:
+        dq = dq - 0.25 * h / m * np.trace(Binv[..., None, :, :] @ ha, axis1=-2, axis2=-1)
+    # (p.ght_a - ght_asq/2)/m, the p.A and |A|^2 parts of the trace
+    # gradient: without hessA and grad_hess_trace_A, the +0 the sum gives
+    g = 0.0
+    if ha is not None or ght_a is not None:
+        ght_ap = np.zeros(p.shape)
+        if ght_a is not None:
+            p_ght_a = p[..., :, None] * ght_a
+            for k in range(d):
+                ght_ap += p_ght_a[..., k, :]
+        g = (ght_ap - 0.5 * ds.grad_hess_trace_asq(Binv, a, ja, ha, ght_a)) / m
+    dp = dp + 0.25 * h * (g - ght_v)
+    if ha is not None:
         dp = dp + 0.5 * h / m * np.einsum("...kl,...kli->...i", Aw @ Binv, ha)
     return dq, dp, dA, dB
 

@@ -271,13 +271,20 @@ class DerivedSquares:
     and shares the values with its other terms.  Both are batched over
     the leading axes of those values, as the callbacks are.  It holds no
     state.
+
+    A caller that knows hessA (or grad_hess_trace_A) to vanish over all
+    the points it passes may pass ha (or ght_a) as None: the products
+    with it are then skipped, not formed from zeros.  Adding a zero leaves
+    a value unchanged, so the result has the same bits either way (but
+    for the sign of an exact zero).
     """
 
     def hess_asq(self, a, ja, ha):
         # hess |A|^2 = 2 [ (DA)^T DA + sum_k A_k hessA_k ]   (batched)
         out = np.swapaxes(ja, -1, -2) @ ja
-        for k in range(a.shape[-1]):
-            out = out + a[..., k, None, None] * ha[..., k, :, :]
+        if ha is not None:
+            for k in range(a.shape[-1]):
+                out = out + a[..., k, None, None] * ha[..., k, :, :]
         return 2.0 * out
 
     def grad_hess_trace_asq(self, M, a, ja, ha, ght_a):
@@ -285,16 +292,19 @@ class DerivedSquares:
         evaluated with the same M), batched over leading axes like
         hess_asq.  Each member gets the bits of its single-point call."""
         # the three terms of each k, computed for all k at once, are added
-        # in the order k = 0, 1, ...; column k of M DA^T pairs with hessA_k
-        MJt = M @ ja.swapaxes(-1, -2)
-        t1 = 2.0 * (ha @ MJt.swapaxes(-1, -2)[..., None])[..., 0]
-        t2 = (M[..., None, :, :] * ha).sum(axis=(-2, -1))[..., None] * ja
-        t3 = a[..., None] * ght_a
+        # in the order k = 0, 1, ...; column k of M DA^T pairs with hessA_k.
+        # The sum starts from +0, so a skipped term (None) leaves its bits.
+        terms = []
+        if ha is not None:
+            MJt = M @ ja.swapaxes(-1, -2)
+            terms.append(2.0 * (ha @ MJt.swapaxes(-1, -2)[..., None])[..., 0])
+            terms.append((M[..., None, :, :] * ha).sum(axis=(-2, -1))[..., None] * ja)
+        if ght_a is not None:
+            terms.append(a[..., None] * ght_a)
         out = np.zeros(a.shape)
         for k in range(a.shape[-1]):
-            out += t1[..., k, :]
-            out += t2[..., k, :]
-            out += t3[..., k, :]
+            for t in terms:
+                out += t[..., k, :]
         return 2.0 * out
 
 

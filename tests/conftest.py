@@ -138,6 +138,65 @@ def plane_wave_gauge_2d(mass: float = 1.3) -> FieldModel:
     )
 
 
+def cubic_gauge_2d(mass: float = 0.7) -> FieldModel:
+    """Synthetic 2D model whose vector potential has a cubic term.
+
+    A = (x1 x2^2 / 2 - x2 / 2 + 1/4, x1 / 2), V = |x|^2 / 2, so
+    B_z = 1 - x1 x2.  hessA_1 = [[0, x2], [x2, x1]] vanishes at the
+    origin, where neither A nor the gradient of
+    Tr(M hessA_1) = 2 M12 x2 + M22 x1, (M22, 2 M12), does: the case where
+    the flow may skip the hessA terms but must keep the grad_hess_trace_A
+    ones, p.ght_a and A.ght_a alike.
+    """
+
+    def V(x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 * np.einsum("...i,...i->...", x, x)
+
+    def gradV(x):
+        return np.array(x, dtype=float)
+
+    def hessV(x):
+        return np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2))
+
+    def A(x):
+        x = np.asarray(x, dtype=float)
+        x1, x2 = x[..., 0], x[..., 1]
+        return np.stack([0.5 * x1 * x2 * x2 - 0.5 * x2 + 0.25, 0.5 * x1], axis=-1)
+
+    def jacA(x):
+        x = np.asarray(x, dtype=float)
+        x1, x2 = x[..., 0], x[..., 1]
+        half = np.full_like(x1, 0.5)
+        return np.stack([np.stack([0.5 * x2 * x2, x1 * x2 - 0.5], axis=-1),
+                         np.stack([half, np.zeros_like(x1)], axis=-1)], axis=-2)
+
+    def hessA(x):
+        x = np.asarray(x, dtype=float)
+        x1, x2 = x[..., 0], x[..., 1]
+        out = np.zeros(x.shape[:-1] + (2, 2, 2))
+        out[..., 0, 0, 1] = out[..., 0, 1, 0] = x2
+        out[..., 0, 1, 1] = x1
+        return out
+
+    def ghtV(x, M):
+        return np.zeros(np.shape(x))
+
+    def ghtA(x, M):
+        M = np.asarray(M, dtype=float)
+        out = np.zeros(M.shape[:-2] + (2, 2))
+        out[..., 0, 0] = M[..., 1, 1]
+        out[..., 0, 1] = 2.0 * M[..., 0, 1]
+        return out
+
+    return FieldModel(
+        name="cubic2d", dim=2, mass=mass,
+        V=V, gradV=gradV, hessV=hessV,
+        A=A, jacA=jacA, hessA=hessA,
+        grad_hess_trace_V=ghtV, grad_hess_trace_A=ghtA,
+    )
+
+
 @pytest.fixture
 def curved_gauge_model():
     return plane_wave_gauge_2d()

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import plane_wave_gauge_2d
+from conftest import cubic_gauge_2d, plane_wave_gauge_2d
 from gwpdyn import dynamics
 from gwpdyn.checks import random_state, rel_field_dev
 from gwpdyn.dynamics import (ClassicalPhasePoint, bracket_rhs,
@@ -15,7 +15,8 @@ from gwpdyn.dynamics import (ClassicalPhasePoint, bracket_rhs,
 from gwpdyn.observables import (classical_angular_momentum,
                                 semiclassical_angular_momentum)
 from gwpdyn.packet import PacketState, make_packet_state
-from gwpdyn.potentials import cosine_1d, quadratic_linear, quartic_rotational_2d
+from gwpdyn.potentials import (DerivedSquares, cosine_1d, quadratic_linear,
+                               quartic_rotational_2d)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,27 @@ def test_semiclassical_field_matches_bracket_field(model_ix, cos_model,
     for _ in range(20):
         st = random_state(rng, model.dim)
         hbar = float(rng.uniform(0.05, 0.5))
+        field = semiclassical_rhs(st, model, hbar)
+        ref = bracket_rhs(
+            lambda s: semiclassical_hamiltonian(s, model, hbar), st, hbar)
+        assert rel_field_dev(field, ref) < 1e-5
+
+
+def _at_origin(state):
+    return dataclasses.replace(state, q=np.zeros_like(state.q))
+
+
+def test_field_matches_bracket_where_only_the_curvature_gradient_survives():
+    # at the origin the cubic model's hessA vanishes but grad_hess_trace_A
+    # and A do not: the flow skips the hessA terms and must keep p.ght_a
+    # and the A.ght_a part of the |A|^2 trace gradient
+    model = cubic_gauge_2d()
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        st = _at_origin(random_state(rng, 2))
+        hbar = float(rng.uniform(0.05, 0.5))
+        assert not model.hessA(st.q).any()
+        assert model.grad_hess_trace_A(st.q, np.linalg.inv(st.B_mat)).any()
         field = semiclassical_rhs(st, model, hbar)
         ref = bracket_rhs(
             lambda s: semiclassical_hamiltonian(s, model, hbar), st, hbar)
@@ -441,16 +463,25 @@ def _quadratic_3d():
 
 
 @pytest.mark.parametrize("builder", [cosine_1d, quartic_rotational_2d, plane_wave_gauge_2d,
-                                     _quadratic_3d],
-                         ids=["cosine1d", "quartic2d", "planewave2d", "quadratic3d"])
+                                     _quadratic_3d, cubic_gauge_2d],
+                         ids=["cosine1d", "quartic2d", "planewave2d", "quadratic3d",
+                              "cubic2d"])
 @pytest.mark.parametrize("zero", [False, True], ids=["hbar", "hbar0"])
 def test_semiclassical_rhs_batches_bitwise(builder, zero):
     # a stacked state with one hbar per member gives each member the bits
-    # of its single-point call, at hbar = 0 (Zhou's flow) too
+    # of its single-point call, at hbar = 0 (Zhou's flow) too.  The last
+    # member sits at the origin, where the hessA of planewave2d and
+    # cubic2d vanishes: their stacks mix members whose curvature terms a
+    # single-point call skips with members where it keeps them
     model = builder()
     rng = np.random.default_rng(21)
     states = [random_state(rng, model.dim) for _ in range(7)]
     hbars = np.zeros(7) if zero else rng.uniform(0.01, 0.6, size=7)
+    states.append(_at_origin(states[0]))
+    hbars = np.append(hbars, hbars[0])
+    flat = [not model.hessA(s.q).any() for s in states]
+    mixed = builder in (plane_wave_gauge_2d, cubic_gauge_2d)
+    assert (any(flat) and not all(flat)) == mixed
     batched = semiclassical_rhs(_stack(states), model, hbars)
     for i, (state, h) in enumerate(zip(states, hbars)):
         single = semiclassical_rhs(state, model, float(h))
@@ -557,19 +588,80 @@ def _counting(model):
         for f in dataclasses.fields(model) if callable(getattr(model, f.name))}), counts
 
 
-@pytest.mark.parametrize("builder", [quartic_rotational_2d, cosine_1d, plane_wave_gauge_2d],
-                         ids=["quartic2d", "cosine1d", "planewave2d"])
+@pytest.mark.parametrize("builder, origin", [
+    (quartic_rotational_2d, False), (cosine_1d, False), (plane_wave_gauge_2d, False),
+    (cubic_gauge_2d, False), (cubic_gauge_2d, True),
+], ids=["quartic2d", "cosine1d", "planewave2d", "cubic2d", "cubic2d-origin"])
 @pytest.mark.parametrize("flow", ["classical_rhs", "zhou", "semiclassical_rhs",
                                   "semiclassical_hamiltonian"])
-def test_each_callback_evaluated_at_most_once_per_call(builder, flow):
+def test_each_callback_evaluated_at_most_once_per_call(builder, origin, flow):
+    # cubic2d-origin is where hessA vanishes and grad_hess_trace_A does not
     model, counts = _counting(builder())
     state = random_state(np.random.default_rng(5), model.dim)
+    if origin:
+        state = _at_origin(state)
     {"classical_rhs": lambda: classical_rhs(state, model),
      "zhou": lambda: semiclassical_rhs(state, model, 0.0),
      "semiclassical_rhs": lambda: semiclassical_rhs(state, model, 0.1),
      "semiclassical_hamiltonian": lambda: semiclassical_hamiltonian(state, model, 0.1),
      }[flow]()
     assert counts and max(counts.values()) == 1, dict(counts)
+
+
+@pytest.mark.parametrize("case, calls", [("quartic2d", 0), ("planewave2d", 1),
+                                         ("cubic2d-origin", 1)])
+def test_vanishing_curvature_skips_the_trace_gradient_of_asq(case, calls, monkeypatch):
+    # where hessA and grad_hess_trace_A vanish over the whole stack (a
+    # linear A), the flow skips the |A|^2 trace gradient; the benchmark's
+    # packet run depends on this shortcut
+    model = {"quartic2d": quartic_rotational_2d(), "planewave2d": plane_wave_gauge_2d(),
+             "cubic2d-origin": cubic_gauge_2d()}[case]
+    rng = np.random.default_rng(6)
+    states = [random_state(rng, 2) for _ in range(3)]
+    if case == "cubic2d-origin":
+        states = [_at_origin(s) for s in states]
+    seen = []
+    original = DerivedSquares.grad_hess_trace_asq
+
+    def counted(self, *args):
+        seen.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(dynamics.DerivedSquares, "grad_hess_trace_asq", counted)
+    semiclassical_rhs(states[0], model, 0.1)
+    semiclassical_rhs(_stack(states), model, np.array([0.1, 0.2, 0.3]))
+    assert len(seen) == 2 * calls
+
+
+@pytest.mark.parametrize("case", ["quartic2d", "quadratic2d", "cubic2d-origin",
+                                  "planewave2d-origin"])
+def test_skipping_vanishing_curvature_terms_keeps_every_bit(case, monkeypatch):
+    # the flow and its energy with every hessA and grad_hess_trace_A term
+    # formed from zeros, as if nothing were skipped, give the same bits as
+    # the skipping code, on single states and on a stack
+    rng = np.random.default_rng(9)
+    model = {"quartic2d": quartic_rotational_2d(),
+             "quadratic2d": quadratic_linear([[2.0, 0.3], [0.3, 1.0]], [0.1, -0.2], 0.5,
+                                             [[0.2, -0.7], [0.4, 0.1]], [0.3, 0.0],
+                                             mass=1.5),
+             "cubic2d-origin": cubic_gauge_2d(),
+             "planewave2d-origin": plane_wave_gauge_2d()}[case]
+    states = [random_state(rng, 2) for _ in range(5)]
+    if case.endswith("origin"):
+        states = [_at_origin(s) for s in states]
+    hbars = rng.uniform(0.01, 0.6, size=5)
+
+    def outputs():
+        out = []
+        for z in states + [_stack(states)]:
+            h = hbars if z.q.ndim > 1 else float(hbars[0])
+            out += [*semiclassical_rhs(z, model, h), *semiclassical_rhs(z, model, 0.0),
+                    semiclassical_hamiltonian(z, model, h)]
+        return [np.asarray(y).tobytes() for y in out]
+
+    skipping = outputs()
+    monkeypatch.setattr(dynamics, "_unless_zero", lambda values: values)
+    assert outputs() == skipping
 
 
 def test_simulate_rejects_unknown_flavor(cos_model, bench_state_1d):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import plane_wave_gauge_2d
+from conftest import cubic_gauge_2d, plane_wave_gauge_2d
 from gwpdyn.potentials import (DerivedSquares, cosine_1d, fd_cross_check,
                                free_model, model_by_name, quadratic_linear,
                                quartic_rotational_2d, rotational_symmetry_check)
@@ -14,7 +14,7 @@ from gwpdyn.potentials import (DerivedSquares, cosine_1d, fd_cross_check,
 
 
 @pytest.mark.parametrize("builder", [cosine_1d, quartic_rotational_2d,
-                                     plane_wave_gauge_2d])
+                                     plane_wave_gauge_2d, cubic_gauge_2d])
 def test_fd_cross_check_100_random_points(builder):
     model = builder()
     rng = np.random.default_rng(42)
@@ -156,7 +156,7 @@ def _squares_at(model):
                                                 m.grad_hess_trace_A(y, M)))
 
 
-@pytest.mark.parametrize("builder", [cosine_1d, plane_wave_gauge_2d])
+@pytest.mark.parametrize("builder", [cosine_1d, plane_wave_gauge_2d, cubic_gauge_2d])
 def test_derived_squares_against_fd(builder):
     model = builder()
     asq, grad_asq, hess_asq, grad_hess_trace_asq = _squares_at(model)
