@@ -1,6 +1,6 @@
 """Byte-for-byte comparison of the gwpdyn command line between two trees.
 
-    python3 tools/cli_parity.py OLD_TREE NEW_TREE [--jobs N]
+    python3 tools/cli_parity.py OLD_TREE NEW_TREE
 
 Each case runs `python -m gwpdyn ARGS` twice, once with OLD_TREE/src and
 once with NEW_TREE/src on PYTHONPATH, each in a fresh empty directory
@@ -21,7 +21,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 STATE_1D = ["--q", "0.5", "--p=-1", "--A", "0", "--B", "1"]
@@ -116,12 +115,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--jobs", type=int, default=1, help="cases run at once")
     args = parser.parse_args()
-    all_cases = cases(args.new.resolve())
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(lambda c: compare(args.old.resolve(), args.new.resolve(), c),
-                                all_cases))
+    old, new = args.old.resolve(), args.new.resolve()
+    results = [compare(old, new, case) for case in cases(new)]
     n_diff = 0
     for name, (summary, *diffs) in results:
         n_diff += bool(diffs)
