@@ -12,7 +12,7 @@ from .dynamics import (ClassicalPhasePoint, Trajectory, bracket_rhs,
                        rk4_step, semiclassical_hamiltonian, semiclassical_rhs,
                        simulate, time_grid)
 from .egorov import (EgorovEstimate, PhaseEnsemble, phase_error,
-                     propagate_ensemble, wigner_sample)
+                     propagate_ensemble, propagate_ensembles, wigner_sample)
 from .expectations import (QuadratureRule, asymptotic_expectation,
                            full_hamiltonian, gaussian_expectation)
 from .observables import (classical_angular_momentum, diamond, loglog_fit,
@@ -31,7 +31,7 @@ __all__ = [
     "rk4_integrate", "rk4_step", "semiclassical_hamiltonian",
     "semiclassical_rhs", "simulate", "time_grid",
     "EgorovEstimate", "PhaseEnsemble", "phase_error", "propagate_ensemble",
-    "wigner_sample",
+    "propagate_ensembles", "wigner_sample",
     "QuadratureRule", "asymptotic_expectation", "full_hamiltonian",
     "gaussian_expectation",
     "classical_angular_momentum", "diamond",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 import numpy as np
@@ -388,9 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its exit code.  A reader that closes stdout early,
+    as `| head` does, ends the run with exit code 1 and no message."""
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command][0](resolve_settings(args))
+        code = COMMANDS[args.command][0](resolve_settings(args))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout now goes nowhere, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

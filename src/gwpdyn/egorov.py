@@ -37,16 +37,23 @@ cache-sized blocks, each of which draws its own rows (PhaseEnsemble.rows)
 stored component-major, (d, b); the flow sees their (b, d) transposed
 views, which the batched classical_rhs keeps in the same memory layout.
 
-Blocks are independent, so propagate_ensemble hands them to a pool of
+Blocks are independent, so one propagate_ensembles call schedules the
+blocks of all its ensembles together: rate_sweep hands it every hbar's
+reference at once.  The blocks are ordered by size, largest first (a
+stable sort, so each ensemble's full blocks keep block order and its
+short last block follows them), and handed to one pool of
 W = min(MAX_WORKERS, usable CPUs, number of blocks) worker processes
-started with "fork": the model and the ensemble reach the workers
-through the fork itself (a FieldModel holds closures, which cannot be
-pickled), and only block starts and per-block partial sums cross the
-pipes.  The partial sums are added into the totals in block order,
-exactly as a serial loop adds them, so results are bitwise independent
-of W.  With one block, one usable CPU, no "fork" start method or a
+started with "fork", so no worker idles while another finishes a long
+tail, and small ensembles fill the gaps that large ones leave.  The
+model and the ensembles reach the workers through the fork itself (a
+FieldModel holds closures, which cannot be pickled), and only
+(ensemble, block start) pairs and per-block partial sums cross the
+pipes.  Each ensemble's partial sums are added into its totals in its
+block order as they arrive, exactly as a serial loop adds them, so
+results are bitwise independent of W and of the other ensembles of the
+call.  With one block in all, one usable CPU, no "fork" start method or a
 calling process that is itself a daemonic worker, the same block
-function runs in-process through a plain map.  A fork copies only the
+function runs in-process, in the same order.  A fork copies only the
 calling thread, so a caller whose other threads may hold locks should
 transport from a process of its own.
 """
@@ -55,7 +62,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -72,6 +79,7 @@ __all__ = [
     "EgorovEstimate",
     "wigner_sample",
     "propagate_ensemble",
+    "propagate_ensembles",
     "phase_error",
     "rate_sweep",
 ]
@@ -82,8 +90,9 @@ OBSERVABLES = ("q", "p", "H0", "Lz")
 # rate sweep 4096 and 16384 both measured slower, from call overhead
 # and from cache misses respectively.
 DEFAULT_CHUNK = 8192
-# Most transport worker processes one propagate_ensemble call forks; the
-# usable CPUs and the number of blocks cap it further.
+# Most transport worker processes one propagate_ensembles call forks, in
+# its one pool for the blocks of all its ensembles; the usable CPUs and
+# the number of blocks cap it further.
 MAX_WORKERS = 4
 # Largest ensemble wigner_sample accepts.  Rows are drawn block by block,
 # so no allocation refuses a huge count; at this limit one transport step
@@ -321,7 +330,7 @@ def _observe(name: str, x, xi, model: FieldModel):
 
 @dataclass(frozen=True)
 class _Transport:
-    """What every block of one propagate_ensemble call shares."""
+    """What every block of one ensemble's transport shares."""
 
     ensemble: PhaseEnsemble
     model: FieldModel
@@ -330,6 +339,9 @@ class _Transport:
     first: int           # first grid time reduced
     observables: tuple
     chunk_size: int      # samples per block
+
+    def block_size(self, i0: int) -> int:
+        return min(self.chunk_size, self.ensemble.n - i0)
 
 
 def _transport_block(job: _Transport, i0: int):
@@ -348,7 +360,7 @@ def _transport_block(job: _Transport, i0: int):
     counts.
     """
     ens, model = job.ensemble, job.model
-    i1 = min(i0 + job.chunk_size, ens.n)
+    i1 = i0 + job.block_size(i0)
     cuts = _replicate_cuts(ens.n, i0, i1) if ens.sobol else None
     sums, m2, counts = [], [], []
     x, xi = ens.rows(i0, i1)
@@ -383,18 +395,77 @@ def _transport_block(job: _Transport, i0: int):
     return np.array(sums), cuts[0][0] if cuts else np.array(m2), np.array(counts)
 
 
-# The job a forked pool worker serves; set only in the worker, by the
+class _Totals:
+    """One ensemble's statistics at the T reduced times and C columns,
+    summed over the partial sums of its blocks, which must be added in
+    block order (see propagate_ensembles)."""
+
+    def __init__(self, sobol: bool, T: int, C: int):
+        self.sobol = sobol
+        if sobol:
+            self.sums = np.zeros((T, C, REPLICATES))
+            self.counts = np.zeros((T, REPLICATES), dtype=np.int64)
+        else:
+            self.sums, self.m2 = np.zeros((T, C)), np.zeros((T, C))
+            self.counts = np.zeros(T, dtype=np.int64)
+
+    def add(self, part) -> None:
+        """Add the partial statistics of the next block (_transport_block)."""
+        part_sums, r0_or_m2, part_counts = part
+        if self.sobol:
+            reps = slice(r0_or_m2, r0_or_m2 + part_counts.shape[1])
+            self.sums[:, :, reps] += part_sums
+            self.counts[:, reps] += part_counts
+            return
+        # Chan et al.: M2 += M2_b + delta^2 n_a n_b / (n_a + n_b)
+        sums, counts = self.sums, self.counts
+        weight = (counts * part_counts
+                  / np.maximum(counts + part_counts, 1))[:, None]
+        delta = np.where(weight > 0, part_sums / part_counts[:, None]
+                         - sums / counts[:, None], 0.0)
+        self.m2 += r0_or_m2 + delta * delta * weight
+        sums += part_sums
+        counts += part_counts
+
+    def estimate(self):
+        """The (T, C) means and standard errors and the live sample count
+        at the last reduced time."""
+        if self.sobol:
+            sums, counts = self.sums, self.counts
+            live = (counts > 0)[:, None, :]
+            units = live.sum(axis=2)
+            means = np.where(live, sums / np.maximum(counts, 1)[:, None, :], 0.0)
+            mean = means.sum(axis=2) / units
+            dev = np.where(live, means - mean[..., None], 0.0)
+            m2 = (dev * dev).sum(axis=2)
+            # a replicate mean that overflowed leaves the spread unbounded:
+            # inf, not the nan of inf - inf
+            m2[~np.isfinite(means).all(axis=2)] = np.inf
+            alive = counts.sum(axis=1)
+        else:
+            m2, alive = self.m2, self.counts
+            units = alive[:, None]
+            mean = self.sums / units
+        if np.any(units < 2):
+            raise ValueError(f"fewer than two surviving "
+                             f"{'replicates' if self.sobol else 'samples'}"
+                             "; cannot form errors")
+        return mean, np.sqrt(m2 / (units - 1) / units), int(alive[-1])
+
+
+# The jobs a forked pool worker serves; set only in the worker, by the
 # pool initializer, never in the calling process.
-_worker_job = None
+_worker_jobs = None
 
 
-def _serve(job: _Transport) -> None:
-    global _worker_job
-    _worker_job = job
+def _serve(jobs: list) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
 
 
-def _pooled_block(i0: int):
-    return _transport_block(_worker_job, i0)
+def _pooled_block(task):
+    j, i0 = task
+    return _transport_block(_worker_jobs[j], i0)
 
 
 def _usable_cpus() -> int:
@@ -403,41 +474,52 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _block_results(job: _Transport, starts: range):
-    """Yield _transport_block(job, i0) for every i0 of starts, in order.
+def _block_results(jobs: list):
+    """Yield (j, _transport_block(jobs[j], i0)) for every block i0 of every
+    job j, largest blocks first and, among blocks of one size, in job and
+    block order, so each job's blocks come in block order.
 
-    The blocks run in a forked pool (see the module docstring) when that
+    The blocks run in one forked pool (see the module docstring) when that
     can use more than one worker, and in this process otherwise.
     """
-    workers = min(MAX_WORKERS, _usable_cpus(), len(starts))
+    tasks = sorted(((j, i0) for j, job in enumerate(jobs)
+                    for i0 in range(0, job.ensemble.n, job.chunk_size)),
+                   key=lambda task: -jobs[task[0]].block_size(task[1]))
+    workers = min(MAX_WORKERS, _usable_cpus(), len(tasks))
     if workers > 1:
         import multiprocessing
         # a daemonic process, such as a pool worker, may not have children
         if ("fork" in multiprocessing.get_all_start_methods()
                 and not multiprocessing.current_process().daemon):
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers, initializer=_serve, initargs=(job,)) as pool:
-                yield from pool.imap(_pooled_block, starts)
+            with ctx.Pool(workers, initializer=_serve, initargs=(jobs,)) as pool:
+                for (j, _), part in zip(tasks, pool.imap(_pooled_block, tasks)):
+                    yield j, part
             return
-    yield from map(partial(_transport_block, job), starts)
+    for j, i0 in tasks:
+        yield j, _transport_block(jobs[j], i0)
 
 
-def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
-                       t_final: float, observables=("q", "p", "H0"),
-                       final_only: bool = False) -> EgorovEstimate:
-    """Transport the ensemble classically, recording observable statistics.
+def propagate_ensembles(ensembles, model: FieldModel, dt: float, t_final: float,
+                        observables=("q", "p", "H0"),
+                        final_only: bool = False) -> list:
+    """Transport each ensemble classically, recording observable
+    statistics; one EgorovEstimate per ensemble, in order.
 
-    Each block of DEFAULT_CHUNK samples draws its rows (ensemble.rows),
-    stored component-major, (d, b), and is carried through every step on
-    its own; the flow and the observables see its (b, d) transposed
-    views.  Blocks run on up to MAX_WORKERS forked processes, and their
-    partial sums are added into the totals in block order, so means and
-    standard errors for a given (ensemble, dt, t_final) are bitwise
-    reproducible whatever the number of workers.  With final_only the
-    statistics are reduced at t_final alone and `times` holds only
-    t_final; that row is bitwise the last row of the full series.  A
-    sample that turns non-finite stays so, and is masked out of every
-    later reduction and counted in `excluded`.
+    Every ensemble, the grid and the observables are checked before any
+    transport.  Each block of DEFAULT_CHUNK samples draws its rows
+    (ensemble.rows), stored component-major, (d, b), and is carried
+    through every step on its own; the flow and the observables see its
+    (b, d) transposed views.  The blocks of all ensembles run together on
+    up to MAX_WORKERS forked processes, the largest first, and each
+    ensemble's partial sums are added into its totals in block order, so
+    means and standard errors for a given (ensemble, dt, t_final) are
+    bitwise reproducible whatever the number of workers and whatever
+    other ensembles share the call.  With final_only the statistics are
+    reduced at t_final alone and `times` holds only t_final; that row is
+    bitwise the last row of the full series.  A sample that turns
+    non-finite stays so, and is masked out of every later reduction and
+    counted in `excluded`.
 
     For independent draws a mean is the sum over live samples over their
     count, and its standard error is stddev / sqrt(n_alive), from M2, the
@@ -453,14 +535,16 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
     makes the standard error inf.  All observables are reduced as the
     columns of one array; means and ses hold views of each one's columns.
     Fewer than two live samples (replicates, for a sobol ensemble) at a
-    reduced time is a ValueError.
+    reduced time is a ValueError, raised once every block has run.
     """
     times = time_grid(dt, t_final)
     T = times.shape[0]
-    d = ensemble.d
-    if d != model.dim:
-        raise ValueError(f"state has dimension {d} but model {model.name!r} "
-                         f"is {model.dim}-dimensional")
+    ensembles = list(ensembles)
+    for ensemble in ensembles:
+        if ensemble.d != model.dim:
+            raise ValueError(f"state has dimension {ensemble.d} but model "
+                             f"{model.name!r} is {model.dim}-dimensional")
+    d = model.dim
     observables = tuple(observables)
     if not observables:
         raise ValueError(f"no observables; choose from {OBSERVABLES}")
@@ -474,52 +558,28 @@ def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
         C += d if name in ("q", "p") else 1
 
     first = T - 1 if final_only else 0
-    job = _Transport(ensemble, model, dt, T, first, observables, DEFAULT_CHUNK)
-    starts = range(0, ensemble.n, job.chunk_size)
-    blocks = _block_results(job, starts)
+    jobs = [_Transport(ensemble, model, dt, T, first, observables, DEFAULT_CHUNK)
+            for ensemble in ensembles]
+    totals = [_Totals(ensemble.sobol, T - first, C) for ensemble in ensembles]
     # overflowed survivors make inf and nan statistics, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if ensemble.sobol:
-            sums = np.zeros((T - first, C, REPLICATES))
-            counts = np.zeros((T - first, REPLICATES), dtype=np.int64)
-            for part_sums, r0, part_counts in blocks:
-                reps = slice(r0, r0 + part_counts.shape[1])
-                sums[:, :, reps] += part_sums
-                counts[:, reps] += part_counts
-            live = (counts > 0)[:, None, :]
-            units = live.sum(axis=2)
-            means = np.where(live, sums / np.maximum(counts, 1)[:, None, :], 0.0)
-            mean = means.sum(axis=2) / units
-            dev = np.where(live, means - mean[..., None], 0.0)
-            m2 = (dev * dev).sum(axis=2)
-            # a replicate mean that overflowed leaves the spread unbounded:
-            # inf, not the nan of inf - inf
-            m2[~np.isfinite(means).all(axis=2)] = np.inf
-            counts = counts.sum(axis=1)
-        else:
-            sums, m2 = np.zeros((T - first, C)), np.zeros((T - first, C))
-            counts = np.zeros(T - first, dtype=np.int64)
-            for part_sums, part_m2, part_counts in blocks:
-                # Chan et al.: M2 += M2_b + delta^2 n_a n_b / (n_a + n_b)
-                weight = (counts * part_counts
-                          / np.maximum(counts + part_counts, 1))[:, None]
-                delta = np.where(weight > 0, part_sums / part_counts[:, None]
-                                 - sums / counts[:, None], 0.0)
-                m2 += part_m2 + delta * delta * weight
-                sums += part_sums
-                counts += part_counts
-            units = counts[:, None]
-            mean = sums / units
-        if np.any(units < 2):
-            raise ValueError(f"fewer than two surviving "
-                             f"{'replicates' if ensemble.sobol else 'samples'}"
-                             "; cannot form errors")
-        se = np.sqrt(m2 / (units - 1) / units)
-    return EgorovEstimate(times=times[first:],
-                          means={name: mean[:, j] for name, j in columns.items()},
-                          ses={name: se[:, j] for name, j in columns.items()},
-                          n_samples=ensemble.n,
-                          excluded=int(ensemble.n - counts[-1]))
+        for j, part in _block_results(jobs):
+            totals[j].add(part)
+        stats = [t.estimate() for t in totals]
+    return [EgorovEstimate(times=times[first:],
+                           means={name: mean[:, j] for name, j in columns.items()},
+                           ses={name: se[:, j] for name, j in columns.items()},
+                           n_samples=ensemble.n, excluded=ensemble.n - alive)
+            for ensemble, (mean, se, alive) in zip(ensembles, stats)]
+
+
+def propagate_ensemble(ensemble: PhaseEnsemble, model: FieldModel, dt: float,
+                       t_final: float, observables=("q", "p", "H0"),
+                       final_only: bool = False) -> EgorovEstimate:
+    """Transport one ensemble classically, recording observable
+    statistics: propagate_ensembles of [ensemble], which see."""
+    return propagate_ensembles([ensemble], model, dt, t_final, observables,
+                               final_only)[0]
 
 
 def phase_error(model_traj, egorov_estimate: EgorovEstimate, t_star: float) -> float:
@@ -554,7 +614,8 @@ def rate_sweep(model: FieldModel, state: PacketState, hbars, counts, dt: float,
     classical run, and for the stack the packet that failed first (on a
     tie, the earlier in hbars).  Only then does hbar i's reference draw
     counts[i] rows as scrambled Sobol replicates with seed seed + i
-    (wigner_sample with sobol=True) and transport them to t_star alone.
+    (wigner_sample with sobol=True); one propagate_ensembles call
+    transports every hbar's reference to t_star alone.
     """
     if len(counts) != len(hbars):
         raise ValueError(f"{len(counts)} sample counts for {len(hbars)} hbars")
@@ -576,11 +637,12 @@ def rate_sweep(model: FieldModel, state: PacketState, hbars, counts, dt: float,
                       (state.q, state.p, state.A_mat, state.B_mat))), dt, t_star)
     ensure_completed(ts, "semiclassical")
 
+    ests = propagate_ensembles(
+        [wigner_sample(state, hbar, seed=seed + i, N=counts[i], sobol=True)
+         for i, hbar in enumerate(hbars)],
+        model, dt, t_star, observables=("q", "p"), final_only=True)
     err_c, err_s, ses = [], [], []
-    for i, hbar in enumerate(hbars):
-        est = propagate_ensemble(
-            wigner_sample(state, hbar, seed=seed + i, N=counts[i], sobol=True),
-            model, dt, t_star, observables=("q", "p"), final_only=True)
+    for i, est in enumerate(ests):
         member = dynamics.Trajectory(ts.times, ClassicalPhasePoint(
             q=ts.states.q[:, i], p=ts.states.p[:, i]))
         err_c.append(phase_error(tc, est, t_star))

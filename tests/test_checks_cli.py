@@ -466,7 +466,7 @@ def test_converge_semiclassical_abort(tmp_path, capsys, monkeypatch):
 
     transports = []
     monkeypatch.setattr(gwpdyn.dynamics, "semiclassical_rhs", rhs)
-    monkeypatch.setattr(egorov, "propagate_ensemble",
+    monkeypatch.setattr(egorov, "propagate_ensembles",
                         lambda *args, **kwargs: transports.append(1))
     out = tmp_path / "conv.csv"
     assert cli.main(["converge", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
@@ -737,6 +737,28 @@ def test_python_m_gwpdyn(tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "checks passed" in proc.stdout
+
+
+def test_closed_stdout_ends_the_run_without_a_traceback(tmp_path):
+    # a reader that stops after two lines, as `| head -2` does, closes the
+    # pipe while simulate still has most of its 3001 rows to write
+    proc = subprocess.Popen([sys.executable, "-m", "gwpdyn", "simulate",
+                             "--potential", "cosine1d", "--q", "0.5", "--p=-1",
+                             "--A", "0", "--B", "1", "--hbar", "0.3", "--dt", "0.001",
+                             "--t-final", "3", "--out", "-"],
+                            env=_env_with_this_src(), cwd=tmp_path,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=300) != 0
+    finally:
+        proc.kill()
+        err = proc.stderr.read()
+        proc.stderr.close()
+    assert head[0].startswith(b"t,q1,p1,") and head[1].startswith(b"0,")
+    assert b"Traceback" not in err
+    assert err == b""
 
 
 def test_commands_import_no_scipy_stats(tmp_path):

@@ -163,6 +163,32 @@ def test_harmonic_means_follow_the_exact_flow():
     assert est.excluded == 0
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_sobol_means_follow_the_classical_center_on_a_quadratic_flow(d):
+    # a quadratic Hamiltonian's flow, and each RK4 step of it, is affine,
+    # so the mean of the rows moves as the classical packet center does;
+    # the 2D model has a uniform magnetic field and a non-unit mass
+    if d == 1:
+        model = _harmonic_1d()
+        state = make_packet_state([1.0], [0.0], [[0.0]], [[1.0]])
+    else:
+        model = quadratic_linear([[2.0, 0.3], [0.3, 1.0]], [0.1, -0.2], 0.5,
+                                 [[0.2, -0.7], [0.4, 0.1]], [0.3, 0.0], mass=1.5)
+        state = make_packet_state([0.4, -0.3], [0.2, 0.6], [[0.5, 0.1], [0.1, -0.2]],
+                                  [[1.2, 0.3], [0.3, 0.8]])
+    ens = wigner_sample(state, 0.1, seed=23, N=4000, sobol=True)
+    est = propagate_ensemble(ens, model, dt=0.01, t_final=3.0, observables=("q", "p"))
+    center = simulate(model, "classical", state, 0.1, 0.01, 3.0)
+    assert np.array_equal(est.times, center.times)
+    for t in (0, 75, 150, 225, 300):
+        for name, c in (("q", center.states.q[t]), ("p", center.states.p[t])):
+            se = est.ses[name][t]
+            assert np.all(se > 0)
+            assert np.all(np.abs(est.means[name][t] - c) < 4.0 * se), (name, t)
+    # the center moves by far more than the standard errors
+    assert np.linalg.norm(center.states.q[300] - center.states.q[0]) > 0.1
+
+
 def test_initial_energy_matches_packet_expectation(cos_model, bench_state_1d):
     hbar = 0.1
     ens = wigner_sample(bench_state_1d, hbar, seed=17, N=200_000)
@@ -432,6 +458,57 @@ def test_single_block_starts_no_process(monkeypatch, cos_model, bench_state_1d):
     assert est.n_samples == 500 and est.excluded == 0
 
 
+@pytest.mark.parametrize("chunk_size, counts", [
+    (None, [800, 800, 800]), (1000, [800, 2008, 4000])],
+    ids=["one-block-each", "mixed-block-counts"])
+def test_rate_sweep_forks_at_most_once_and_keeps_its_bits(chunk_size, counts,
+                                                          monkeypatch, quartic_model,
+                                                          bench_state_2d):
+    # every hbar's blocks share one pool, largest first (1000-row blocks of
+    # all three, then the 800- and 8-row ones), and each hbar's partial
+    # sums are still added in its block order: one worker and the default
+    # give the same bits
+    if chunk_size:
+        monkeypatch.setattr(egorov, "DEFAULT_CHUNK", chunk_size)
+    pools = []
+    real_pool = multiprocessing.context.BaseContext.Pool
+
+    def counting_pool(self, *args, **kwargs):
+        pools.append(args)
+        return real_pool(self, *args, **kwargs)
+
+    def sweep():
+        return egorov.rate_sweep(quartic_model, bench_state_2d, [0.5, 0.1, 0.05],
+                                 counts, 0.01, 0.05, seed=3)
+
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing.context.BaseContext, "Pool", counting_pool)
+        pooled = sweep()
+    assert len(pools) <= 1
+    if egorov._usable_cpus() > 1 and "fork" in multiprocessing.get_all_start_methods():
+        assert len(pools) == 1
+    monkeypatch.setattr(egorov, "MAX_WORKERS", 1)
+    _forbid_pool(monkeypatch)
+    serial = sweep()
+    for a, b in zip(pooled, serial):
+        assert _same_bits(np.array(a), np.array(b))
+
+
+def test_block_order_is_largest_first_and_stable(monkeypatch, bench_state_1d):
+    # full blocks of every ensemble in ensemble and block order, then the
+    # short last blocks by size
+    monkeypatch.setattr(egorov, "MAX_WORKERS", 1)
+    order = []
+    monkeypatch.setattr(egorov, "_transport_block",
+                        lambda job, i0: order.append((job.ensemble.n, i0)))
+    jobs = [egorov._Transport(wigner_sample(bench_state_1d, 0.1, seed=1, N=n),
+                              cosine_1d(), 0.01, 2, 0, ("q",), 700)
+            for n in (1500, 300, 2100, 650)]
+    assert [j for j, _ in egorov._block_results(jobs)] == [0, 0, 2, 2, 2, 3, 1, 0]
+    assert order == [(1500, 0), (1500, 700), (2100, 0), (2100, 700), (2100, 1400),
+                     (650, 0), (300, 0), (1500, 1400)]
+
+
 def _three_block_means(ens):
     est = propagate_ensemble(ens, cosine_1d(), dt=0.01, t_final=0.1)
     return est.means["q"], est.ses["q"]
@@ -559,9 +636,7 @@ def test_sobol_rows_are_independent_of_chunking(chunk_size, d):
 
 
 @pytest.mark.parametrize("N", [0, 2, 3, 1001])
-def test_paired_sampler_needs_two_whole_pairs(N, bench_state_1d):
-    # the name dates from the antithetic-pair rule; the same counts now
-    # break the replicate rule
+def test_sobol_counts_must_be_whole_replicates(N, bench_state_1d):
     with pytest.raises(ValueError, match=f"^sample counts must be positive multiples "
                                          f"of 8 .scrambled Sobol replicates., got {N}$"):
         wigner_sample(bench_state_1d, 0.1, seed=0, N=N, sobol=True)
@@ -592,25 +667,26 @@ def test_sobol_draws_take_packets_up_to_the_table_dimension(bench_state_1d):
 
 
 @pytest.mark.parametrize("chunk_size", [777, 1000])
-def test_rate_sweep_draws_antithetic_pairs(chunk_size, monkeypatch, quartic_model,
-                                           bench_state_2d):
-    # the name dates from the antithetic-pair reference these replicates
-    # replaced;
+def test_rate_sweep_draws_a_sobol_reference_per_hbar(chunk_size, monkeypatch,
+                                                     quartic_model, bench_state_2d):
     # hbar i's reference is the sobol draw with seed seed + i, bitwise,
-    # whatever the transport block size
+    # whatever the transport block size; one propagate_ensembles call
+    # transports them all
     hbars, counts, seed = [0.5, 0.1], [2008, 1600], 4
     refs = [wigner_sample(bench_state_2d, h, seed=seed + i, N=n, sobol=True).rows(0, n)
             for i, (h, n) in enumerate(zip(hbars, counts))]
     monkeypatch.setattr(egorov, "DEFAULT_CHUNK", chunk_size)
-    drawn = []
-    real = egorov.propagate_ensemble
+    calls = []
+    real = egorov.propagate_ensembles
 
-    def recording(ens, *args, **kwargs):
-        drawn.append(ens)
-        return real(ens, *args, **kwargs)
+    def recording(ensembles, *args, **kwargs):
+        calls.append(list(ensembles))
+        return real(ensembles, *args, **kwargs)
 
-    monkeypatch.setattr(egorov, "propagate_ensemble", recording)
+    monkeypatch.setattr(egorov, "propagate_ensembles", recording)
     egorov.rate_sweep(quartic_model, bench_state_2d, hbars, counts, 0.01, 0.05, seed)
+    assert len(calls) == 1
+    drawn = calls[0]
     assert [(ens.sobol, ens.seed, ens.n) for ens in drawn] == [
         (True, seed, counts[0]), (True, seed + 1, counts[1])]
     for ens, (rx, rxi) in zip(drawn, refs):
@@ -682,10 +758,8 @@ def test_transport_memory_does_not_grow_with_the_sample_count(
 
 
 
-def test_paired_standard_error_matches_the_spread_over_seeds(cos_model,
-                                                            bench_state_1d):
-    # the name dates from the antithetic-pair reference these replicates
-    # replaced;
+def test_replicate_standard_error_matches_the_spread_over_seeds(cos_model,
+                                                               bench_state_1d):
     # the standard error from replicate means describes how the mean
     # varies from seed to seed, and it is far below the standard error of
     # as many independent draws

@@ -9,7 +9,8 @@ stdout, stderr and every file the run wrote must be the same bytes.
 One line is printed per case; the exit code is 1 if any case differs.
 
 The cases cover `simulate` with every flavor on every bundled model, an
-aborted run, `egorov` and `converge` in 1D and 2D, `check`, and the
+aborted run, `egorov` and `converge` in 1D and 2D (one `converge` whose
+hbars each span several transport blocks), `check`, and the
 argvs of the benchmark's three workloads (read from NEW_TREE/bench).
 """
 
@@ -73,6 +74,11 @@ def cases(new_tree: Path) -> list[tuple[str, list[str], dict]]:
          ["converge", "--potential", "quartic2d", *STATE_2D, "--t-star", "2",
           "--dt", "0.01", "--hbars", "0.3,0.1,0.03", "--samples", "800,800,8000",
           "--seed", "8", "--out", "run.csv"], {}),
+        # every hbar spans several transport blocks (DEFAULT_CHUNK = 8192)
+        ("converge-quartic2d-multiblock",
+         ["converge", "--potential", "quartic2d", *STATE_2D, "--t-star", "1",
+          "--dt", "0.01", "--hbars", "0.3,0.1,0.03", "--samples", "20000,24000,40000",
+          "--seed", "9", "--out", "run.csv"], {}),
         ("check", ["check", "--samples", "2000", "--seed", "3"], {}),
     ]
     spec = importlib.util.spec_from_file_location("workloads",
