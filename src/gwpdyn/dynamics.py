@@ -39,9 +39,9 @@ same way, so a trajectory's monitors are computed once from its stacked
 states.  semiclassical_rhs evaluates each field callback once per call
 and hands the values to the |A|^2 calculus of DerivedSquares.  Where
 hessA, or grad_hess_trace_A, vanishes at every packet of a call (a
-linear A, as in a uniform magnetic field), the flow and its energy skip
-the terms it multiplies instead of forming them from zeros, which
-leaves every bit of the result.
+linear A, as in a uniform magnetic field), the flow skips the terms it
+multiplies instead of forming them from zeros, which leaves every bit
+of the result; the energy, evaluated once per trajectory, forms them.
 
 bracket_rhs evaluates the bracket by central finite differences of an
 arbitrary scalar function of the state and is the arbiter used to
@@ -128,21 +128,19 @@ def semiclassical_hamiltonian(state: PacketState, model: FieldModel, hbar: float
 
     Batched: q, p carry leading axes (..., d) and A_mat, B_mat
     (..., d, d); one value per state is returned.  Each field callback
-    is evaluated once, and the hessA terms are skipped, with the same
-    bits, when hessA vanishes at every state, as in semiclassical_rhs.
+    is evaluated once.
     """
     ds = DerivedSquares()
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
     a = np.asarray(model.A(q), dtype=float)
     ja = np.asarray(model.jacA(q), dtype=float)
-    ha = _unless_zero(np.asarray(model.hessA(q), dtype=float))
+    ha = np.asarray(model.hessA(q), dtype=float)
     # the width coupling A_w^2 + B^2 - DA^T A_w - A_w DA
     # - sum_k p_k hessA_k + hess|A|^2 / 2
     C = (Aw @ Aw + B @ B - np.swapaxes(ja, -1, -2) @ Aw - Aw @ ja
          + 0.5 * ds.hess_asq(a, ja, ha))
-    if ha is not None:
-        for k in range(q.shape[-1]):
-            C = C - p[..., k, None, None] * ha[..., k, :, :]
+    for k in range(q.shape[-1]):
+        C = C - p[..., k, None, None] * ha[..., k, :, :]
     Binv = np.linalg.inv(B)
     h0 = _h0(p, a, model.V(q), model.mass)
     tr_width = np.trace(Binv @ C, axis1=-2, axis2=-1)

@@ -39,23 +39,32 @@ views, which the batched classical_rhs keeps in the same memory layout.
 
 Blocks are independent, so one propagate_ensembles call schedules the
 blocks of all its ensembles together: rate_sweep hands it every hbar's
-reference at once.  The blocks are ordered by size, largest first (a
-stable sort, so each ensemble's full blocks keep block order and its
-short last block follows them), and handed to one pool of
+reference at once.  The call makes one transport plan (its ensembles,
+model, step, grid and observables), and a block is an (ensemble index,
+first row) pair, DEFAULT_CHUNK rows long or up to the ensemble's end.
+The blocks are ordered by size, largest first (a stable sort, so each
+ensemble's full blocks keep block order and its short last block
+follows them), and handed to one pool of
 W = min(MAX_WORKERS, usable CPUs, number of blocks) worker processes
 started with "fork", so no worker idles while another finishes a long
 tail, and small ensembles fill the gaps that large ones leave.  The
-model and the ensembles reach the workers through the fork itself (a
-FieldModel holds closures, which cannot be pickled), and only
-(ensemble, block start) pairs and per-block partial sums cross the
-pipes.  Each ensemble's partial sums are added into its totals in its
-block order as they arrive, exactly as a serial loop adds them, so
-results are bitwise independent of W and of the other ensembles of the
-call.  With one block in all, one usable CPU, no "fork" start method or a
-calling process that is itself a daemonic worker, the same block
-function runs in-process, in the same order.  A fork copies only the
-calling thread, so a caller whose other threads may hold locks should
-transport from a process of its own.
+plan reaches the workers through the fork itself (a FieldModel holds
+closures, which cannot be pickled), and only block pairs and per-block
+partial sums cross the pipes.
+
+Statistics are kept per unit, the rows whose mean is one observation:
+a replicate of a sobol ensemble, or all rows of independent draws.
+Every block returns one record, its units' sums and live counts and,
+for independent draws only, its samples' M2; the totals add them unit
+by unit, and only the final estimate picks the estimator.  Each
+ensemble's partial sums are added into its totals in its block order
+as they arrive, exactly as a serial loop adds them, so results are
+bitwise independent of W and of the other ensembles of the call.  With
+one block in all, one usable CPU, no "fork" start method or a calling
+process that is itself a daemonic worker, the same block function runs
+in-process, in the same order.  A fork copies only the calling thread,
+so a caller whose other threads may hold locks should transport from a
+process of its own.
 """
 
 from __future__ import annotations
@@ -330,142 +339,131 @@ def _observe(name: str, x, xi, model: FieldModel):
 
 @dataclass(frozen=True)
 class _Transport:
-    """What every block of one ensemble's transport shares."""
+    """What every block of one propagate_ensembles call shares."""
 
-    ensemble: PhaseEnsemble
+    ensembles: tuple
     model: FieldModel
     dt: float
     steps: int           # grid times, t = 0 included
     first: int           # first grid time reduced
     observables: tuple
-    chunk_size: int      # samples per block
-
-    def block_size(self, i0: int) -> int:
-        return min(self.chunk_size, self.ensemble.n - i0)
 
 
-def _transport_block(job: _Transport, i0: int):
-    """Draw the block of samples starting at i0, carry it through every
-    step and return its partial statistics, one row per each of the T
+def _moments(vals, live):
+    """Sums, live counts and M2 of vals over its last axis, M2 summing
+    the squared deviations of the live entries from their mean in a
+    second pass.  live (broadcast against vals; None when all are live)
+    marks the live entries; the others must be zero in vals."""
+    n = vals.shape[-1] if live is None else live.sum(axis=-1)
+    sums = vals.sum(axis=-1)
+    dev = vals - (sums / n)[..., None]
+    if live is not None:
+        dev = np.where(live, dev, 0.0)
+    return sums, n, (dev * dev).sum(axis=-1)
+
+
+def _transport_block(plan: _Transport, j: int, i0: int):
+    """Draw rows i0..min(i0 + DEFAULT_CHUNK, n) of ensemble j, carry them
+    through every step and return their partial statistics at the T
     reduced grid times, the C columns stacking the observables in order
-    (d for q or p, one for H0 or Lz).  A sample with a non-finite entry
-    at a reduced time is left out of them.  No mask is kept between
-    steps: RK4's y + h k leaves a non-finite entry non-finite.
-
-    For independent draws they are the (T, C) sums and M2 and the (T,)
-    live sample counts, M2 summing squared deviations from the block's own
-    mean, taken in a second pass.  For a sobol ensemble they are the
-    (T, C, P) sums of the P replicates the block meets, in place of M2 the
-    index of the first of them, that of row i0, and their (T, P) live
-    counts.
+    (d for q or p, one for H0 or Lz), for the P units the block meets:
+    (first unit, (T, C, P) sums, (T, P) live counts, M2), M2 being the
+    (T, C, 1) squared deviations from the block's own mean for
+    independent draws and None for a sobol ensemble.  A sample with a
+    non-finite entry at a reduced time is left out of them.  No mask is
+    kept between steps: RK4's y + h k leaves a non-finite entry non-finite.
     """
-    ens, model = job.ensemble, job.model
-    i1 = i0 + job.block_size(i0)
-    cuts = _replicate_cuts(ens.n, i0, i1) if ens.sobol else None
-    sums, m2, counts = [], [], []
+    ens, model = plan.ensembles[j], plan.model
+    i1 = min(i0 + DEFAULT_CHUNK, ens.n)
+    units = _replicate_cuts(ens.n, i0, i1) if ens.sobol else [(0, i0, i1)]
+    sums, counts, m2 = [], [], []
     x, xi = ens.rows(i0, i1)
     # runaway samples overflow; they are masked out, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(job.steps):
+        for t in range(plan.steps):
             if t > 0:
-                xs, xis = _classical_flow_step(x.T, xi.T, model, job.dt)
+                xs, xis = _classical_flow_step(x.T, xi.T, model, plan.dt)
                 x, xi = xs.T, xis.T
-            if t < job.first:
+            if t < plan.first:
                 continue
             # one pass over the block; the per-sample mask only on failure
             live = None
             if not (np.isfinite(x).all() and np.isfinite(xi).all()):
                 live = np.isfinite(x).all(axis=0) & np.isfinite(xi).all(axis=0)
             vals = np.vstack([_observe(name, x.T, xi.T, model).T
-                              for name in job.observables])
+                              for name in plan.observables])
             if live is not None:
                 vals = np.where(live, vals, 0.0)
-            if cuts:
+            if ens.sobol:
                 sums.append(np.stack([vals[:, a - i0:b - i0].sum(axis=1)
-                                      for _, a, b in cuts], axis=1))
+                                      for _, a, b in units], axis=1))
                 counts.append([b - a if live is None else int(live[a - i0:b - i0].sum())
-                               for _, a, b in cuts])
+                               for _, a, b in units])
                 continue
-            counts.append(x.shape[1] if live is None else int(live.sum()))
-            sums.append(vals.sum(axis=1))
-            dev = vals - (sums[-1] / counts[-1])[:, None]
-            if live is not None:
-                dev = np.where(live, dev, 0.0)
-            m2.append((dev * dev).sum(axis=1))
-    return np.array(sums), cuts[0][0] if cuts else np.array(m2), np.array(counts)
+            s, n, dev2 = _moments(vals, live)
+            sums.append(s[:, None])
+            counts.append([n])
+            m2.append(dev2[:, None])
+    return units[0][0], np.array(sums), np.array(counts), np.array(m2) if m2 else None
 
 
 class _Totals:
-    """One ensemble's statistics at the T reduced times and C columns,
-    summed over the partial sums of its blocks, which must be added in
-    block order (see propagate_ensembles)."""
+    """One ensemble's statistics at the T reduced times and C columns for
+    each of its units, summed over the partial statistics of its blocks,
+    which must be added in block order (see propagate_ensembles)."""
 
-    def __init__(self, sobol: bool, T: int, C: int):
-        self.sobol = sobol
-        if sobol:
-            self.sums = np.zeros((T, C, REPLICATES))
-            self.counts = np.zeros((T, REPLICATES), dtype=np.int64)
-        else:
-            self.sums, self.m2 = np.zeros((T, C)), np.zeros((T, C))
-            self.counts = np.zeros(T, dtype=np.int64)
+    def __init__(self, units: int, T: int, C: int):
+        self.sums, self.m2 = np.zeros((T, C, units)), np.zeros((T, C, units))
+        self.counts = np.zeros((T, units), dtype=np.int64)
 
     def add(self, part) -> None:
         """Add the partial statistics of the next block (_transport_block)."""
-        part_sums, r0_or_m2, part_counts = part
-        if self.sobol:
-            reps = slice(r0_or_m2, r0_or_m2 + part_counts.shape[1])
-            self.sums[:, :, reps] += part_sums
-            self.counts[:, reps] += part_counts
-            return
-        # Chan et al.: M2 += M2_b + delta^2 n_a n_b / (n_a + n_b)
-        sums, counts = self.sums, self.counts
-        weight = (counts * part_counts
-                  / np.maximum(counts + part_counts, 1))[:, None]
-        delta = np.where(weight > 0, part_sums / part_counts[:, None]
-                         - sums / counts[:, None], 0.0)
-        self.m2 += r0_or_m2 + delta * delta * weight
+        u0, part_sums, part_counts, part_m2 = part
+        units = slice(u0, u0 + part_counts.shape[1])
+        sums, counts = self.sums[:, :, units], self.counts[:, units]
+        if part_m2 is not None:
+            # Chan et al.: M2 += M2_b + delta^2 n_a n_b / (n_a + n_b)
+            weight = (counts * part_counts
+                      / np.maximum(counts + part_counts, 1))[:, None]
+            delta = np.where(weight > 0, part_sums / part_counts[:, None]
+                             - sums / counts[:, None], 0.0)
+            self.m2[:, :, units] += part_m2 + delta * delta * weight
         sums += part_sums
         counts += part_counts
 
     def estimate(self):
         """The (T, C) means and standard errors and the live sample count
-        at the last reduced time."""
-        if self.sobol:
-            sums, counts = self.sums, self.counts
+        at the last reduced time, from the merged M2 of one unit's samples
+        (independent draws) or else from the spread of the live units' means."""
+        counts = self.counts
+        one = counts.shape[1] == 1
+        if one:
+            sums, units, m2 = self.sums[..., 0], counts, self.m2[..., 0]
+        else:
             live = (counts > 0)[:, None, :]
-            units = live.sum(axis=2)
-            means = np.where(live, sums / np.maximum(counts, 1)[:, None, :], 0.0)
-            mean = means.sum(axis=2) / units
-            dev = np.where(live, means - mean[..., None], 0.0)
-            m2 = (dev * dev).sum(axis=2)
+            means = np.where(live, self.sums / np.maximum(counts, 1)[:, None, :], 0.0)
+            sums, units, m2 = _moments(means, live)
             # a replicate mean that overflowed leaves the spread unbounded:
             # inf, not the nan of inf - inf
             m2[~np.isfinite(means).all(axis=2)] = np.inf
-            alive = counts.sum(axis=1)
-        else:
-            m2, alive = self.m2, self.counts
-            units = alive[:, None]
-            mean = self.sums / units
         if np.any(units < 2):
-            raise ValueError(f"fewer than two surviving "
-                             f"{'replicates' if self.sobol else 'samples'}"
+            raise ValueError(f"fewer than two surviving {'samples' if one else 'replicates'}"
                              "; cannot form errors")
-        return mean, np.sqrt(m2 / (units - 1) / units), int(alive[-1])
+        return sums / units, np.sqrt(m2 / (units - 1) / units), int(counts[-1].sum())
 
 
-# The jobs a forked pool worker serves; set only in the worker, by the
+# The plan a forked pool worker serves; set only in the worker, by the
 # pool initializer, never in the calling process.
-_worker_jobs = None
+_worker_plan = None
 
 
-def _serve(jobs: list) -> None:
-    global _worker_jobs
-    _worker_jobs = jobs
+def _serve(plan: _Transport) -> None:
+    global _worker_plan
+    _worker_plan = plan
 
 
-def _pooled_block(task):
-    j, i0 = task
-    return _transport_block(_worker_jobs[j], i0)
+def _pooled_block(block):
+    return _transport_block(_worker_plan, *block)
 
 
 def _usable_cpus() -> int:
@@ -474,30 +472,30 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _block_results(jobs: list):
-    """Yield (j, _transport_block(jobs[j], i0)) for every block i0 of every
-    job j, largest blocks first and, among blocks of one size, in job and
-    block order, so each job's blocks come in block order.
+def _block_results(plan: _Transport):
+    """Yield (j, _transport_block(plan, j, i0)) for every block (j, i0),
+    largest first and, among blocks of one size, in ensemble and block
+    order, so each ensemble's blocks come in block order.
 
     The blocks run in one forked pool (see the module docstring) when that
     can use more than one worker, and in this process otherwise.
     """
-    tasks = sorted(((j, i0) for j, job in enumerate(jobs)
-                    for i0 in range(0, job.ensemble.n, job.chunk_size)),
-                   key=lambda task: -jobs[task[0]].block_size(task[1]))
-    workers = min(MAX_WORKERS, _usable_cpus(), len(tasks))
+    ns = [ens.n for ens in plan.ensembles]
+    blocks = sorted(((j, i0) for j, n in enumerate(ns) for i0 in range(0, n, DEFAULT_CHUNK)),
+                    key=lambda block: -min(DEFAULT_CHUNK, ns[block[0]] - block[1]))
+    workers = min(MAX_WORKERS, _usable_cpus(), len(blocks))
     if workers > 1:
         import multiprocessing
         # a daemonic process, such as a pool worker, may not have children
         if ("fork" in multiprocessing.get_all_start_methods()
                 and not multiprocessing.current_process().daemon):
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers, initializer=_serve, initargs=(jobs,)) as pool:
-                for (j, _), part in zip(tasks, pool.imap(_pooled_block, tasks)):
+            with ctx.Pool(workers, initializer=_serve, initargs=(plan,)) as pool:
+                for (j, _), part in zip(blocks, pool.imap(_pooled_block, blocks)):
                     yield j, part
             return
-    for j, i0 in tasks:
-        yield j, _transport_block(jobs[j], i0)
+    for j, i0 in blocks:
+        yield j, _transport_block(plan, j, i0)
 
 
 def propagate_ensembles(ensembles, model: FieldModel, dt: float, t_final: float,
@@ -539,7 +537,7 @@ def propagate_ensembles(ensembles, model: FieldModel, dt: float, t_final: float,
     """
     times = time_grid(dt, t_final)
     T = times.shape[0]
-    ensembles = list(ensembles)
+    ensembles = tuple(ensembles)
     for ensemble in ensembles:
         if ensemble.d != model.dim:
             raise ValueError(f"state has dimension {ensemble.d} but model "
@@ -558,12 +556,12 @@ def propagate_ensembles(ensembles, model: FieldModel, dt: float, t_final: float,
         C += d if name in ("q", "p") else 1
 
     first = T - 1 if final_only else 0
-    jobs = [_Transport(ensemble, model, dt, T, first, observables, DEFAULT_CHUNK)
-            for ensemble in ensembles]
-    totals = [_Totals(ensemble.sobol, T - first, C) for ensemble in ensembles]
+    plan = _Transport(ensembles, model, dt, T, first, observables)
+    totals = [_Totals(REPLICATES if ensemble.sobol else 1, T - first, C)
+              for ensemble in ensembles]
     # overflowed survivors make inf and nan statistics, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, part in _block_results(jobs):
+        for j, part in _block_results(plan):
             totals[j].add(part)
         stats = [t.estimate() for t in totals]
     return [EgorovEstimate(times=times[first:],

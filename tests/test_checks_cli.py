@@ -243,6 +243,28 @@ def test_dimension_mismatch_rejected(capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+BASE_1D = ["simulate", "--potential", "cosine1d", "--hbar", "0.1", "--t-final", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (BASE_1D + ["--q", "half", "--p=-1"], "q: expected comma-separated numbers"),
+    (BASE_1D + ["--q", "0.5", "--p=-1", "--B", "1,0"], "B: expected 1 entries"),
+    (SIM_1D[:-2] + ["--t-final", "soon"], "t_final: expected a number, got 'soon'"),
+    (["simulate", "--config", "{tmp}/absent.cfg"], "cannot read config file"),
+    (BASE_1D + ["--q", "0.5"], "'q' and/or 'p'"),
+    (BASE_1D + ["--q", "0.5", "--p", "1,0"], "q and p disagree on dimension (1 vs 2)"),
+    (BASE_1D + ["--q", "0.5", "--p=-1", "--model", "quantum"], "unknown model 'quantum'"),
+], ids=["q-not-numeric", "B-entry-count", "t-final-not-numeric", "config-unreadable",
+        "p-missing", "q-p-dimensions", "model-unknown"])
+def test_bad_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # CLI: egorov and converge
 

@@ -12,7 +12,8 @@ from gwpdyn.dynamics import (ClassicalPhasePoint, bracket_rhs,
                              rk4_integrate, rk4_step,
                              semiclassical_hamiltonian, semiclassical_rhs,
                              simulate, standard_monitors, time_grid)
-from gwpdyn.observables import (classical_angular_momentum,
+from gwpdyn.expectations import full_hamiltonian
+from gwpdyn.observables import (classical_angular_momentum, loglog_fit,
                                 semiclassical_angular_momentum)
 from gwpdyn.packet import PacketState, make_packet_state
 from gwpdyn.potentials import cosine_1d, quadratic_linear, quartic_rotational_2d
@@ -690,3 +691,32 @@ def test_trajectory_states_are_batched_states(flavor, cos_model, quartic_model,
         assert list(monitors) == list(traj.monitors)
         for name, fn in monitors.items():
             assert np.array_equal(fn(traj.states), traj.monitors[name]), name
+
+
+# ---------------------------------------------------------------------------
+# energy: Zhou's flow against the order-hbar flow, without Monte Carlo
+
+
+@pytest.mark.parametrize("model, state, dt, t_star", [
+    (cosine_1d(), "bench_state_1d", 0.01, 1.6),
+    (quartic_rotational_2d(), "bench_state_2d", 0.005, 2.0),
+], ids=["cosine1d", "quartic2d"])
+def test_energy_defect_separates_zhou_from_the_order_hbar_flow(model, state, dt,
+                                                               t_star, request):
+    # the quantum energy <H> of the packet is conserved by the Schroedinger
+    # flow; Zhou's flow keeps it to O(hbar), the order-hbar flow to O(hbar^2)
+    state = request.getfixturevalue(state)
+    hbars = [0.1, 0.05, 0.03, 0.01]
+    rates = {}
+    for flavor in ("zhou", "semiclassical"):
+        defects = []
+        for hbar in hbars:
+            traj = simulate(model, flavor, state, hbar, dt, t_star)
+            assert traj.completed
+            end = PacketState(*(y[-1] for y in (traj.states.q, traj.states.p,
+                                                 traj.states.A_mat, traj.states.B_mat)))
+            defects.append(abs(full_hamiltonian(end, model, hbar)
+                               - full_hamiltonian(state, model, hbar)))
+        rates[flavor] = loglog_fit(hbars, defects)[1]
+    assert rates["semiclassical"] >= 1.8, rates
+    assert rates["zhou"] <= 1.2, rates

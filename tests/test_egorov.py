@@ -498,13 +498,14 @@ def test_block_order_is_largest_first_and_stable(monkeypatch, bench_state_1d):
     # full blocks of every ensemble in ensemble and block order, then the
     # short last blocks by size
     monkeypatch.setattr(egorov, "MAX_WORKERS", 1)
+    monkeypatch.setattr(egorov, "DEFAULT_CHUNK", 700)
     order = []
     monkeypatch.setattr(egorov, "_transport_block",
-                        lambda job, i0: order.append((job.ensemble.n, i0)))
-    jobs = [egorov._Transport(wigner_sample(bench_state_1d, 0.1, seed=1, N=n),
-                              cosine_1d(), 0.01, 2, 0, ("q",), 700)
-            for n in (1500, 300, 2100, 650)]
-    assert [j for j, _ in egorov._block_results(jobs)] == [0, 0, 2, 2, 2, 3, 1, 0]
+                        lambda plan, j, i0: order.append((plan.ensembles[j].n, i0)))
+    plan = egorov._Transport(tuple(wigner_sample(bench_state_1d, 0.1, seed=1, N=n)
+                                   for n in (1500, 300, 2100, 650)),
+                             cosine_1d(), 0.01, 2, 0, ("q",))
+    assert [j for j, _ in egorov._block_results(plan)] == [0, 0, 2, 2, 2, 3, 1, 0]
     assert order == [(1500, 0), (1500, 700), (2100, 0), (2100, 700), (2100, 1400),
                      (650, 0), (300, 0), (1500, 1400)]
 

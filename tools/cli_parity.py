@@ -8,10 +8,11 @@ once with NEW_TREE/src on PYTHONPATH, each in a fresh empty directory
 stdout, stderr and every file the run wrote must be the same bytes.
 One line is printed per case; the exit code is 1 if any case differs.
 
-The cases cover `simulate` with every flavor on every bundled model, an
-aborted run, `egorov` and `converge` in 1D and 2D (one `converge` whose
-hbars each span several transport blocks), `check`, and the
-argvs of the benchmark's three workloads (read from NEW_TREE/bench).
+The cases cover `simulate` with every flavor on every bundled model, a
+run longer than one monitor slice, an aborted run, `egorov` and
+`converge` in 1D and 2D (one `converge` whose hbars each span several
+transport blocks), `check`, and the argvs of the benchmark's three
+workloads (read from NEW_TREE/bench).
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ def cases(new_tree: Path) -> list[tuple[str, list[str], dict]]:
         ("simulate-cosine1d-stdout",
          ["simulate", "--potential", "cosine1d", *STATE_1D, "--hbar", "0.3",
           "--dt", "0.02", "--t-final", "1"], {}),
+        # 5001 states, more than dynamics.MONITOR_BLOCK = 4096: the monitors
+        # are evaluated in slices
+        ("simulate-cosine1d-long",
+         ["simulate", "--model", "semiclassical", "--potential", "cosine1d", *STATE_1D,
+          "--hbar", "0.1", "--dt", "0.001", "--t-final", "5", "--out", "run.csv"], {}),
         # the order-hbar flow breaks down near t = 3.86 at hbar = 0.5: exit 3
         ("simulate-cosine1d-aborted",
          ["simulate", "--potential", "cosine1d", *STATE_1D, "--hbar", "0.5",
