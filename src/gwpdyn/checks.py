@@ -89,7 +89,8 @@ def run_check_suite(noether_model: FieldModel | None = None,
             failed.extend(rep.failed)
         results.append(_check(
             f"fd_cross_check[{name}]", not failed,
-            f"max relative deviation {worst:.2e} (tol 1e-6)"))
+            f"max relative deviation {worst:.2e} (tol 1e-6)"
+            + (f"; failed: {', '.join(dict.fromkeys(failed))}" if failed else "")))
 
     # --- hand-derived flow vs numerical bracket flow
     for name, model in models.items():

@@ -120,7 +120,7 @@ def _unless_zero(field_values):
 def classical_hamiltonian(z, model: FieldModel):
     """H0 = |p - A(q)|^2 / 2m + V(q) at phase points (packet or classical);
     q and p may carry leading batch axes (..., d)."""
-    return _h0(z.p, model.A(z.q), model.V(z.q), model.mass)
+    return _h0(z.p, *model.energy_fields(z.q), model.mass)
 
 
 def semiclassical_hamiltonian(state: PacketState, model: FieldModel, hbar: float):
@@ -159,27 +159,28 @@ def classical_rhs(z, model: FieldModel):
     Both outputs keep the memory layout of z.p, so a component-major
     block passed as its transposed (..., d) view stays component-major
     through an RK4 step.  p - A(q) is taken one component at a time,
-    because a batched A callback may return the other layout (np.stack
-    on the last axis does), and numpy subtracts mixed layouts row by
-    row.  DA^T v is accumulated from zero in the order of an einsum over
-    j, so a single point gets the same bits either way.  v is allocated
-    before A(q), A(q) is freed before the next allocations, and grad V(q)
-    is evaluated only after dp is allocated: in any other order glibc
-    trims and refaults the heap on every step of a 2D transport block.
+    because a batched A callback may return the other layout, and numpy
+    subtracts mixed layouts row by row.  DA^T v is accumulated from zero
+    in the order of an einsum over j, so a single point gets the same
+    bits either way.  The fields come from one model.flow_fields call,
+    so a model may evaluate them from shared work.  v and dp are
+    allocated before it, and A(q) is freed before the sums: in other
+    orders glibc trims and refaults the heap on many steps of a 2D
+    transport block.
     """
     v = np.empty_like(z.p, dtype=float)
-    a = np.asarray(model.A(z.q), dtype=float)
+    dp = np.zeros_like(v)
+    a, ja, grad_v = model.flow_fields(z.q)
+    a, ja = np.asarray(a, dtype=float), np.asarray(ja, dtype=float)
     d = z.p.shape[-1]
     for j in range(d):
         np.subtract(z.p[..., j], a[..., j], out=v[..., j])
     del a
-    ja = np.asarray(model.jacA(z.q), dtype=float)
-    dp = np.zeros_like(v)
     for i in range(d):
         for j in range(d):
             dp[..., i] += ja[..., j, i] * v[..., j]
     dp /= model.mass
-    dp -= np.asarray(model.gradV(z.q), dtype=float)
+    dp -= grad_v
     v /= model.mass
     return v, dp
 
@@ -218,16 +219,15 @@ def semiclassical_rhs(state: PacketState, model: FieldModel, hbar):
     ds = DerivedSquares()
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
     m, d = model.mass, state.d
-    a = np.asarray(model.A(q), dtype=float)
-    ja = np.asarray(model.jacA(q), dtype=float)
+    a, ja, grad_v = model.flow_fields(q)
+    a, ja = np.asarray(a, dtype=float), np.asarray(ja, dtype=float)
     ha = _unless_zero(np.asarray(model.hessA(q), dtype=float))
     jat = ja.swapaxes(-1, -2)
 
     # hbar^0: classical center and Riccati width lines
     v = p - a
     dq = v / m
-    dp = (np.einsum("...ji,...j->...i", ja, v) / m
-          - np.asarray(model.gradV(q), dtype=float))
+    dp = np.einsum("...ji,...j->...i", ja, v) / m - grad_v
     drive = jat @ Aw + Aw @ ja - 0.5 * ds.hess_asq(a, ja, ha)
     if ha is not None:
         p_ha = p[..., :, None, None] * ha

@@ -19,6 +19,14 @@ Every callback is batched: x has shape (..., d), M has shape
 (..., d, d) with the same leading axes, and the result carries those
 leading axes in front of the shapes above.  A single point is the case
 of no leading axes.
+
+A model may also supply SharedFields: the fields the classical flow and
+its energy read, (A, jacA, gradV) and (A, V), each set evaluated from
+shared work, as cosine_1d does from one cos x and one sin x.  The
+shared callbacks must return the bits of the single ones they stand for
+(fd_cross_check checks this), and FieldModel.flow_fields and
+energy_fields use them only while the model still holds those single
+callbacks, so replacing a single callback replaces what every caller sees.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import numpy as np
 
 __all__ = [
     "FieldModel",
+    "SharedFields",
     "DerivedSquares",
     "FdReport",
     "cosine_1d",
@@ -40,6 +49,19 @@ __all__ = [
     "fd_cross_check",
     "rotational_symmetry_check",
 ]
+
+
+@dataclass(frozen=True)
+class SharedFields:
+    """Field sets evaluated from shared work, and the single callbacks
+    whose values they return bit for bit."""
+
+    flow: Callable    # x -> (A(x), jacA(x), gradV(x))
+    energy: Callable  # x -> (A(x), V(x))
+    V: Callable
+    gradV: Callable
+    A: Callable
+    jacA: Callable
 
 
 @dataclass(frozen=True)
@@ -55,6 +77,30 @@ class FieldModel:
     hessA: Callable              # x -> (..., d, d, d)
     grad_hess_trace_V: Callable  # (x, M) -> (..., d)
     grad_hess_trace_A: Callable  # (x, M) -> (..., d, d)
+    shared: SharedFields | None = None
+
+    def _shared(self) -> SharedFields | None:
+        """self.shared while it stands for this model's own callbacks;
+        None once one was replaced (dataclasses.replace)."""
+        s = self.shared
+        if (s is not None and s.V is self.V and s.gradV is self.gradV
+                and s.A is self.A and s.jacA is self.jacA):
+            return s
+        return None
+
+    def flow_fields(self, x) -> tuple:
+        """(A(x), jacA(x), gradV(x)), the fields of the classical flow."""
+        s = self._shared()
+        if s is not None:
+            return s.flow(x)
+        return self.A(x), self.jacA(x), self.gradV(x)
+
+    def energy_fields(self, x) -> tuple:
+        """(A(x), V(x)), the fields of the classical energy."""
+        s = self._shared()
+        if s is not None:
+            return s.energy(x)
+        return self.A(x), self.V(x)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +111,10 @@ def cosine_1d() -> FieldModel:
     """1D benchmark: V(x) = 1 - cos(x)^2 / 2, A(x) = cos(x), unit mass.
 
     All derivatives are closed-form trigonometric expressions, which makes
-    this the standard smooth-but-nonlinear test case.
+    this the standard smooth-but-nonlinear test case.  The flow's fields
+    share one cos x and one sin x, the energy's one cos x (SharedFields);
+    gradV = sin x cos x is written as the shared flow forms it, so both
+    give the same bits.
     """
 
     def V(x):
@@ -75,7 +124,7 @@ def cosine_1d() -> FieldModel:
 
     def gradV(x):
         x = np.asarray(x, dtype=float)[..., 0]
-        return (0.5 * np.sin(2.0 * x))[..., None]
+        return (np.sin(x) * np.cos(x))[..., None]
 
     def hessV(x):
         x = np.asarray(x, dtype=float)[..., 0]
@@ -104,11 +153,22 @@ def cosine_1d() -> FieldModel:
         M = np.asarray(M, dtype=float)
         return (M[..., 0, 0] * np.sin(x))[..., None, None]
 
+    def flow(x):
+        x = np.asarray(x, dtype=float)[..., 0]
+        c, s = np.cos(x), np.sin(x)
+        return c[..., None], (-s)[..., None, None], (s * c)[..., None]
+
+    def energy(x):
+        x = np.asarray(x, dtype=float)[..., 0]
+        c = np.cos(x)
+        return c[..., None], 1.0 - 0.5 * (c * c)
+
     return FieldModel(
         name="cosine1d", dim=1, mass=1.0,
         V=V, gradV=gradV, hessV=hessV,
         A=A, jacA=jacA, hessA=hessA,
         grad_hess_trace_V=ghtV, grad_hess_trace_A=ghtA,
+        shared=SharedFields(flow=flow, energy=energy, V=V, gradV=gradV, A=A, jacA=jacA),
     )
 
 
@@ -137,7 +197,10 @@ def quartic_rotational_2d() -> FieldModel:
 
     def A(x):
         x = np.asarray(x, dtype=float)
-        return np.stack([-x[..., 1], x[..., 0]], axis=-1)
+        out = np.empty(x.shape)
+        np.negative(x[..., 1], out=out[..., 0])
+        out[..., 1] = x[..., 0]
+        return out
 
     def jacA(x):
         x = np.asarray(x, dtype=float)
@@ -337,7 +400,9 @@ def fd_cross_check(model: FieldModel, x, tol: float = 1e-6, M=None) -> FdReport:
     Each level is differenced against the level below it (gradV against V,
     hessV against gradV, and so on), which keeps all checks first-order
     central and well conditioned.  Deviations are maximum-entry errors
-    relative to max(1, |analytic|).
+    relative to max(1, |analytic|).  "shared_fields" compares flow_fields
+    and energy_fields with the single callbacks at x and at the points
+    differenced around it; it fails unless they give the same bits.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = model.dim
@@ -351,13 +416,11 @@ def fd_cross_check(model: FieldModel, x, tol: float = 1e-6, M=None) -> FdReport:
 
     h = np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.abs(x))
 
+    steps = [h[j] * np.eye(d)[j] for j in range(d)]
+
     def central(f, out_shape):
-        cols = []
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h[j]
-            cols.append((np.asarray(f(x + e), dtype=float)
-                         - np.asarray(f(x - e), dtype=float)) / (2.0 * h[j]))
+        cols = [(np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float))
+                / (2.0 * e[j]) for j, e in enumerate(steps)]
         return np.stack(cols, axis=-1).reshape(out_shape)
 
     devs = {}
@@ -375,7 +438,18 @@ def fd_cross_check(model: FieldModel, x, tol: float = 1e-6, M=None) -> FdReport:
     fd_gv = central(lambda y: np.sum(M * np.asarray(model.hessV(y))), (d,))
     devs["grad_hess_trace_V"] = _rel_dev(fd_gv, model.grad_hess_trace_V(x, M))
 
-    failed = tuple(name for name, dev in devs.items() if not dev <= tol)
+    pairs = []
+    for y in [x] + [y for e in steps for y in (x + e, x - e)]:
+        pairs += zip(model.flow_fields(y), (model.A(y), model.jacA(y), model.gradV(y)),
+                     strict=True)
+        pairs += zip(model.energy_fields(y), (model.A(y), model.V(y)), strict=True)
+    pairs = [(np.asarray(a, dtype=float), np.asarray(b, dtype=float)) for a, b in pairs]
+    devs["shared_fields"] = max(_rel_dev(a, b) if a.shape == b.shape else np.inf
+                                for a, b in pairs)
+    same_bits = all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
+
+    failed = tuple(name for name, dev in devs.items()
+                   if not dev <= tol or (name == "shared_fields" and not same_bits))
     return FdReport(deviations=devs, failed=failed)
 
 

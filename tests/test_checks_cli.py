@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gwpdyn
+import gwpdyn.checks
 import gwpdyn.dynamics
 from gwpdyn import cli, egorov
 from gwpdyn.checks import run_check_suite
@@ -708,6 +709,27 @@ def test_check_command_fails_on_broken_flow(monkeypatch, capsys):
     monkeypatch.setattr(gwpdyn.dynamics, "semiclassical_rhs", fake)
     assert cli.main(["check", "--samples", "5000"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_command_names_shared_fields_that_disagree(monkeypatch, capsys):
+    # cosine1d with a shared flow whose gradV is 0.5 sin 2x: the right
+    # derivative, but not the bits of the single gradV, sin x cos x
+    def model_with_wrong_flow():
+        model = cosine_1d()
+
+        def flow(x):
+            a, ja, _ = model.shared.flow(x)
+            return a, ja, 0.5 * np.sin(2.0 * np.asarray(x, dtype=float))
+
+        return dataclasses.replace(
+            model, shared=dataclasses.replace(model.shared, flow=flow))
+
+    monkeypatch.setattr(gwpdyn.checks, "cosine_1d", model_with_wrong_flow)
+    assert cli.main(["check", "--samples", "2000"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fd = next(line for line in lines if "fd_cross_check[cosine1d]" in line)
+    assert fd.startswith("FAIL") and fd.endswith("failed: shared_fields")
+    assert next(line for line in lines if "fd_cross_check[quartic2d]" in line).startswith("PASS")
 
 
 def _env_with_this_src():

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import cubic_gauge_2d, plane_wave_gauge_2d
+from gwpdyn.dynamics import ClassicalPhasePoint, classical_hamiltonian, classical_rhs
+from gwpdyn.egorov import propagate_ensemble, wigner_sample
+from gwpdyn.packet import make_packet_state
 from gwpdyn.potentials import (DerivedSquares, cosine_1d, fd_cross_check,
                                free_model, model_by_name, quadratic_linear,
                                quartic_rotational_2d, rotational_symmetry_check)
@@ -33,6 +36,61 @@ def test_fd_cross_check_flags_wrong_derivative(cos_model):
     report = fd_cross_check(broken, np.array([0.7]))
     assert not report.ok
     assert "gradV" in report.failed
+
+
+def test_fd_cross_check_flags_shared_fields_that_disagree(cos_model):
+    # a flow whose gradV is off in the last bits: every single callback is
+    # right, so only the shared comparison can notice
+    shared = cos_model.shared
+
+    def flow(x):
+        a, ja, grad_v = shared.flow(x)
+        return a, ja, grad_v * (1.0 + 4.0 * np.finfo(float).eps)
+
+    broken = dataclasses.replace(cos_model, shared=dataclasses.replace(shared, flow=flow))
+    report = fd_cross_check(broken, np.array([0.7]))
+    assert report.failed == ("shared_fields",)
+    assert 0.0 < report.deviations["shared_fields"] < 1e-12
+    assert fd_cross_check(cos_model, np.array([0.7])).deviations["shared_fields"] == 0.0
+
+
+def test_replaced_callback_is_what_the_flow_and_energy_call(cos_model):
+    calls = []
+
+    def A(x):
+        calls.append(np.shape(x))
+        return cos_model.A(x)
+
+    model = dataclasses.replace(cos_model, A=A)
+    z = ClassicalPhasePoint(np.array([[0.3], [-1.2]]), np.array([[1.0], [0.5]]))
+    assert np.array_equal(classical_rhs(z, model)[1], classical_rhs(z, cos_model)[1])
+    assert calls == [(2, 1)]
+    assert np.array_equal(classical_hamiltonian(z, model),
+                          classical_hamiltonian(z, cos_model))
+    assert calls == [(2, 1), (2, 1)]
+
+
+def test_one_cosine1d_block_counts_its_sin_and_cos_calls(cos_model, monkeypatch):
+    # one 50-step, 4000-row block reducing q, p and H0: two passes per
+    # classical_rhs (cos x, sin x), four per RK4 step, and one (cos x) per
+    # H0 observation at each of the 51 reduced times; 702 with one pass
+    # per single callback
+    calls = {"sin": 0, "cos": 0}
+
+    def counted(name):
+        ufunc = getattr(np, name)
+
+        def f(*args, **kwargs):
+            calls[name] += 1
+            return ufunc(*args, **kwargs)
+        return f
+
+    ens = wigner_sample(make_packet_state([0.5], [-1.0], [[0.0]], [[1.0]]), 0.1,
+                        seed=1, N=4000)
+    for name in calls:
+        monkeypatch.setattr(np, name, counted(name))
+    propagate_ensemble(ens, cos_model, dt=0.01, t_final=0.5, observables=("q", "p", "H0"))
+    assert calls == {"sin": 200, "cos": 251}
 
 
 def test_fd_cross_check_random_weight_matrix(curved_gauge_model):
@@ -230,6 +288,16 @@ def test_batched_callbacks_equal_stacked_single_points(builder):
         single = np.stack([np.asarray(f(x, M)) for x, M in zip(xs, Ms)])
         assert batched.shape == (n,) + shapes[name], name
         assert np.array_equal(batched, single), name
+    # the field sets of the flow and the energy are the single callbacks'
+    # bits, on single points and on stacks, shared or not
+    for method, names in ((model.flow_fields, ("A", "jacA", "gradV")),
+                          (model.energy_fields, ("A", "V"))):
+        for pts in [xs] + list(xs):
+            for name, value in zip(names, method(pts), strict=True):
+                expected = np.asarray(calls[name](pts, None))
+                value = np.asarray(value)
+                assert value.shape == expected.shape, name
+                assert value.tobytes() == expected.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

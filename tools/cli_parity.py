@@ -7,6 +7,9 @@ once with NEW_TREE/src on PYTHONPATH, each in a fresh empty directory
 (holding only the case's config file, if it has one).  The exit code,
 stdout, stderr and every file the run wrote must be the same bytes.
 One line is printed per case; the exit code is 1 if any case differs.
+For stdout and each .csv file that differs, the line also says how many
+of its numeric cells differ and their largest relative difference, so a
+move of the last bits reads apart from a changed result.
 
 The cases cover `simulate` with every flavor on every bundled model, a
 run longer than one monitor slice, an aborted run, `egorov` and
@@ -113,13 +116,46 @@ def run(tree: Path, argv: list[str], files: dict) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr, written
 
 
+def cell_diff(x: bytes, y: bytes) -> str:
+    """How many numeric cells of two comma-separated texts differ, and
+    their largest relative difference |a - b| / max(|a|, |b|); or why the
+    texts cannot be compared cell by cell."""
+    rows_x = [line.split(",") for line in x.decode().splitlines()]
+    rows_y = [line.split(",") for line in y.decode().splitlines()]
+    if [len(r) for r in rows_x] != [len(r) for r in rows_y]:
+        return "other rows or columns"
+    numeric = differing = other = 0
+    worst = 0.0
+    for row_x, row_y in zip(rows_x, rows_y):
+        for cx, cy in zip(row_x, row_y):
+            try:
+                a, b = float(cx), float(cy)
+            except ValueError:
+                other += cx != cy
+                continue
+            numeric += 1
+            if cx != cy:
+                differing += 1
+                scale = max(abs(a), abs(b))
+                rel = abs(a - b) / scale if scale else 0.0
+                worst = max(worst, rel if rel == rel else float("inf"))
+    text = f"{differing}/{numeric} numeric cells, max rel {worst:.2g}"
+    return text + (f", {other} other cells" if other else "")
+
+
 def compare(old: Path, new: Path, case) -> tuple[str, list[str]]:
     name, argv, files = case
     a, b = run(old, argv, files), run(new, argv, files)
     diffs = [part for part, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
+    if "stdout" in diffs:
+        diffs[diffs.index("stdout")] = f"stdout ({cell_diff(a[1], b[1])})"
     for path in sorted(set(a[3]) | set(b[3])):
-        if a[3].get(path) != b[3].get(path):
-            diffs.append(path)
+        x, y = a[3].get(path), b[3].get(path)
+        if x == y:
+            continue
+        if path.endswith(".csv") and x is not None and y is not None:
+            path += f" ({cell_diff(x, y)})"
+        diffs.append(path)
     return name, [f"exit {a[0]}, {len(a[3])} files"] + diffs
 
 
