@@ -19,7 +19,7 @@ from .observables import (classical_angular_momentum, diamond, loglog_fit,
                           semiclassical_angular_momentum)
 from .packet import (PacketState, WavePacketFull, evaluate_packet,
                      make_packet_state, normalization_delta, normalized_packet)
-from .potentials import (DerivedSquares, FieldModel, SharedFields, cosine_1d,
+from .potentials import (DerivedSquares, FieldModel, cosine_1d,
                          fd_cross_check, free_model, model_by_name,
                          quadratic_linear, quartic_rotational_2d,
                          rotational_symmetry_check)
@@ -39,7 +39,7 @@ __all__ = [
     "loglog_fit", "semiclassical_angular_momentum",
     "PacketState", "WavePacketFull", "evaluate_packet",
     "make_packet_state", "normalization_delta", "normalized_packet",
-    "DerivedSquares", "FieldModel", "SharedFields", "cosine_1d", "fd_cross_check",
+    "DerivedSquares", "FieldModel", "cosine_1d", "fd_cross_check",
     "free_model", "model_by_name", "quadratic_linear",
     "quartic_rotational_2d", "rotational_symmetry_check",
     "__version__",

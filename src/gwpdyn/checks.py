@@ -17,9 +17,8 @@ import numpy as np
 from . import dynamics, egorov
 from .expectations import DEFAULT_NODES, QuadratureRule, full_hamiltonian
 from .packet import PacketState, make_packet_state
-from .potentials import (FieldModel, _rel_dev, cosine_1d, fd_cross_check,
-                         quadratic_linear, quartic_rotational_2d,
-                         rotational_symmetry_check)
+from .potentials import (_rel_dev, cosine_1d, fd_cross_check, quadratic_linear,
+                         quartic_rotational_2d, rotational_symmetry_check)
 
 __all__ = ["CheckResult", "run_check_suite", "random_state", "rel_field_dev"]
 
@@ -59,16 +58,13 @@ def _check(name, passed, detail) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def run_check_suite(noether_model: FieldModel | None = None,
-                    egorov_samples: int = 20_000,
-                    seed: int = 0) -> list[CheckResult]:
-    """Run all consistency checks; `noether_model` overrides the
-    rotation-equivariant model used by the conservation checks (used by
-    the test suite to verify the suite catches broken physics).  Fewer
-    than two egorov_samples, or a sampler seed (seed + 1) or count that
+def run_check_suite(egorov_samples: int = 20_000, seed: int = 0) -> list[CheckResult]:
+    """Run all consistency checks.  Fewer than two egorov_samples, a seed
+    whose sampler key seed + 1 is no Philox key, or a count that
     wigner_sample refuses, is a ValueError before any check."""
     if egorov_samples < 2:
         raise ValueError("samples must be >= 2 (a standard error needs two samples)")
+    egorov._check_seed(seed, offset=1)
     # the sampler check's ensemble is a recipe, made first so that a bad
     # seed or count is refused before any check runs
     stw = make_packet_state([0.3, -0.2], [0.4, 1.0],
@@ -139,14 +135,13 @@ def run_check_suite(noether_model: FieldModel | None = None,
         f"relative Hhbar drift {drift:.2e} over [0, 3] at dt=0.01 (tol 1e-7)"))
 
     # --- rotational symmetry and angular-momentum conservation, 2D
-    model_r = noether_model if noether_model is not None else models["quartic2d"]
     th = 0.7
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    sym_ok = all(rotational_symmetry_check(model_r, R, rng.uniform(-1.0, 1.0, 2))
+    sym_ok = all(rotational_symmetry_check(models["quartic2d"], R, rng.uniform(-1.0, 1.0, 2))
                  for _ in range(3))
     st2 = make_packet_state([0.5, 0.0], [0.0, 0.5],
                             [[0.3, -0.2], [-0.2, 0.1]], [[1.0, 0.2], [0.2, 1.0]])
-    traj2 = dynamics.simulate(model_r, "semiclassical", st2,
+    traj2 = dynamics.simulate(models["quartic2d"], "semiclassical", st2,
                               hbar=0.1, dt=0.01, t_final=10.0)
     j = traj2.monitors["J12"]
     h2 = traj2.monitors["Hhbar"]

@@ -132,8 +132,8 @@ def semiclassical_hamiltonian(state: PacketState, model: FieldModel, hbar: float
     """
     ds = DerivedSquares()
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
-    a = np.asarray(model.A(q), dtype=float)
-    ja = np.asarray(model.jacA(q), dtype=float)
+    a, ja, _ = model.flow_fields(q)
+    a, ja = np.asarray(a, dtype=float), np.asarray(ja, dtype=float)
     ha = np.asarray(model.hessA(q), dtype=float)
     # the width coupling A_w^2 + B^2 - DA^T A_w - A_w DA
     # - sum_k p_k hessA_k + hess|A|^2 / 2
@@ -142,7 +142,7 @@ def semiclassical_hamiltonian(state: PacketState, model: FieldModel, hbar: float
     for k in range(q.shape[-1]):
         C = C - p[..., k, None, None] * ha[..., k, :, :]
     Binv = np.linalg.inv(B)
-    h0 = _h0(p, a, model.V(q), model.mass)
+    h0 = _h0(p, a, model.energy_fields(q)[1], model.mass)
     tr_width = np.trace(Binv @ C, axis1=-2, axis2=-1)
     tr_v = np.trace(Binv @ np.asarray(model.hessV(q), dtype=float), axis1=-2, axis2=-1)
     return h0 + 0.25 * hbar * (tr_width / model.mass + tr_v)
@@ -162,11 +162,10 @@ def classical_rhs(z, model: FieldModel):
     because a batched A callback may return the other layout, and numpy
     subtracts mixed layouts row by row.  DA^T v is accumulated from zero
     in the order of an einsum over j, so a single point gets the same
-    bits either way.  The fields come from one model.flow_fields call,
-    so a model may evaluate them from shared work.  v and dp are
-    allocated before it, and A(q) is freed before the sums: in other
-    orders glibc trims and refaults the heap on many steps of a 2D
-    transport block.
+    bits either way.  The fields come from one model.flow_fields call;
+    v and dp are allocated before it, and A(q) is freed before the sums:
+    in other orders glibc trims and refaults the heap on many steps of a
+    2D transport block.
     """
     v = np.empty_like(z.p, dtype=float)
     dp = np.zeros_like(v)

@@ -281,11 +281,21 @@ class EgorovEstimate:
     excluded: int
 
 
-def _check_draw(hbar: float, n: int, sobol: bool, seed: int, d: int) -> None:
+def _check_seed(seed: int, offset: int = 0) -> None:
+    """ValueError unless seed >= 0 and seed + offset is a Philox key, in
+    [0, 2**128).  The message names seed, the value the caller gave, and
+    the offset of the key that overflows."""
+    if not 0 <= seed < 2 ** 128 - offset:
+        limit = f"2**128 - {offset} (a draw takes key seed + {offset})" if offset else "2**128"
+        raise ValueError(f"seed must be nonnegative and below {limit}, got {seed}")
+
+
+def _check_draw(hbar: float, n: int, sobol: bool, seed: int, d: int,
+                offset: int = 0) -> None:
     """ValueError unless hbar > 0 is finite, n rows of a d-dimensional
     packet make an ensemble (1 to MAX_SAMPLES rows, and if sobol a
-    positive multiple of REPLICATES and d at most SOBOL_MAX_D) and seed is
-    a Philox key, in [0, 2**128)."""
+    positive multiple of REPLICATES and d at most SOBOL_MAX_D) and
+    seed + offset is a Philox key (see _check_seed)."""
     if sobol and (n < REPLICATES or n % REPLICATES):
         raise ValueError(f"sample counts must be positive multiples of {REPLICATES} "
                          f"(scrambled Sobol replicates), got {n}")
@@ -299,8 +309,7 @@ def _check_draw(hbar: float, n: int, sobol: bool, seed: int, d: int) -> None:
                          f"{MAX_SAMPLES} samples")
     if not (np.isfinite(hbar) and hbar > 0.0):
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
-    if not 0 <= seed < 2 ** 128:
-        raise ValueError(f"seed must be nonnegative and below 2**128, got {seed}")
+    _check_seed(seed, offset)
 
 
 def wigner_sample(state0: PacketState, hbar: float, seed: int,
@@ -617,8 +626,9 @@ def rate_sweep(model: FieldModel, state: PacketState, hbars, counts, dt: float,
     """
     if len(counts) != len(hbars):
         raise ValueError(f"{len(counts)} sample counts for {len(hbars)} hbars")
-    for i, (hbar, n) in enumerate(zip(hbars, counts)):
-        _check_draw(hbar, n, sobol=True, seed=seed + i, d=state.d)
+    for hbar, n in zip(hbars, counts):
+        # the last hbar's key, seed + len(hbars) - 1, bounds the seed
+        _check_draw(hbar, n, sobol=True, seed=seed, d=state.d, offset=len(hbars) - 1)
 
     def ensure_completed(traj, label):
         if not traj.completed:

@@ -115,9 +115,10 @@ def full_hamiltonian(state: PacketState, model: FieldModel, hbar: float,
         rule = QuadratureRule(DEFAULT_NODES, d=state.d)
     pts, w = rule.points_and_weights(state.q, B, hbar)
 
-    a_vals = np.asarray(model.A(pts), dtype=float)                 # (n, d)
-    ja_vals = np.asarray(model.jacA(pts), dtype=float)             # (n, d, d)
-    v_vals = np.asarray(model.V(pts), dtype=float)                 # (n,)
+    a_vals, ja_vals, _ = model.flow_fields(pts)
+    a_vals = np.asarray(a_vals, dtype=float)                       # (n, d)
+    ja_vals = np.asarray(ja_vals, dtype=float)                     # (n, d, d)
+    v_vals = np.asarray(model.energy_fields(pts)[1], dtype=float)  # (n,)
 
     kinetic = float(p @ p) / (2.0 * m)
     width = hbar / (4.0 * m) * float(np.trace(Binv @ (Aw @ Aw + B @ B)))

@@ -1,15 +1,22 @@
 """Scalar/vector potential models and their analytic derivatives.
 
 A FieldModel bundles the data of a charged-particle Hamiltonian
-(1/2m)|p - A(x)|^2 + V(x): the mass, the scalar potential V with its
-gradient and Hessian, the vector potential A with its Jacobian and
-Hessian, and the gradients of the Hessian traces
+(1/2m)|p - A(x)|^2 + V(x): the mass, the fields the classical flow and
+its energy read, as two sets
+
+    flow_fields(x) = (A(x), jacA(x), gradV(x)),    energy_fields(x) = (A(x), V(x)),
+
+the Hessians of V and A, and the gradients of the Hessian traces
 
     x -> grad Tr(M hessV(x)),    x -> grad Tr(M hessA_k(x))
 
 for a symmetric weight matrix M (these show up wherever an hbar-order
-Laplace correction is differentiated with respect to the center).
-Conventions:
+Laplace correction is differentiated with respect to the center).  A
+model evaluates each set in one call, so its entries may reuse each
+other's work (cosine_1d's flow fields take one cos x and one sin x);
+the A of both sets must have the same bits, which fd_cross_check
+checks.  V, gradV, A and jacA are read-only methods that return one
+entry of a set (model.A(x) is model.flow_fields(x)[0]).  Conventions:
 
   * jacA(x)[i, j] = dA_i/dx_j
   * hessA(x)[k, i, j] = d^2 A_k / dx_i dx_j
@@ -19,14 +26,6 @@ Every callback is batched: x has shape (..., d), M has shape
 (..., d, d) with the same leading axes, and the result carries those
 leading axes in front of the shapes above.  A single point is the case
 of no leading axes.
-
-A model may also supply SharedFields: the fields the classical flow and
-its energy read, (A, jacA, gradV) and (A, V), each set evaluated from
-shared work, as cosine_1d does from one cos x and one sin x.  The
-shared callbacks must return the bits of the single ones they stand for
-(fd_cross_check checks this), and FieldModel.flow_fields and
-energy_fields use them only while the model still holds those single
-callbacks, so replacing a single callback replaces what every caller sees.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import numpy as np
 
 __all__ = [
     "FieldModel",
-    "SharedFields",
     "DerivedSquares",
     "FdReport",
     "cosine_1d",
@@ -52,55 +50,30 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SharedFields:
-    """Field sets evaluated from shared work, and the single callbacks
-    whose values they return bit for bit."""
-
-    flow: Callable    # x -> (A(x), jacA(x), gradV(x))
-    energy: Callable  # x -> (A(x), V(x))
-    V: Callable
-    gradV: Callable
-    A: Callable
-    jacA: Callable
-
-
-@dataclass(frozen=True)
 class FieldModel:
     name: str
     dim: int
     mass: float
-    V: Callable
-    gradV: Callable
-    hessV: Callable
-    A: Callable
-    jacA: Callable
+    flow_fields: Callable        # x -> (A(x), jacA(x), gradV(x))
+    energy_fields: Callable      # x -> (A(x), V(x))
+    hessV: Callable              # x -> (..., d, d)
     hessA: Callable              # x -> (..., d, d, d)
     grad_hess_trace_V: Callable  # (x, M) -> (..., d)
     grad_hess_trace_A: Callable  # (x, M) -> (..., d, d)
-    shared: SharedFields | None = None
 
-    def _shared(self) -> SharedFields | None:
-        """self.shared while it stands for this model's own callbacks;
-        None once one was replaced (dataclasses.replace)."""
-        s = self.shared
-        if (s is not None and s.V is self.V and s.gradV is self.gradV
-                and s.A is self.A and s.jacA is self.jacA):
-            return s
-        return None
+    # one entry of a set each, so there is no second implementation of
+    # a field; to change a field, replace the set
+    def V(self, x):
+        return self.energy_fields(x)[1]
 
-    def flow_fields(self, x) -> tuple:
-        """(A(x), jacA(x), gradV(x)), the fields of the classical flow."""
-        s = self._shared()
-        if s is not None:
-            return s.flow(x)
-        return self.A(x), self.jacA(x), self.gradV(x)
+    def gradV(self, x):
+        return self.flow_fields(x)[2]
 
-    def energy_fields(self, x) -> tuple:
-        """(A(x), V(x)), the fields of the classical energy."""
-        s = self._shared()
-        if s is not None:
-            return s.energy(x)
-        return self.A(x), self.V(x)
+    def A(self, x):
+        return self.flow_fields(x)[0]
+
+    def jacA(self, x):
+        return self.flow_fields(x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -112,31 +85,23 @@ def cosine_1d() -> FieldModel:
 
     All derivatives are closed-form trigonometric expressions, which makes
     this the standard smooth-but-nonlinear test case.  The flow's fields
-    share one cos x and one sin x, the energy's one cos x (SharedFields);
-    gradV = sin x cos x is written as the shared flow forms it, so both
-    give the same bits.
+    come from one cos x and one sin x (gradV = sin x cos x), the energy's
+    from one cos x.
     """
 
-    def V(x):
+    def flow_fields(x):
+        x = np.asarray(x, dtype=float)[..., 0]
+        c, s = np.cos(x), np.sin(x)
+        return c[..., None], (-s)[..., None, None], (s * c)[..., None]
+
+    def energy_fields(x):
         x = np.asarray(x, dtype=float)[..., 0]
         c = np.cos(x)
-        return 1.0 - 0.5 * (c * c)
-
-    def gradV(x):
-        x = np.asarray(x, dtype=float)[..., 0]
-        return (np.sin(x) * np.cos(x))[..., None]
+        return c[..., None], 1.0 - 0.5 * (c * c)
 
     def hessV(x):
         x = np.asarray(x, dtype=float)[..., 0]
         return np.asarray(np.cos(2.0 * x))[..., None, None]
-
-    def A(x):
-        x = np.asarray(x, dtype=float)[..., 0]
-        return np.cos(x)[..., None]
-
-    def jacA(x):
-        x = np.asarray(x, dtype=float)[..., 0]
-        return (-np.sin(x))[..., None, None]
 
     def hessA(x):
         x = np.asarray(x, dtype=float)[..., 0]
@@ -153,22 +118,11 @@ def cosine_1d() -> FieldModel:
         M = np.asarray(M, dtype=float)
         return (M[..., 0, 0] * np.sin(x))[..., None, None]
 
-    def flow(x):
-        x = np.asarray(x, dtype=float)[..., 0]
-        c, s = np.cos(x), np.sin(x)
-        return c[..., None], (-s)[..., None, None], (s * c)[..., None]
-
-    def energy(x):
-        x = np.asarray(x, dtype=float)[..., 0]
-        c = np.cos(x)
-        return c[..., None], 1.0 - 0.5 * (c * c)
-
     return FieldModel(
         name="cosine1d", dim=1, mass=1.0,
-        V=V, gradV=gradV, hessV=hessV,
-        A=A, jacA=jacA, hessA=hessA,
+        flow_fields=flow_fields, energy_fields=energy_fields,
+        hessV=hessV, hessA=hessA,
         grad_hess_trace_V=ghtV, grad_hess_trace_A=ghtA,
-        shared=SharedFields(flow=flow, energy=energy, V=V, gradV=gradV, A=A, jacA=jacA),
     )
 
 
@@ -222,8 +176,9 @@ def quartic_rotational_2d() -> FieldModel:
 
     return FieldModel(
         name="quartic2d", dim=2, mass=1.0,
-        V=V, gradV=gradV, hessV=hessV,
-        A=A, jacA=jacA, hessA=hessA,
+        flow_fields=lambda x: (A(x), jacA(x), gradV(x)),
+        energy_fields=lambda x: (A(x), V(x)),
+        hessV=hessV, hessA=hessA,
         grad_hess_trace_V=ghtV, grad_hess_trace_A=ghtA,
     )
 
@@ -284,8 +239,9 @@ def quadratic_linear(K, b, c, M0, a0, mass: float = 1.0) -> FieldModel:
 
     return FieldModel(
         name="quadratic", dim=d, mass=mass,
-        V=V, gradV=gradV, hessV=hessV,
-        A=A, jacA=jacA, hessA=hessA,
+        flow_fields=lambda x: (A(x), jacA(x), gradV(x)),
+        energy_fields=lambda x: (A(x), V(x)),
+        hessV=hessV, hessA=hessA,
         grad_hess_trace_V=ghtV, grad_hess_trace_A=ghtA,
     )
 
@@ -400,8 +356,8 @@ def fd_cross_check(model: FieldModel, x, tol: float = 1e-6, M=None) -> FdReport:
     Each level is differenced against the level below it (gradV against V,
     hessV against gradV, and so on), which keeps all checks first-order
     central and well conditioned.  Deviations are maximum-entry errors
-    relative to max(1, |analytic|).  "shared_fields" compares flow_fields
-    and energy_fields with the single callbacks at x and at the points
+    relative to max(1, |analytic|).  "field_sets" compares the A of
+    flow_fields with the A of energy_fields at x and at the points
     differenced around it; it fails unless they give the same bits.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -438,18 +394,15 @@ def fd_cross_check(model: FieldModel, x, tol: float = 1e-6, M=None) -> FdReport:
     fd_gv = central(lambda y: np.sum(M * np.asarray(model.hessV(y))), (d,))
     devs["grad_hess_trace_V"] = _rel_dev(fd_gv, model.grad_hess_trace_V(x, M))
 
-    pairs = []
-    for y in [x] + [y for e in steps for y in (x + e, x - e)]:
-        pairs += zip(model.flow_fields(y), (model.A(y), model.jacA(y), model.gradV(y)),
-                     strict=True)
-        pairs += zip(model.energy_fields(y), (model.A(y), model.V(y)), strict=True)
-    pairs = [(np.asarray(a, dtype=float), np.asarray(b, dtype=float)) for a, b in pairs]
-    devs["shared_fields"] = max(_rel_dev(a, b) if a.shape == b.shape else np.inf
-                                for a, b in pairs)
+    pairs = [(np.asarray(model.flow_fields(y)[0], dtype=float),
+              np.asarray(model.energy_fields(y)[0], dtype=float))
+             for y in [x] + [y for e in steps for y in (x + e, x - e)]]
+    devs["field_sets"] = max(_rel_dev(a, b) if a.shape == b.shape else np.inf
+                             for a, b in pairs)
     same_bits = all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
 
     failed = tuple(name for name, dev in devs.items()
-                   if not dev <= tol or (name == "shared_fields" and not same_bits))
+                   if not dev <= tol or (name == "field_sets" and not same_bits))
     return FdReport(deviations=devs, failed=failed)
 
 

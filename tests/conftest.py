@@ -74,6 +74,22 @@ def bench_state_2d():
                              [[1.0, 0.5], [0.5, 1.0]])
 
 
+def tilted(model: FieldModel) -> FieldModel:
+    """The model with V + x1 (and gradV + e1): a linear tilt that breaks
+    any rotation symmetry."""
+    e1 = np.eye(model.dim)[0]
+
+    def flow_fields(x):
+        a, ja, grad_v = model.flow_fields(x)
+        return a, ja, grad_v + e1
+
+    def energy_fields(x):
+        a, v = model.energy_fields(x)
+        return a, v + np.asarray(x)[..., 0]
+
+    return dataclasses.replace(model, flow_fields=flow_fields, energy_fields=energy_fields)
+
+
 def plane_wave_gauge_2d(mass: float = 1.3) -> FieldModel:
     """Synthetic 2D model with genuinely curved vector potential.
 
@@ -132,8 +148,9 @@ def plane_wave_gauge_2d(mass: float = 1.3) -> FieldModel:
 
     return FieldModel(
         name="planewave2d", dim=2, mass=mass,
-        V=V, gradV=gradV, hessV=hessV,
-        A=A, jacA=jacA, hessA=hessA,
+        flow_fields=lambda x: (A(x), jacA(x), gradV(x)),
+        energy_fields=lambda x: (A(x), V(x)),
+        hessV=hessV, hessA=hessA,
         grad_hess_trace_V=ghtV, grad_hess_trace_A=ghtA,
     )
 
@@ -191,8 +208,9 @@ def cubic_gauge_2d(mass: float = 0.7) -> FieldModel:
 
     return FieldModel(
         name="cubic2d", dim=2, mass=mass,
-        V=V, gradV=gradV, hessV=hessV,
-        A=A, jacA=jacA, hessA=hessA,
+        flow_fields=lambda x: (A(x), jacA(x), gradV(x)),
+        energy_fields=lambda x: (A(x), V(x)),
+        hessV=hessV, hessA=hessA,
         grad_hess_trace_V=ghtV, grad_hess_trace_A=ghtA,
     )
 

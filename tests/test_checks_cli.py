@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import tilted
 import gwpdyn
 import gwpdyn.checks
 import gwpdyn.dynamics
@@ -17,7 +18,7 @@ from gwpdyn import cli, egorov
 from gwpdyn.checks import run_check_suite
 from gwpdyn.dynamics import semiclassical_rhs, simulate
 from gwpdyn.packet import make_packet_state
-from gwpdyn.potentials import cosine_1d
+from gwpdyn.potentials import cosine_1d, fd_cross_check, quartic_rotational_2d
 
 
 def _read_csv(path):
@@ -58,13 +59,10 @@ def test_check_suite_catches_wrong_flow(monkeypatch):
     assert not results["bracket_consistency[quartic2d]"].passed
 
 
-def test_check_suite_catches_broken_symmetry(quartic_model):
-    tilted = dataclasses.replace(
-        quartic_model,
-        V=lambda x: quartic_model.V(x) + np.asarray(x)[..., 0],
-        gradV=lambda x: quartic_model.gradV(x) + np.array([1.0, 0.0]))
-    results = {r.name: r for r in
-               run_check_suite(noether_model=tilted, egorov_samples=5_000)}
+def test_check_suite_catches_broken_symmetry(monkeypatch):
+    monkeypatch.setattr(gwpdyn.checks, "quartic_rotational_2d",
+                        lambda: tilted(quartic_rotational_2d()))
+    results = {r.name: r for r in run_check_suite(egorov_samples=5_000)}
     assert not results["noether_drift[2d]"].passed
     assert "BROKEN" in results["noether_drift[2d]"].detail
     assert results["energy_conservation[cosine1d]"].passed
@@ -606,6 +604,9 @@ def test_samples_below_two_rejected(argv, message, capsys):
 
 NEGATIVE_SEED = "seed: expected a nonnegative integer, got '-1'"
 KEY_LIMIT = f"seed must be nonnegative and below 2**128, got {2 ** 128}"
+# named by the seed given, not by the key seed + 1 that overflows
+KEY_LIMIT_PLUS_1 = ("seed must be nonnegative and below 2**128 - 1 (a draw takes key "
+                    f"seed + 1), got {2 ** 128 - 1}")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -618,8 +619,8 @@ KEY_LIMIT = f"seed must be nonnegative and below 2**128, got {2 ** 128}"
     (["check", "--seed=-1"], NEGATIVE_SEED),
     # converge draws its second hbar, and check its sampler, with key seed + 1
     (EG_1D + ["--t-final", "0.1", "--seed", str(2 ** 128)], KEY_LIMIT),
-    (CONV_1D + ["--seed", str(2 ** 128 - 1)], KEY_LIMIT),
-    (["check", "--seed", str(2 ** 128 - 1)], KEY_LIMIT),
+    (CONV_1D + ["--seed", str(2 ** 128 - 1)], KEY_LIMIT_PLUS_1),
+    (["check", "--seed", str(2 ** 128 - 1)], KEY_LIMIT_PLUS_1),
 ], ids=["samples-inf", "samples-fraction", "seed-inf", "seed-nan",
         "seed-negative-egorov", "seed-negative-converge", "seed-negative-check",
         "seed-key-egorov", "seed-key-converge", "seed-key-check"])
@@ -711,24 +712,26 @@ def test_check_command_fails_on_broken_flow(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _with_energy_A_off_in_the_last_bits():
+    """cosine1d whose energy set's A is off by a few ulps: every value is
+    right to 1e-15, so only the comparison of the two sets' A can notice."""
+    model = cosine_1d()
+
+    def energy_fields(x):
+        a, v = model.energy_fields(x)
+        return a * (1.0 + 4.0 * np.finfo(float).eps), v
+
+    return dataclasses.replace(model, energy_fields=energy_fields)
+
+
 def test_check_command_names_shared_fields_that_disagree(monkeypatch, capsys):
-    # cosine1d with a shared flow whose gradV is 0.5 sin 2x: the right
-    # derivative, but not the bits of the single gradV, sin x cos x
-    def model_with_wrong_flow():
-        model = cosine_1d()
-
-        def flow(x):
-            a, ja, _ = model.shared.flow(x)
-            return a, ja, 0.5 * np.sin(2.0 * np.asarray(x, dtype=float))
-
-        return dataclasses.replace(
-            model, shared=dataclasses.replace(model.shared, flow=flow))
-
-    monkeypatch.setattr(gwpdyn.checks, "cosine_1d", model_with_wrong_flow)
+    # A is shared by the flow and energy sets; `gwpdyn check` fails by name
+    # when the two disagree in any bit
+    monkeypatch.setattr(gwpdyn.checks, "cosine_1d", _with_energy_A_off_in_the_last_bits)
     assert cli.main(["check", "--samples", "2000"]) == 1
     lines = capsys.readouterr().out.splitlines()
     fd = next(line for line in lines if "fd_cross_check[cosine1d]" in line)
-    assert fd.startswith("FAIL") and fd.endswith("failed: shared_fields")
+    assert fd.startswith("FAIL") and fd.endswith("failed: field_sets")
     assert next(line for line in lines if "fd_cross_check[quartic2d]" in line).startswith("PASS")
 
 

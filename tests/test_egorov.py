@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 import multiprocessing.context
+import re
 import tracemalloc
 import warnings
 
@@ -257,7 +258,7 @@ def test_exclusion_follows_the_state_not_the_fields(sobol, bench_state_1d):
     base = cosine_1d()
     model = dataclasses.replace(base, **{
         name: (lambda f: lambda x: f(np.nan_to_num(x)))(getattr(base, name))
-        for name in ("V", "A", "jacA", "gradV")})
+        for name in ("flow_fields", "energy_fields")})
     ens = stored_rows(wigner_sample(bench_state_1d, 0.1, seed=21, N=1000,
                                     sobol=sobol))
     x, xi = ens.x.copy(), ens.xi.copy()
@@ -529,15 +530,15 @@ def test_transport_inside_a_pool_worker_runs_in_process(bench_state_1d,
 
 
 def _failing_cosine(bad_x: float):
-    """cosine1d whose A callback raises on the sample at bad_x."""
+    """cosine1d whose flow fields raise on the sample at bad_x."""
     base = cosine_1d()
 
-    def A(x):
+    def flow_fields(x):
         if np.any(np.asarray(x)[..., 0] == bad_x):
             raise ValueError(f"field undefined at x = {bad_x!r}")
-        return base.A(x)
+        return base.flow_fields(x)
 
-    return dataclasses.replace(base, A=A)
+    return dataclasses.replace(base, flow_fields=flow_fields)
 
 
 def test_worker_failure_propagates_and_leaves_no_process(bench_state_1d,
@@ -717,7 +718,8 @@ def test_rate_sweep_needs_one_count_per_hbar(counts, monkeypatch, cos_model,
     ([0.5, 0.3, 0.1], [400, egorov.MAX_SAMPLES + 8, 400], 0,
      f"sample count {egorov.MAX_SAMPLES + 8} exceeds the limit"),
     ([0.5, 0.3, 0.1], [400] * 3, 2 ** 128 - 2,
-     f"seed must be nonnegative and below 2..128, got {2 ** 128}$"),
+     re.escape("seed must be nonnegative and below 2**128 - 2 (a draw takes key "
+               f"seed + 2), got {2 ** 128 - 2}") + "$"),
 ], ids=["negative-hbar", "nan-hbar", "count-over-limit", "seed-over-key-range"])
 def test_rate_sweep_refuses_bad_draws_before_any_run(hbars, counts, seed, message,
                                                      monkeypatch, cos_model,

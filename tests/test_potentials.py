@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import cubic_gauge_2d, plane_wave_gauge_2d
-from gwpdyn.dynamics import ClassicalPhasePoint, classical_hamiltonian, classical_rhs
+from conftest import cubic_gauge_2d, plane_wave_gauge_2d, tilted
+from gwpdyn.dynamics import (ClassicalPhasePoint, classical_hamiltonian, classical_rhs,
+                             semiclassical_rhs)
 from gwpdyn.egorov import propagate_ensemble, wigner_sample
 from gwpdyn.packet import make_packet_state
 from gwpdyn.potentials import (DerivedSquares, cosine_1d, fd_cross_check,
@@ -31,50 +32,63 @@ def test_fd_cross_check_100_random_points(builder):
 
 
 def test_fd_cross_check_flags_wrong_derivative(cos_model):
-    broken = dataclasses.replace(
-        cos_model, gradV=lambda x: 1.1 * cos_model.gradV(x))
+    def flow_fields(x):
+        a, ja, grad_v = cos_model.flow_fields(x)
+        return a, ja, 1.1 * grad_v
+
+    broken = dataclasses.replace(cos_model, flow_fields=flow_fields)
     report = fd_cross_check(broken, np.array([0.7]))
     assert not report.ok
     assert "gradV" in report.failed
 
 
 def test_fd_cross_check_flags_shared_fields_that_disagree(cos_model):
-    # a flow whose gradV is off in the last bits: every single callback is
-    # right, so only the shared comparison can notice
-    shared = cos_model.shared
+    # an energy set whose A is off in the last bits: every value is right,
+    # so only the comparison of the A the two sets share can notice
+    def energy_fields(x):
+        a, v = cos_model.energy_fields(x)
+        return a * (1.0 + 4.0 * np.finfo(float).eps), v
 
-    def flow(x):
-        a, ja, grad_v = shared.flow(x)
-        return a, ja, grad_v * (1.0 + 4.0 * np.finfo(float).eps)
-
-    broken = dataclasses.replace(cos_model, shared=dataclasses.replace(shared, flow=flow))
+    broken = dataclasses.replace(cos_model, energy_fields=energy_fields)
     report = fd_cross_check(broken, np.array([0.7]))
-    assert report.failed == ("shared_fields",)
-    assert 0.0 < report.deviations["shared_fields"] < 1e-12
-    assert fd_cross_check(cos_model, np.array([0.7])).deviations["shared_fields"] == 0.0
+    assert report.failed == ("field_sets",)
+    assert 0.0 < report.deviations["field_sets"] < 1e-12
+    assert fd_cross_check(cos_model, np.array([0.7])).deviations["field_sets"] == 0.0
 
 
 def test_replaced_callback_is_what_the_flow_and_energy_call(cos_model):
     calls = []
 
-    def A(x):
-        calls.append(np.shape(x))
-        return cos_model.A(x)
+    def counted(name, fn):
+        def call(x):
+            calls.append((name, np.shape(x)))
+            return fn(x)
+        return call
 
-    model = dataclasses.replace(cos_model, A=A)
+    model = dataclasses.replace(
+        cos_model, flow_fields=counted("flow", cos_model.flow_fields),
+        energy_fields=counted("energy", cos_model.energy_fields))
     z = ClassicalPhasePoint(np.array([[0.3], [-1.2]]), np.array([[1.0], [0.5]]))
     assert np.array_equal(classical_rhs(z, model)[1], classical_rhs(z, cos_model)[1])
-    assert calls == [(2, 1)]
+    assert calls == [("flow", (2, 1))]
+    st = make_packet_state([0.3], [1.0], [[0.2]], [[1.5]])
+    for hbar in (0.0, 0.1):
+        assert all(np.array_equal(a, b) for a, b in zip(
+            semiclassical_rhs(st, model, hbar), semiclassical_rhs(st, cos_model, hbar)))
+    assert calls == [("flow", (2, 1)), ("flow", (1,)), ("flow", (1,))]
     assert np.array_equal(classical_hamiltonian(z, model),
                           classical_hamiltonian(z, cos_model))
-    assert calls == [(2, 1), (2, 1)]
+    assert calls[3:] == [("energy", (2, 1))]
+    # the single-field methods read the sets; they are not fields to replace
+    for name in ("V", "gradV", "A", "jacA"):
+        with pytest.raises(TypeError):
+            dataclasses.replace(cos_model, **{name: lambda x: x})
 
 
 def test_one_cosine1d_block_counts_its_sin_and_cos_calls(cos_model, monkeypatch):
     # one 50-step, 4000-row block reducing q, p and H0: two passes per
     # classical_rhs (cos x, sin x), four per RK4 step, and one (cos x) per
-    # H0 observation at each of the 51 reduced times; 702 with one pass
-    # per single callback
+    # H0 observation at each of the 51 reduced times
     calls = {"sin": 0, "cos": 0}
 
     def counted(name):
@@ -87,10 +101,17 @@ def test_one_cosine1d_block_counts_its_sin_and_cos_calls(cos_model, monkeypatch)
 
     ens = wigner_sample(make_packet_state([0.5], [-1.0], [[0.0]], [[1.0]]), 0.1,
                         seed=1, N=4000)
+    # the same model with every callable field wrapped, as a tracer or a
+    # call counter wraps it, must make the same calls
+    wrapped = dataclasses.replace(cos_model, **{
+        f.name: (lambda fn: lambda *args: fn(*args))(getattr(cos_model, f.name))
+        for f in dataclasses.fields(cos_model) if callable(getattr(cos_model, f.name))})
     for name in calls:
         monkeypatch.setattr(np, name, counted(name))
-    propagate_ensemble(ens, cos_model, dt=0.01, t_final=0.5, observables=("q", "p", "H0"))
-    assert calls == {"sin": 200, "cos": 251}
+    for model in (cos_model, wrapped):
+        calls.update(sin=0, cos=0)
+        propagate_ensemble(ens, model, dt=0.01, t_final=0.5, observables=("q", "p", "H0"))
+        assert calls == {"sin": 200, "cos": 251}, model is wrapped
 
 
 def test_fd_cross_check_random_weight_matrix(curved_gauge_model):
@@ -288,16 +309,11 @@ def test_batched_callbacks_equal_stacked_single_points(builder):
         single = np.stack([np.asarray(f(x, M)) for x, M in zip(xs, Ms)])
         assert batched.shape == (n,) + shapes[name], name
         assert np.array_equal(batched, single), name
-    # the field sets of the flow and the energy are the single callbacks'
-    # bits, on single points and on stacks, shared or not
-    for method, names in ((model.flow_fields, ("A", "jacA", "gradV")),
-                          (model.energy_fields, ("A", "V"))):
-        for pts in [xs] + list(xs):
-            for name, value in zip(names, method(pts), strict=True):
-                expected = np.asarray(calls[name](pts, None))
-                value = np.asarray(value)
-                assert value.shape == expected.shape, name
-                assert value.tobytes() == expected.tobytes(), name
+    # both field sets' A have the same bits, on single points and on stacks
+    for pts in [xs] + list(xs):
+        a_flow = np.asarray(model.flow_fields(pts)[0])
+        a_energy = np.asarray(model.energy_fields(pts)[0])
+        assert a_flow.shape == a_energy.shape and a_flow.tobytes() == a_energy.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +330,5 @@ def test_quartic_is_rotation_equivariant(quartic_model):
 
 
 def test_symmetry_check_catches_broken_potential(quartic_model):
-    tilted = dataclasses.replace(
-        quartic_model, V=lambda x: quartic_model.V(x) + np.asarray(x)[..., 0])
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert not rotational_symmetry_check(tilted, R, np.array([0.7, 0.1]))
+    assert not rotational_symmetry_check(tilted(quartic_model), R, np.array([0.7, 0.1]))
