@@ -219,11 +219,24 @@ def build_model_and_state(s: argparse.Namespace):
 # output
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """The file at path opened for writing, or stdout for '-'.  A file
+    that cannot be written is bad input; a closed stdout passes through."""
+    if path == "-":
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", newline="") as f:
+            yield f
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _write_csv(path: str, cols, table, footer: str) -> None:
     """The header, one line per row of table, then the footer's `#`
     lines, to the file at path or, for '-', to stdout."""
-    with (contextlib.nullcontext(sys.stdout) if path == "-"
-          else open(path, "w", newline="")) as f:
+    with _output(path) as f:
         f.write(",".join(cols) + "\n")
         for row in table:
             f.write(",".join(_fmt(v) for v in row) + "\n")
@@ -236,7 +249,7 @@ def _write_plot_script(out: str, script: str) -> None:
     if out == "-":
         return
     stem = out.rsplit(".", 1)[0] if "." in out.rsplit("/", 1)[-1] else out
-    with open(stem + ".gp", "w") as f:
+    with _output(stem + ".gp") as f:
         f.write("set datafile separator ','\n" + script)
 
 

@@ -6,20 +6,20 @@ Two right-hand sides act on the packet parameters (q, p, A, B):
     H0 = |p - A(q)|^2 / 2m + V(q) on (q, p) alone.
 
   * semiclassical_rhs: the order-hbar corrected flow generated by the
-    effective Hamiltonian
+    effective Hamiltonian, in the kinetic momentum v = p - A(q) and
+    W = A_w - DA(q) (A_w the real width matrix, not the vector potential),
 
-        H_hbar = |p - A(q)|^2 / 2m
-               + (hbar/4m) Tr(B^-1 (A_w^2 + B^2 - DA^T A_w - A_w DA
-                                     - sum_k p_k hessA_k + hess|A|^2 / 2))
-               + V(q) + (hbar/4) Tr(B^-1 hessV(q))
+        H_hbar = |v|^2 / 2m + V(q) + (hbar/4m) Tr(B^-1 (B^2 + K))
+               + (hbar/4) Tr(B^-1 hessV(q)),    K = W^T W - sum_k v_k hessA_k,
 
     through the bracket
 
         dq = dH/dp,                dp = -dH/dq,
-        dA_w = -(4/hbar) dH/dB^-1, d(B^-1) = +(4/hbar) dH/dA_w,
+        dA_w = -(4/hbar) dH/dB^-1, d(B^-1) = +(4/hbar) dH/dA_w.
 
-    (A_w denotes the real width matrix, to distinguish it from the
-    vector potential).  The width lines do not depend on hbar, and the
+    The width lines do not depend on hbar: they are the Riccati equation
+    d(A_w + iB) = -(W + iB)^T (W + iB) / m + sum_k v_k hessA_k / m - hessV,
+    i.e. dA_w = (B^2 - K)/m - hessV and dB = -(W^T B + B W)/m.  The
     center lines at hbar = 0 are the classical ones, so Zhou's flow
     (classical center motion with Riccati transport of A + iB) is this
     flow at hbar = 0; simulate's "zhou" flavor runs it that way.  Both
@@ -37,11 +37,13 @@ packets in one run; each packet gets the bits of its single-point
 call.  semiclassical_hamiltonian and the other monitors are batched the
 same way, so a trajectory's monitors are computed once from its stacked
 states.  semiclassical_rhs evaluates each field callback once per call
-and hands the values to the |A|^2 calculus of DerivedSquares.  Where
+and hands the values to the width coupling of DerivedSquares.  Where
 hessA, or grad_hess_trace_A, vanishes at every packet of a call (a
 linear A, as in a uniform magnetic field), the flow skips the terms it
 multiplies instead of forming them from zeros, which leaves every bit
 of the result; the energy, evaluated once per trajectory, forms them.
+The width matrices' lines are symmetric bit for bit, so a symmetric
+A_w and B stay exactly symmetric along a run.
 
 bracket_rhs evaluates the bracket by central finite differences of an
 arbitrary scalar function of the state and is the arbiter used to
@@ -130,21 +132,15 @@ def semiclassical_hamiltonian(state: PacketState, model: FieldModel, hbar: float
     (..., d, d); one value per state is returned.  Each field callback
     is evaluated once.
     """
-    ds = DerivedSquares()
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
     a, ja, _ = model.flow_fields(q)
-    a, ja = np.asarray(a, dtype=float), np.asarray(ja, dtype=float)
-    ha = np.asarray(model.hessA(q), dtype=float)
-    # the width coupling A_w^2 + B^2 - DA^T A_w - A_w DA
-    # - sum_k p_k hessA_k + hess|A|^2 / 2
-    C = (Aw @ Aw + B @ B - np.swapaxes(ja, -1, -2) @ Aw - Aw @ ja
-         + 0.5 * ds.hess_asq(a, ja, ha))
-    for k in range(q.shape[-1]):
-        C = C - p[..., k, None, None] * ha[..., k, :, :]
+    a = np.asarray(a, dtype=float)
+    W = Aw - np.asarray(ja, dtype=float)
+    K = DerivedSquares().coupling(p - a, W, np.asarray(model.hessA(q), dtype=float))
     Binv = np.linalg.inv(B)
-    h0 = _h0(p, a, model.energy_fields(q)[1], model.mass)
-    tr_width = np.trace(Binv @ C, axis1=-2, axis2=-1)
+    tr_width = np.trace(Binv @ (B @ B + K), axis1=-2, axis2=-1)
     tr_v = np.trace(Binv @ np.asarray(model.hessV(q), dtype=float), axis1=-2, axis2=-1)
+    h0 = _h0(p, a, model.energy_fields(q)[1], model.mass)
     return h0 + 0.25 * hbar * (tr_width / model.mass + tr_v)
 
 
@@ -196,71 +192,50 @@ def semiclassical_rhs(state: PacketState, model: FieldModel, hbar):
     Riccati width lines, which do not depend on hbar.  When every hbar is
     0 it is returned alone, so Zhou's flow costs no B^-1 and no
     trace-gradient callbacks, and its center lines equal classical_rhs
-    bitwise.  The order-hbar terms are the Laplace corrections: the
-    center velocity couples to A_h = A + (hbar/4) Tr(B^-1 hessA), and the
-    momentum equation carries the gradients of the corrected V and of the
-    width-coupling trace, which contributes
-    (hbar/2m) sum_k (A_w B^-1 hessA_k)_{k,.} whenever the vector
-    potential has curvature.  Each field callback is evaluated at most
-    once.
+    bitwise.  The order-hbar terms are minus the gradients of the
+    Laplace corrections (hbar/4m) Tr(B^-1 K) and (hbar/4) Tr(B^-1 hessV):
+    the center velocity gains -(hbar/4m) Tr(B^-1 hessA_k), and the
+    momentum equation the q-gradients of both traces.  Each field
+    callback is evaluated at most once.
 
     When hessA vanishes at every member (a linear A, as in the paper's
-    uniform magnetic field) its products are skipped: A_k hessA_k in
-    hess|A|^2, p_k hessA_k in the width drive, Tr(B^-1 hessA) in dq, and
-    the hessA parts of the momentum terms.  When grad_hess_trace_A
-    vanishes at every member, p.ght_a and the A.ght_a part of the |A|^2
-    trace gradient are skipped.  The two are decided apart, since hessA
-    can vanish where its gradient does not (A = x^3 at x = 0).  Adding a
-    zero leaves a value unchanged, so the result has the bits of the
-    full sums (but for the sign of an exact zero), and a stack that
-    mixes curved and flat members still gives each its single-point bits.
+    uniform magnetic field), DerivedSquares skips its products: v_k
+    hessA_k in K and every hessA term of the trace gradients.  When
+    grad_hess_trace_A vanishes at every member, the v.ght_a term is
+    skipped.  The two are decided apart, since hessA can vanish where its
+    gradient does not (A = x^3 at x = 0).  Adding a zero leaves a value
+    unchanged, so the result has the bits of the full sums (but for the
+    sign of an exact zero), and a stack that mixes curved and flat
+    members still gives each its single-point bits.
     """
     ds = DerivedSquares()
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
-    m, d = model.mass, state.d
+    m = model.mass
     a, ja, grad_v = model.flow_fields(q)
     a, ja = np.asarray(a, dtype=float), np.asarray(ja, dtype=float)
     ha = _unless_zero(np.asarray(model.hessA(q), dtype=float))
-    jat = ja.swapaxes(-1, -2)
 
-    # hbar^0: classical center and Riccati width lines
+    # hbar^0: classical center lines and Riccati width lines
     v = p - a
+    W = Aw - ja
     dq = v / m
     dp = np.einsum("...ji,...j->...i", ja, v) / m - grad_v
-    drive = jat @ Aw + Aw @ ja - 0.5 * ds.hess_asq(a, ja, ha)
-    if ha is not None:
-        p_ha = p[..., :, None, None] * ha
-        for k in range(d):
-            drive = drive + p_ha[..., k, :, :]
-    dA = (B @ B - Aw @ Aw + drive) / m - np.asarray(model.hessV(q), dtype=float)
-    dB = (jat @ B + B @ ja - Aw @ B - B @ Aw) / m
+    dA = (B @ B - ds.coupling(v, W, ha)) / m - np.asarray(model.hessV(q), dtype=float)
+    dB = -(np.swapaxes(W, -1, -2) @ B + B @ W) / m
     if not np.count_nonzero(hbar):
         return dq, dp, dA, dB
     # one hbar per packet scales the (..., d) terms; a scalar hbar stays a
     # scalar, so a single packet does no array arithmetic on it
     h = np.asarray(hbar, dtype=float)[..., None] if np.ndim(hbar) else hbar
 
-    # order hbar: dq couples to A + (hbar/4) Tr(B^-1 hessA); dp gains minus
-    # the q-gradients of (hbar/4m) Tr(B^-1 (hess|A|^2 / 2 - sum_k p_k hessA_k)),
-    # of (hbar/4) Tr(B^-1 hessV) and of the width coupling's DA terms
+    # order hbar: minus the gradients of (hbar/4m) Tr(B^-1 K) and of
+    # (hbar/4) Tr(B^-1 hessV)
     Binv = np.linalg.inv(B)
     ght_a = _unless_zero(np.asarray(model.grad_hess_trace_A(q, Binv), dtype=float))
     ght_v = np.asarray(model.grad_hess_trace_V(q, Binv), dtype=float)
-    if ha is not None:
-        dq = dq - 0.25 * h / m * np.trace(Binv[..., None, :, :] @ ha, axis1=-2, axis2=-1)
-    # (p.ght_a - ght_asq/2)/m, the p.A and |A|^2 parts of the trace
-    # gradient: without hessA and grad_hess_trace_A, the +0 the sum gives
-    g = 0.0
-    if ha is not None or ght_a is not None:
-        ght_ap = np.zeros(p.shape)
-        if ght_a is not None:
-            p_ght_a = p[..., :, None] * ght_a
-            for k in range(d):
-                ght_ap += p_ght_a[..., k, :]
-        g = (ght_ap - 0.5 * ds.grad_hess_trace_asq(Binv, a, ja, ha, ght_a)) / m
-    dp = dp + 0.25 * h * (g - ght_v)
-    if ha is not None:
-        dp = dp + 0.5 * h / m * np.einsum("...kl,...kli->...i", Aw @ Binv, ha)
+    grad_p, grad_q = ds.coupling_gradients(Binv, v, W, ja, ha, ght_a)
+    dq = dq + 0.25 * h / m * grad_p
+    dp = dp - 0.25 * h * (grad_q / m + ght_v)
     return dq, dp, dA, dB
 
 

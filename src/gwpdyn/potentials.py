@@ -275,56 +275,53 @@ def model_by_name(name: str, d: int = 1, params: dict | None = None) -> FieldMod
 
 
 # ---------------------------------------------------------------------------
-# derived |A|^2 calculus
+# width coupling of the kinetic momentum
 
 
 class DerivedSquares:
-    """Derivatives of |A(x)|^2 assembled from the field values at x.
+    """The width coupling K = W^T W - sum_k v_k hessA_k of the kinetic
+    momentum v = p - A(q) and W = A_w - DA(q) (A_w the real width
+    matrix), through which the packet flow and its energy read A.
 
-    The packet flow and its energy consume |A|^2 only through these two
-    combinations, so deriving them in one place (by the product rule)
-    keeps the individual models free of redundant, error-prone code.
-    The methods take what the FieldModel callbacks returned at x
-    (a = A(x), ja = jacA(x), ha = hessA(x), ght_a = grad_hess_trace_A(x, M))
-    instead of x, so that a right-hand side evaluates each callback once
-    and shares the values with its other terms.  Both are batched over
-    the leading axes of those values, as the callbacks are.  It holds no
-    state.
-
-    A caller that knows hessA (or grad_hess_trace_A) to vanish over all
-    the points it passes may pass ha (or ght_a) as None: the products
-    with it are then skipped, not formed from zeros.  Adding a zero leaves
-    a value unchanged, so the result has the same bits either way (but
-    for the sign of an exact zero).
+    The methods take v, W and what the FieldModel callbacks returned at q
+    (ja = jacA(q), ha = hessA(q), ght_a = grad_hess_trace_A(q, M)), so a
+    right-hand side evaluates each callback once.  Both are batched over
+    leading axes, each member with the bits of its single-point call; the
+    class holds no state.  A caller that knows hessA (or
+    grad_hess_trace_A) to vanish at every point passes ha (or ght_a) as
+    None, and the products with it are skipped: the same bits as from
+    zeros, but for the sign of an exact zero.
     """
 
-    def hess_asq(self, a, ja, ha):
-        # hess |A|^2 = 2 [ (DA)^T DA + sum_k A_k hessA_k ]   (batched)
-        out = np.swapaxes(ja, -1, -2) @ ja
+    def coupling(self, v, W, ha):
+        """K = W^T W - sum_k v_k hessA_k."""
+        K = np.swapaxes(W, -1, -2) @ W
         if ha is not None:
-            for k in range(a.shape[-1]):
-                out = out + a[..., k, None, None] * ha[..., k, :, :]
-        return 2.0 * out
+            for k in range(v.shape[-1]):
+                K = K - v[..., k, None, None] * ha[..., k, :, :]
+        return K
 
-    def grad_hess_trace_asq(self, M, a, ja, ha, ght_a):
-        """Gradient of x -> Tr(M hess|A|^2(x)) for symmetric M (ght_a
-        evaluated with the same M), batched over leading axes like
-        hess_asq.  Each member gets the bits of its single-point call."""
-        # the three terms of each k, computed for all k at once, are added
-        # in the order k = 0, 1, ...; column k of M DA^T pairs with hessA_k.
-        # The sum starts from +0, so a skipped term (None) leaves its bits.
-        terms = []
+    def coupling_gradients(self, M, v, W, ja, ha, ght_a):
+        """The p- and q-gradients of Tr(M K) for symmetric M (ght_a
+        evaluated with the same M), each of shape (..., d):
+
+            d/dp_k Tr(M K) = -Tr(M hessA_k),
+            d/dq   Tr(M K) = DA^T t - 2 sum_kl (W M)_kl hessA_k[l, .]
+                             - sum_k v_k grad_hess_trace_A_k,
+
+        with t_k = Tr(M hessA_k).  A gradient with no term left, because
+        ha (and ght_a) is None, is the float 0.0.
+        """
+        grad_p = grad_q = 0.0
         if ha is not None:
-            MJt = M @ ja.swapaxes(-1, -2)
-            terms.append(2.0 * (ha @ MJt.swapaxes(-1, -2)[..., None])[..., 0])
-            terms.append((M[..., None, :, :] * ha).sum(axis=(-2, -1))[..., None] * ja)
+            t = (M[..., None, :, :] * ha).sum(axis=(-2, -1))
+            grad_p = -t
+            grad_q = (np.einsum("...ki,...k->...i", ja, t)
+                      - 2.0 * np.einsum("...kl,...kli->...i", W @ M, ha))
         if ght_a is not None:
-            terms.append(a[..., None] * ght_a)
-        out = np.zeros(a.shape)
-        for k in range(a.shape[-1]):
-            for t in terms:
-                out += t[..., k, :]
-        return 2.0 * out
+            for k in range(v.shape[-1]):
+                grad_q = grad_q - v[..., k, None] * ght_a[..., k, :]
+        return grad_p, grad_q
 
 
 # ---------------------------------------------------------------------------

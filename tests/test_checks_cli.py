@@ -253,10 +253,16 @@ BASE_1D = ["simulate", "--potential", "cosine1d", "--hbar", "0.1", "--t-final", 
     (BASE_1D + ["--q", "0.5"], "'q' and/or 'p'"),
     (BASE_1D + ["--q", "0.5", "--p", "1,0"], "q and p disagree on dimension (1 vs 2)"),
     (BASE_1D + ["--q", "0.5", "--p=-1", "--model", "quantum"], "unknown model 'quantum'"),
+    (BASE_1D + ["--q", "0.5", "--p=-1", "--out", "{tmp}/absent/run.csv"],
+     "cannot write {tmp}/absent/run.csv: No such file or directory"),
+    (BASE_1D + ["--q", "0.5", "--p=-1", "--out", "{tmp}"],
+     "cannot write {tmp}: Is a directory"),
 ], ids=["q-not-numeric", "B-entry-count", "t-final-not-numeric", "config-unreadable",
-        "p-missing", "q-p-dimensions", "model-unknown"])
+        "p-missing", "q-p-dimensions", "model-unknown", "out-dir-missing",
+        "out-is-directory"])
 def test_bad_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    message = message.replace("{tmp}", str(tmp_path))
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -221,33 +221,37 @@ def test_model_by_name():
 
 
 # ---------------------------------------------------------------------------
-# derived |A|^2 calculus: identities against finite differences of |A|^2
+# width coupling of the kinetic momentum: identities against finite
+# differences
 
 
-def _squares_at(model):
-    """|A|^2, its gradient 2 DA^T A and the DerivedSquares combinations,
-    as functions of x."""
+def _coupling_at(model):
+    """The width coupling K and the gradients of Tr(M K), as functions of
+    the center (q, p) and the real width matrix Aw."""
     ds, m = DerivedSquares(), model
-    return (lambda y: np.einsum("...k,...k->...", m.A(y), m.A(y)),
-            lambda y: 2.0 * np.einsum("...ji,...j->...i", m.jacA(y), m.A(y)),
-            lambda y: ds.hess_asq(m.A(y), m.jacA(y), m.hessA(y)),
-            lambda y, M: ds.grad_hess_trace_asq(M, m.A(y), m.jacA(y), m.hessA(y),
-                                                m.grad_hess_trace_A(y, M)))
+
+    def kinetic(q, p, Aw):
+        return p - m.A(q), Aw - m.jacA(q)
+
+    return (lambda q, p, Aw: ds.coupling(*kinetic(q, p, Aw), m.hessA(q)),
+            lambda q, p, Aw, M: ds.coupling_gradients(M, *kinetic(q, p, Aw), m.jacA(q),
+                                                      m.hessA(q),
+                                                      m.grad_hess_trace_A(q, M)))
 
 
 @pytest.mark.parametrize("builder", [cosine_1d, plane_wave_gauge_2d, cubic_gauge_2d])
 def test_derived_squares_against_fd(builder):
     model = builder()
-    asq, grad_asq, hess_asq, grad_hess_trace_asq = _squares_at(model)
+    coupling, gradients = _coupling_at(model)
     rng = np.random.default_rng(17)
     d = model.dim
     h = np.finfo(float).eps ** (1 / 3)
     for _ in range(20):
-        x = rng.uniform(-1.5, 1.5, size=d)
-        M = rng.standard_normal((d, d))
-        M = 0.5 * (M + M.T)
+        q, p = rng.uniform(-1.5, 1.5, size=(2, d))
+        Aw, M = rng.standard_normal((2, d, d))
+        Aw, M = 0.5 * (Aw + Aw.T), 0.5 * (M + M.T)
 
-        def central(f):
+        def central(f, x):
             cols = []
             for j in range(d):
                 e = np.zeros(d)
@@ -256,17 +260,26 @@ def test_derived_squares_against_fd(builder):
                              - np.asarray(f(x - e), dtype=float)) / (2 * e[j]))
             return np.stack(cols, axis=-1)
 
-        assert np.allclose(central(asq).ravel(), grad_asq(x), atol=1e-7)
-        assert np.allclose(central(grad_asq), hess_asq(x), atol=1e-7)
-        fd_ght = central(lambda y: np.sum(M * hess_asq(y))).ravel()
-        assert np.allclose(fd_ght, grad_hess_trace_asq(x, M), atol=1e-6)
+        # K - W^T W + DA^T DA is the q-Hessian of |p - A(q)|^2 / 2, whose
+        # gradient is -DA^T (p - A(q))
+        W, ja = Aw - model.jacA(q), model.jacA(q)
+        grad_kinetic = lambda y: -model.jacA(y).T @ (p - model.A(y))
+        assert np.allclose(central(grad_kinetic, q),
+                           coupling(q, p, Aw) - W.T @ W + ja.T @ ja, atol=1e-7)
+        grad_p, grad_q = gradients(q, p, Aw, M)
+        assert np.allclose(central(lambda y: np.trace(M @ coupling(q, y, Aw)), p),
+                           grad_p, atol=1e-7)
+        assert np.allclose(central(lambda y: np.trace(M @ coupling(y, p, Aw)), q),
+                           grad_q, atol=1e-6)
 
 
-def test_hess_asq_symmetric(curved_gauge_model):
-    hess_asq = _squares_at(curved_gauge_model)[2]
+def test_coupling_symmetric(curved_gauge_model):
+    coupling = _coupling_at(curved_gauge_model)[0]
     rng = np.random.default_rng(2)
     for _ in range(10):
-        H = hess_asq(rng.uniform(-2, 2, size=2))
+        q, p = rng.uniform(-2, 2, size=(2, 2))
+        Aw = rng.standard_normal((2, 2))
+        H = coupling(q, p, Aw + Aw.T)
         assert np.max(np.abs(H - H.T)) < 1e-13
 
 
@@ -300,10 +313,11 @@ def test_batched_callbacks_equal_stacked_single_points(builder):
              "hessA": lambda x, M: model.hessA(x),
              "grad_hess_trace_V": model.grad_hess_trace_V,
              "grad_hess_trace_A": model.grad_hess_trace_A,
-             "hess_asq": lambda x, M: _squares_at(model)[2](x)}
+             # the center (x, x) and the width matrix M
+             "coupling": lambda x, M: _coupling_at(model)[0](x, x, M)}
     shapes = {"V": (), "gradV": (d,), "hessV": (d, d), "A": (d,), "jacA": (d, d),
               "hessA": (d, d, d), "grad_hess_trace_V": (d,),
-              "grad_hess_trace_A": (d, d), "hess_asq": (d, d)}
+              "grad_hess_trace_A": (d, d), "coupling": (d, d)}
     for name, f in calls.items():
         batched = np.asarray(f(xs, Ms))
         single = np.stack([np.asarray(f(x, M)) for x, M in zip(xs, Ms)])
