@@ -13,8 +13,8 @@ from .dynamics import (ClassicalPhasePoint, Trajectory, bracket_rhs,
                        simulate, time_grid)
 from .egorov import (EgorovEstimate, PhaseEnsemble, phase_error,
                      propagate_ensemble, propagate_ensembles, wigner_sample)
-from .expectations import (QuadratureRule, asymptotic_expectation,
-                           full_hamiltonian, gaussian_expectation)
+from .expectations import (asymptotic_expectation, full_hamiltonian,
+                           gaussian_expectation, gaussian_nodes)
 from .observables import (classical_angular_momentum, diamond, loglog_fit,
                           semiclassical_angular_momentum)
 from .packet import (PacketState, WavePacketFull, evaluate_packet,
@@ -33,8 +33,8 @@ __all__ = [
     "semiclassical_rhs", "simulate", "time_grid",
     "EgorovEstimate", "PhaseEnsemble", "phase_error", "propagate_ensemble",
     "propagate_ensembles", "wigner_sample",
-    "QuadratureRule", "asymptotic_expectation", "full_hamiltonian",
-    "gaussian_expectation",
+    "asymptotic_expectation", "full_hamiltonian", "gaussian_expectation",
+    "gaussian_nodes",
     "classical_angular_momentum", "diamond",
     "loglog_fit", "semiclassical_angular_momentum",
     "PacketState", "WavePacketFull", "evaluate_packet",

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
+import stat
 import sys
 
 import numpy as np
@@ -24,6 +26,9 @@ from .potentials import model_by_name
 
 PAPER_HBARS = (0.5, 0.3, 0.1, 0.05, 0.03, 0.01)
 QUAD_KEYS = ("K", "b", "c", "M0", "a0", "mass")
+# converge names every hbar whose semiclassical error is below this many
+# reference standard errors: its fitted rate is then Monte-Carlo noise
+RESOLVE_Z = 5.0
 
 
 class CliError(ValueError):
@@ -219,6 +224,21 @@ def build_model_and_state(s: argparse.Namespace):
 # output
 
 
+def _check_out(path: str) -> None:
+    """Refuse, before any computation, an output path that open() would
+    refuse for its place: one in a missing directory, or a directory.
+    The message is open()'s; nothing is created or truncated."""
+    if path == "-":
+        return
+    try:
+        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror}") from None
+
+
 @contextlib.contextmanager
 def _output(path: str):
     """The file at path opened for writing, or stdout for '-'.  A file
@@ -264,6 +284,7 @@ def cmd_simulate(s: argparse.Namespace) -> int:
         raise CliError(f"unknown model {s.model!r}; choose from "
                        f"{', '.join(dynamics.FLAVORS)}")
     d = state.d
+    _check_out(s.out)
     traj = dynamics.simulate(model, s.model, state, s.hbar, s.dt, s.t_final)
 
     # the CSV row: t, q, p, then A and B row-major for packets, then the
@@ -300,6 +321,7 @@ def cmd_egorov(s: argparse.Namespace) -> int:
     n = _one_count(s.samples, 10 ** 6)
 
     obs = ("q", "p", "H0") + (("Lz",) if d == 2 else ())
+    _check_out(s.out)
     ens = egorov.wigner_sample(state, s.hbar, seed=s.seed, N=n, sobol=True)
     est = egorov.propagate_ensemble(ens, model, s.dt, s.t_final, observables=obs)
 
@@ -330,6 +352,7 @@ def cmd_converge(s: argparse.Namespace) -> int:
                            f"got {len(s.samples)}")
     else:
         counts = [10 ** 7 if h <= 0.01 else 10 ** 6 for h in hbars]
+    _check_out(s.out)
 
     err_c, err_s, ses = egorov.rate_sweep(model, state, hbars, counts, s.dt,
                                           s.t_star, s.seed)
@@ -342,6 +365,11 @@ def cmd_converge(s: argparse.Namespace) -> int:
                f"# fit_semiclassical,{_fmt(fit_s[0])},{_fmt(fit_s[1])}\n")
     print(f"classical:      error ~ exp({fit_c[0]:.4f}) * hbar^{fit_c[1]:.4f}")
     print(f"semiclassical:  error ~ exp({fit_s[0]:.4f}) * hbar^{fit_s[1]:.4f}")
+    unresolved = [str(h) for h, e, se in zip(hbars, err_s, ses) if e < RESOLVE_Z * se]
+    if unresolved:
+        print(f"warning: semiclassical error below {RESOLVE_Z:g} reference standard "
+              f"errors at hbar {', '.join(unresolved)}; the fitted rate is not "
+              "resolved there", file=sys.stderr)
     _write_plot_script(
         s.out,
         "set logscale xy\n"

@@ -9,7 +9,9 @@ whitening substitution
 
 which turns the density weight into exp(-|u|^2) exactly, so that a rule
 with n nodes per axis integrates polynomials of degree <= 2n-1 exactly.
-The order-hbar Laplace expansion
+Every function is batched over leading axes of q (..., d) and B
+(..., d, d), with hbar a float or one per packet, and each member of a
+stack gets the bits of its single call.  The order-hbar Laplace expansion
 
     <U> = U(q) + (hbar/4) Tr(B^-1 D^2 U(q)) + O(hbar^2)
 
@@ -18,8 +20,6 @@ is provided for convergence studies; it is exact for quadratic U.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
@@ -27,7 +27,7 @@ from .packet import PacketState
 from .potentials import FieldModel
 
 __all__ = [
-    "QuadratureRule",
+    "gaussian_nodes",
     "gaussian_expectation",
     "asymptotic_expectation",
     "full_hamiltonian",
@@ -36,55 +36,45 @@ __all__ = [
 DEFAULT_NODES = 20
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Tensorized Gauss-Hermite rule for d-dimensional Gaussian averages."""
+def gaussian_nodes(q, B_mat, hbar, nodes: int = DEFAULT_NODES):
+    """Tensor Gauss-Hermite nodes for the densities N(q, (hbar/2) B^-1).
 
-    nodes_per_dim: int = DEFAULT_NODES
-    d: int = 1
-    nodes: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.nodes_per_dim < 1:
-            raise ValueError(f"nodes_per_dim must be >= 1, got {self.nodes_per_dim}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        x, w = hermgauss(self.nodes_per_dim)
-        object.__setattr__(self, "nodes", x)
-        object.__setattr__(self, "weights", w)
-
-    def points_and_weights(self, q, B_mat, hbar):
-        """Mapped tensor grid for the density N(q, (hbar/2) B^-1).
-
-        Returns points of shape (n^d, d) and weights summing to 1.
-        """
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        B = np.atleast_2d(np.asarray(B_mat, dtype=float))
-        d = self.d
-        if q.shape != (d,) or B.shape != (d, d):
-            raise ValueError("q/B shapes inconsistent with rule dimension")
-        L = np.linalg.cholesky(B)
-        grids = np.meshgrid(*([self.nodes] * d), indexing="ij")
-        u = np.stack([g.reshape(-1) for g in grids], axis=-1)      # (n^d, d)
-        wgrids = np.meshgrid(*([self.weights] * d), indexing="ij")
-        w = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=-1), axis=-1)
-        # x = q + sqrt(hbar) L^-T u  (row form: u @ L^-1)
-        pts = q + np.sqrt(hbar) * (u @ np.linalg.inv(L))
-        return pts, w / np.pi ** (d / 2.0)
-
-
-def gaussian_expectation(U, q, B_mat, hbar, rule: QuadratureRule | None = None) -> float:
-    """<U> against the packet density; U takes points batched as (n, d)."""
+    Returns points of shape (..., nodes^d, d) and weights of shape
+    (nodes^d,) summing to 1.  The displacement sqrt(hbar) L^-T u is
+    formed one component at a time from elementwise products, so a
+    stacked call gives each member the bits of its single call.
+    """
+    if nodes < 1:
+        raise ValueError(f"nodes must be >= 1, got {nodes}")
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if rule is None:
-        rule = QuadratureRule(DEFAULT_NODES, d=q.shape[0])
-    pts, w = rule.points_and_weights(q, B_mat, hbar)
+    B = np.asarray(B_mat, dtype=float)
+    d = q.shape[-1]
+    if B.shape != q.shape + (d,):
+        raise ValueError(f"q of shape {q.shape} and B of shape {B.shape} "
+                         "do not describe the same packets")
+    # the tensor grids of nodes and of weights, one row per node: (n^d, d)
+    u, w = (np.stack(np.meshgrid(*([v] * d), indexing="ij"), axis=-1).reshape(-1, d)
+            for v in hermgauss(nodes))
+    Linv = np.linalg.inv(np.linalg.cholesky(B))[..., None, :, :]
+    scale = np.sqrt(np.asarray(hbar, dtype=float))[..., None]
+    pts = np.empty(q.shape[:-1] + u.shape)
+    for k in range(d):
+        dx = u[:, 0] * Linv[..., 0, k]
+        for j in range(1, d):
+            dx = dx + u[:, j] * Linv[..., j, k]
+        pts[..., k] = q[..., None, k] + scale * dx
+    return pts, np.prod(w, axis=-1) / np.pi ** (d / 2.0)
+
+
+def gaussian_expectation(U, q, B_mat, hbar, nodes: int = DEFAULT_NODES):
+    """<U> against each packet density; U takes points batched as
+    (..., n, d) and returns (..., n)."""
+    pts, w = gaussian_nodes(q, B_mat, hbar, nodes)
     vals = np.asarray(U(pts), dtype=float)
-    if vals.shape != w.shape:
+    if vals.shape != pts.shape[:-1]:
         raise ValueError(f"observable returned shape {vals.shape}, "
-                         f"expected {w.shape}")
-    return float(w @ vals)
+                         f"expected {pts.shape[:-1]}")
+    return (vals * w).sum(axis=-1)
 
 
 def asymptotic_expectation(U_q, hessU_q, B_mat, hbar) -> float:
@@ -94,43 +84,33 @@ def asymptotic_expectation(U_q, hessU_q, B_mat, hbar) -> float:
     return float(U_q + 0.25 * hbar * np.trace(np.linalg.solve(B, H)))
 
 
-def full_hamiltonian(state: PacketState, model: FieldModel, hbar: float,
-                     rule: QuadratureRule | None = None) -> float:
+def full_hamiltonian(state: PacketState, model: FieldModel, hbar,
+                     nodes: int = DEFAULT_NODES):
     """Exact expectation of the magnetic Schroedinger operator in the packet.
 
-    <H> = |p|^2/2m + (hbar/4m) Tr(B^-1 (A_w^2 + B^2))
-          - (1/m) <A.p> - (hbar/2m) <Tr(DA^T A_w B^-1)>
-          + (1/2m) <|A|^2> + <V>
+    The Weyl symbol of the operator is |xi - A(x)|^2/2m + V(x), and the
+    packet's Wigner density is N(q, (hbar/2) B^-1) in x and, given x,
+    N(p + A_w (x - q), (hbar/2) B) in xi (A_w the real part of the width
+    matrix).  Averaging over xi first,
 
-    where A_w is the real part of the width matrix and the brackets are
-    Gaussian averages over the position density.  Field averages use the
-    supplied quadrature rule (default 20 nodes per axis).
+        <H> = <|p + A_w (x - q) - A(x)|^2> / 2m + (hbar/4m) Tr B + <V>,
+
+    with the brackets Gaussian averages over the position density on
+    gaussian_nodes.  Only model.energy_fields is read.  The kinetic
+    momentum is formed one component at a time, so a stacked state
+    gives each member the bits of its single call.
     """
+    q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
+    pts, w = gaussian_nodes(q, B, hbar, nodes)
+    a, v = model.energy_fields(pts)
+    a = np.asarray(a, dtype=float)
+    dx = pts - q[..., None, :]
+    vsq = 0.0
+    for k in range(state.d):
+        vk = p[..., None, k] - a[..., k]
+        for j in range(state.d):
+            vk = vk + Aw[..., None, k, j] * dx[..., j]
+        vsq = vsq + vk * vk
     m = model.mass
-    p = state.p
-    Aw = state.A_mat
-    B = state.B_mat
-    Binv = np.linalg.inv(B)
-    if rule is None:
-        rule = QuadratureRule(DEFAULT_NODES, d=state.d)
-    pts, w = rule.points_and_weights(state.q, B, hbar)
-
-    a_vals, ja_vals, _ = model.flow_fields(pts)
-    a_vals = np.asarray(a_vals, dtype=float)                       # (n, d)
-    ja_vals = np.asarray(ja_vals, dtype=float)                     # (n, d, d)
-    v_vals = np.asarray(model.energy_fields(pts)[1], dtype=float)  # (n,)
-
-    kinetic = float(p @ p) / (2.0 * m)
-    width = hbar / (4.0 * m) * float(np.trace(Binv @ (Aw @ Aw + B @ B)))
-    a_dot_p = float(w @ (a_vals @ p))
-    # Tr(DA^T A_w B^-1) pointwise: sum_ij DA[i, j] (A_w B^-1)[i, j]
-    G = Aw @ Binv
-    tr_da = float(w @ np.einsum("nij,ij->n", ja_vals, G))
-    asq = float(w @ np.einsum("nk,nk->n", a_vals, a_vals))
-    v_avg = float(w @ v_vals)
-
-    return (kinetic + width
-            - a_dot_p / m
-            - 0.5 * hbar * tr_da / m
-            + 0.5 * asq / m
-            + v_avg)
+    avg = ((vsq / (2.0 * m) + np.asarray(v, dtype=float)) * w).sum(axis=-1)
+    return avg + 0.25 * np.asarray(hbar, dtype=float) * np.trace(B, axis1=-2, axis2=-1) / m

@@ -16,8 +16,8 @@ from gwpdyn.dynamics import (bracket_rhs, classical_hamiltonian,
                              semiclassical_hamiltonian, semiclassical_rhs,
                              simulate)
 from gwpdyn.egorov import propagate_ensemble, rate_sweep, wigner_sample
-from gwpdyn.expectations import (QuadratureRule, asymptotic_expectation,
-                                 full_hamiltonian, gaussian_expectation)
+from gwpdyn.expectations import (asymptotic_expectation, full_hamiltonian,
+                                 gaussian_expectation)
 from gwpdyn.observables import loglog_fit, semiclassical_angular_momentum
 from gwpdyn.packet import make_packet_state
 from gwpdyn.potentials import cosine_1d, quadratic_linear, quartic_rotational_2d
@@ -50,7 +50,6 @@ def test_acceptance_1_quadratic_fields_are_exact():
     # plain width transport and the full packet energy with its
     # asymptotic form, both to round-off
     rng = np.random.default_rng(410)
-    rules = {}
     worst_rhs = worst_h = 0.0
     for _ in range(10):
         d = int(rng.integers(1, 4))
@@ -61,14 +60,13 @@ def test_acceptance_1_quadratic_fields_are_exact():
                                  rng.standard_normal((d, d)),
                                  rng.standard_normal(d),
                                  mass=float(rng.uniform(0.5, 2.0)))
-        rule = rules.setdefault(d, QuadratureRule(20, d=d))
         for _ in range(10):
             st = random_state(rng, d)
             hbar = float(rng.uniform(0.05, 0.8))
             worst_rhs = max(worst_rhs, rel_field_dev(
                 semiclassical_rhs(st, model, hbar), semiclassical_rhs(st, model, 0.0)))
             hs = semiclassical_hamiltonian(st, model, hbar)
-            hf = full_hamiltonian(st, model, hbar, rule=rule)
+            hf = full_hamiltonian(st, model, hbar, nodes=20)
             worst_h = max(worst_h, abs(hf - hs) / max(1.0, abs(hs)))
     ok = worst_rhs <= EXACT_TOL and worst_h <= EXACT_TOL
     assert _verdict(1, "exact flow and energy on quadratic fields", ok), \

@@ -270,6 +270,40 @@ def test_bad_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
     assert message in err and "Traceback" not in err
 
 
+OUT_CHECKED = {
+    "simulate": BASE_1D + ["--q", "0.5", "--p=-1"],
+    "egorov": ["egorov", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
+               "--hbar", "0.1", "--t-final", "1", "--samples", "64"],
+    "converge": ["converge", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
+                 "--hbars", "0.5,0.1", "--t-star", "1", "--samples", "64"],
+}
+
+
+@pytest.mark.parametrize("command", list(OUT_CHECKED))
+def test_out_is_checked_before_the_run(command, tmp_path, capsys, monkeypatch):
+    # an --out that cannot be written is refused before any computation,
+    # with the message open() would give at the end
+    def computed(*args, **kwargs):
+        raise AssertionError("computation started before --out was checked")
+
+    monkeypatch.setattr(gwpdyn.dynamics, "simulate", computed)
+    for name in ("rate_sweep", "wigner_sample", "propagate_ensemble"):
+        monkeypatch.setattr(egorov, name, computed)
+    for out, reason in ((tmp_path / "absent" / "run.csv", "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        assert cli.main(OUT_CHECKED[command] + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_run_leaves_an_existing_out_file_alone(tmp_path):
+    # the --out check creates and truncates nothing
+    out = tmp_path / "run.csv"
+    out.write_text("kept\n")
+    assert cli.main(BASE_1D + ["--q", "0.5", "--p=-1", "--dt=-1", "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+
+
 # ---------------------------------------------------------------------------
 # CLI: egorov and converge
 
@@ -382,6 +416,29 @@ def test_converge_outputs_and_fits(tmp_path, capsys):
     assert fits["fit_semiclassical"][1] > fits["fit_classical"][1]
     script = (tmp_path / "conv.gp").read_text()
     assert "logscale" in script and "conv.csv" in script
+
+
+@pytest.mark.parametrize("argv, unresolved", [
+    (["--hbars", "0.2,0.1", "--t-star", "0", "--samples", "16"], "0.2, 0.1"),
+    (["--hbars", "0.5,0.3", "--t-star", "1", "--samples", "400", "--seed", "7"], "0.3"),
+    (["--hbars", "0.5,0.3", "--t-star", "1", "--samples", "4000", "--seed", "7"], None),
+], ids=["t-star-0", "one-unresolved", "all-resolved"])
+def test_converge_warns_on_unresolved_points(argv, unresolved, capsys):
+    # a point whose semiclassical error is below 5 reference SEs is named
+    # on stderr; the CSV, stdout and exit code are those of a quiet run
+    assert cli.main(["converge", "--potential", "cosine1d", "--q", "0.5", "--p=-1",
+                     "--dt", "0.01", *argv]) == 0
+    out, err = capsys.readouterr()
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in out.splitlines()[1:] if line[0].isdigit()])
+    below = [h for h, _, e, se in rows if e < 5.0 * se]
+    if unresolved is None:
+        assert err == "" and below == []
+    else:
+        assert err == ("warning: semiclassical error below 5 reference standard "
+                       f"errors at hbar {unresolved}; the fitted rate is not "
+                       "resolved there\n")
+        assert ", ".join(map(str, below)) == unresolved
 
 
 def test_converge_needs_two_hbars(capsys):

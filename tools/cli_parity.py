@@ -8,8 +8,9 @@ once with NEW_TREE/src on PYTHONPATH, each in a fresh empty directory
 stdout, stderr and every file the run wrote must be the same bytes.
 One line is printed per case; the exit code is 1 if any case differs.
 For stdout and each .csv file that differs, the line also says how many
-of its numeric cells differ and their largest relative difference, so a
-move of the last bits reads apart from a changed result.
+of its numeric cells differ and their largest difference relative to
+max(1, |old|, |new|), so a move of the last bits reads apart from a
+changed result, also for a cell near zero.
 
 The cases cover `simulate` with every flavor on every bundled model, a
 run longer than one monitor slice, an aborted run, `egorov` and
@@ -118,8 +119,9 @@ def run(tree: Path, argv: list[str], files: dict) -> tuple:
 
 def cell_diff(x: bytes, y: bytes) -> str:
     """How many numeric cells of two comma-separated texts differ, and
-    their largest relative difference |a - b| / max(|a|, |b|); or why the
-    texts cannot be compared cell by cell."""
+    their largest relative difference |a - b| / max(1, |a|, |b|); or why
+    the texts cannot be compared cell by cell.  The 1 keeps round-off on
+    a cell near zero from reading as a large relative move."""
     rows_x = [line.split(",") for line in x.decode().splitlines()]
     rows_y = [line.split(",") for line in y.decode().splitlines()]
     if [len(r) for r in rows_x] != [len(r) for r in rows_y]:
@@ -136,8 +138,7 @@ def cell_diff(x: bytes, y: bytes) -> str:
             numeric += 1
             if cx != cy:
                 differing += 1
-                scale = max(abs(a), abs(b))
-                rel = abs(a - b) / scale if scale else 0.0
+                rel = abs(a - b) / max(1.0, abs(a), abs(b))
                 worst = max(worst, rel if rel == rel else float("inf"))
     text = f"{differing}/{numeric} numeric cells, max rel {worst:.2g}"
     return text + (f", {other} other cells" if other else "")
