@@ -22,6 +22,14 @@ from .potentials import (_rel_dev, cosine_1d, fd_cross_check, quadratic_linear,
 
 __all__ = ["CheckResult", "run_check_suite", "random_state", "rel_field_dev"]
 
+# Fewest sampler draws the suite accepts: enough for wigner_moments to
+# detect a sampler whose x covariance is twice too large.  Such a
+# sampler's variance estimates sit one target variance c off, against a
+# scale of 2 c / sqrt(N), so it scores z = sqrt(N) / 2, whose own spread
+# is sqrt(2); z >= 12, the limit 6 plus four of those spreads, needs
+# N >= 576.
+MIN_SAMPLES = 576
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -59,11 +67,13 @@ def _check(name, passed, detail) -> CheckResult:
 
 
 def run_check_suite(egorov_samples: int = 20_000, seed: int = 0) -> list[CheckResult]:
-    """Run all consistency checks.  Fewer than two egorov_samples, a seed
-    whose sampler key seed + 1 is no Philox key, or a count that
+    """Run all consistency checks.  Fewer than MIN_SAMPLES egorov_samples,
+    a seed whose sampler key seed + 1 is no Philox key, or a count that
     wigner_sample refuses, is a ValueError before any check."""
-    if egorov_samples < 2:
-        raise ValueError("samples must be >= 2 (a standard error needs two samples)")
+    if egorov_samples < MIN_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_SAMPLES} (fewer cannot detect a "
+                         f"sampler whose x covariance is twice too large), "
+                         f"got {egorov_samples}")
     egorov._check_seed(seed, offset=1)
     # the sampler check's ensemble is a recipe, made first so that a bad
     # seed or count is refused before any check runs

@@ -118,7 +118,8 @@ FLAGS = {
     "t-final": ("final time", _to_float, None),
     "t-star": ("comparison time for convergence errors", _to_float, None),
     "samples": ("Monte-Carlo sample count (or per-hbar list); egorov and "
-                f"converge take positive multiples of {egorov.REPLICATES}",
+                f"converge take positive multiples of {egorov.REPLICATES}, "
+                f"check at least {checks.MIN_SAMPLES}",
                 _counts, None),
     "seed": ("RNG seed (default 0)", _seed, 0),
     "out": ("output CSV path, '-' for stdout", _text, "-"),

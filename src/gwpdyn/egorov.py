@@ -19,7 +19,10 @@ independently scrambled Sobol sequences (Owen 1997, "Scrambled net
 variance for integrals of smooth functions"), generated here from Joe &
 Kuo's direction numbers of 20 dimensions, so packets of up to
 SOBOL_MAX_D = 10 dimensions, mapped to the Wigner density as
-independent draws are.  The integrand is smooth and only
+independent draws are: each uniform goes through the inverse normal
+CDF, a numpy port of Cephes' ndtri (the rational approximations that
+scipy.special.ndtri evaluates, in its order of operations), so the
+package imports numpy alone.  The integrand is smooth and only
 2d-dimensional, so over three seeds the mean had 152 to 277 times less
 variance than that of antithetic pairs (each draw followed by its
 mirror through the packet center) at the same transport cost at the
@@ -74,7 +77,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import dynamics
 from .dynamics import (ClassicalPhasePoint, classical_hamiltonian,
@@ -103,6 +105,16 @@ DEFAULT_CHUNK = 8192
 # its one pool for the blocks of all its ensembles; the usable CPUs and
 # the number of blocks cap it further.
 MAX_WORKERS = 4
+# Bytes of one array that transport frees before its first block.
+# glibc's malloc serves a request above its mmap threshold (128 KiB at
+# start-up) by mmap, and freeing such a block raises the threshold to
+# its size and the heap's trim threshold to twice that.  Below them a
+# block's temporaries (64-256 KiB each) grow and trim the heap at every
+# RK4 stage and fault its pages in again: series-1d took about 45 000
+# minor faults per run, against 7 000 once this block is freed (the
+# import of scipy.special used to free such blocks).  Other allocators
+# are unaffected.
+_HEAP_PRIMER = 4 << 20
 # Largest ensemble wigner_sample accepts.  Rows are drawn block by block,
 # so no allocation refuses a huge count; at this limit one transport step
 # already takes hours, so a larger count is refused before any run.
@@ -170,6 +182,88 @@ def _parity(x):
     for k in (32, 16, 8, 4, 2, 1):
         x = x ^ (x >> np.uint64(k))
     return x & np.uint64(1)
+
+
+# Cephes' ndtri (Moshier, "Methods and Programs for Mathematical
+# Functions", 1989), the inverse normal CDF that scipy.special.ndtri
+# wraps.  On the central branch e^-2 < u <= 1 - e^-2, with y = u - 1/2,
+# it is sqrt(2 pi) (y + y y2 P0(y2) / Q0(y2)); on the tails, with
+# s = sqrt(-2 log min(u, 1 - u)) and z = 1/s, it is
+# +-(s - log(s)/s - z P(z) / Q(z)), with (P1, Q1) below s = 8
+# (u > e^-32) and (P2, Q2) from there on.  Coefficients run from the
+# highest power down, and each Q's leading coefficient, 1, is left out.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _ratio(x, P, Q):
+    """x P(x) / Q(x), Q monic, each polynomial by Horner's rule in place
+    and in Cephes' order (polevl, p1evl), so each entry has the bits of
+    Cephes' scalar code."""
+    num = x * P[0]
+    num += P[1]
+    for c in P[2:]:
+        num *= x
+        num += c
+    den = x + Q[0]
+    for c in Q[1:]:
+        den *= x
+        den += c
+    num *= x
+    num /= den
+    return num
+
+
+def _ndtri(u):
+    """Cephes' inverse normal CDF of each entry of u, 0 < u < 1.  The
+    central formula is evaluated on every entry (its denominator has no
+    zero for 0 <= y2 <= 1/4) and the tails' on their entries alone.  The
+    result has scipy.special.ndtri's bits on the central branch; on the
+    tails numpy's log stands for libm's, within 4 ulp of scipy's."""
+    y = u - 0.5
+    y2 = y * y
+    x = _ratio(y2, _P0, _Q0)
+    x *= y
+    x += y
+    x *= _S2PI
+    u = u.ravel()
+    tail = np.flatnonzero((u <= _EXP_M2) | (u > 1.0 - _EXP_M2))
+    u = u[tail]
+    upper = u > 1.0 - _EXP_M2
+    s = np.log(np.where(upper, 1.0 - u, u))
+    s *= -2.0
+    np.sqrt(s, out=s)
+    z = 1.0 / s
+    xt = np.log(s)
+    xt /= s
+    np.subtract(s, xt, out=xt)
+    # each tail formula on its own entries; s >= 8 (u < e^-32) is rare
+    far = s >= 8.0
+    for rows, P, Q in ((~far, _P1, _Q1), (far, _P2, _Q2)):
+        if rows.all():
+            xt -= _ratio(z, P, Q)
+        elif rows.any():
+            xt[rows] -= _ratio(z[rows], P, Q)
+    np.negative(xt, out=xt, where=~upper)
+    np.put(x, tail, xt)
+    return x
 
 
 def _replicate_cuts(n: int, i0: int, i1: int):
@@ -240,18 +334,19 @@ class PhaseEnsemble:
         """Rows i0..i1 as component-major (d, b) arrays x and xi, from
         x ~ N(q, (hbar/2) B^-1) and xi = p + A_w (x - q) + eta with
         eta ~ N(0, (hbar/2) B), which reproduces W exactly.  Each row maps
-        2d uniforms through the exact inverse normal CDF: those of draw j
-        from its own stride of the Philox(key=seed) stream, reached by
-        Philox.advance, or for a sobol ensemble those of its point of its
-        replicate's scrambled Sobol sequence.  So a row is bitwise the
-        same however rows are cut into calls.
+        2d uniforms through _ndtri, a numpy port of Cephes' inverse normal
+        CDF (scipy.special.ndtri's bits on the central branch, within 4
+        ulp on the tails): those of draw j from its own stride of the
+        Philox(key=seed) stream, reached by Philox.advance, or for a sobol
+        ensemble those of its point of its replicate's scrambled Sobol
+        sequence.  So a row is bitwise the same however rows are cut
+        into calls.
         """
         st, d = self.state0, self.d
         L = np.linalg.cholesky(st.B_mat)
         scale = np.sqrt(0.5 * self.hbar)
-        # ndtri(0) is -inf; clamp the (measure-zero) exact zeros
-        e = np.clip(self._uniforms(i0, i1), 1e-300, None)
-        ndtri(e, out=e)
+        # _ndtri takes 0 < u; clamp the (measure-zero) exact zeros
+        e = _ndtri(np.clip(self._uniforms(i0, i1), 1e-300, None))
         dx = e[:, :d] @ np.linalg.inv(L)
         dx *= scale
         eta = e[:, d:] @ L.T
@@ -489,6 +584,7 @@ def _block_results(plan: _Transport):
     The blocks run in one forked pool (see the module docstring) when that
     can use more than one worker, and in this process otherwise.
     """
+    np.empty(_HEAP_PRIMER, dtype=np.uint8)     # freed at once; see _HEAP_PRIMER
     ns = [ens.n for ens in plan.ensembles]
     blocks = sorted(((j, i0) for j, n in enumerate(ns) for i0 in range(0, n, DEFAULT_CHUNK)),
                     key=lambda block: -min(DEFAULT_CHUNK, ns[block[0]] - block[1]))

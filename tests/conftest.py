@@ -90,6 +90,25 @@ def tilted(model: FieldModel) -> FieldModel:
     return dataclasses.replace(model, flow_fields=flow_fields, energy_fields=energy_fields)
 
 
+def gauged(model: FieldModel, H) -> FieldModel:
+    """The model in the gauge A' = A + grad chi of the quadratic
+    chi(x) = x.Hx/2, H symmetric: the same magnetic field, with
+    grad chi = Hx and jacA' = jacA + H.  chi's third derivatives vanish,
+    so hessA and grad_hess_trace_A are unchanged."""
+    H = np.asarray(H, dtype=float)
+
+    def flow_fields(x):
+        a, ja, grad_v = model.flow_fields(x)
+        return a + np.asarray(x) @ H, ja + H, grad_v
+
+    def energy_fields(x):
+        a, v = model.energy_fields(x)
+        return a + np.asarray(x) @ H, v
+
+    return dataclasses.replace(model, name=f"{model.name}-gauged",
+                               flow_fields=flow_fields, energy_fields=energy_fields)
+
+
 def plane_wave_gauge_2d(mass: float = 1.3) -> FieldModel:
     """Synthetic 2D model with genuinely curved vector potential.
 

@@ -650,12 +650,13 @@ REPLICATES = "sample counts must be positive multiples of 8 (scrambled Sobol rep
 
 
 @pytest.mark.parametrize("argv, message", [
-    # egorov and converge draw scrambled Sobol replicates; check needs two
-    # samples
+    # egorov and converge draw scrambled Sobol replicates; check needs
+    # enough samples to detect a sampler fault
     (EG_1D[:-1] + ["1", "--t-final", "0.1"], REPLICATES),
     (CONV_1D + ["--samples", "1"], REPLICATES),
     (CONV_1D + ["--samples", "104,1"], REPLICATES),
-    (["check", "--samples", "1"], "samples must be >= 2 (a standard error needs two samples)"),
+    (["check", "--samples", "1"], "samples must be >= 576 (fewer cannot detect a sampler "
+     "whose x covariance is twice too large), got 1"),
     # egorov and check take one count; a list used to run with its first
     (EG_1D[:-1] + ["100,200", "--t-final", "0.1"], "samples: expected one count, got 2"),
     (["check", "--samples", "100,5"], "samples: expected one count, got 2"),
@@ -871,17 +872,21 @@ def test_closed_stdout_ends_the_run_without_a_traceback(tmp_path):
     assert err == b""
 
 
-def test_commands_import_no_scipy_stats(tmp_path):
-    # importing scipy.stats (for its Sobol points, say) would add about
-    # 45 MiB of peak memory and half a second to every command
+def test_commands_import_no_scipy(tmp_path):
+    # the package runs on numpy alone: importing scipy.special (for ndtri)
+    # added about 27 MiB of peak memory and 0.2 s to every command, and
+    # scipy.stats (for Sobol points) about 45 MiB and half a second
     script = ("import sys\n"
               "from gwpdyn import cli\n"
               "argv = ['--potential', 'cosine1d', '--q', '0.5', '--p=-1']\n"
+              "assert cli.main(['simulate', *argv, '--hbar', '0.1', '--t-final', '0.02',"
+              " '--out', 's.csv']) == 0\n"
               "assert cli.main(['egorov', *argv, '--hbar', '0.1', '--t-final', '0.02',"
               " '--samples', '64', '--out', 'e.csv']) == 0\n"
               "assert cli.main(['converge', *argv, '--hbars', '0.5,0.3', '--t-star',"
               " '0.02', '--samples', '64', '--out', 'c.csv']) == 0\n"
-              "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n")
+              "assert cli.main(['check', '--samples', '1000']) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     proc = subprocess.run([sys.executable, "-c", script], env=_env_with_this_src(),
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import cubic_gauge_2d, plane_wave_gauge_2d, tilted
+from conftest import cubic_gauge_2d, gauged, plane_wave_gauge_2d, tilted
 from gwpdyn import dynamics
 from gwpdyn.checks import random_state, rel_field_dev
 from gwpdyn.dynamics import (ClassicalPhasePoint, bracket_rhs,
@@ -16,7 +16,8 @@ from gwpdyn.expectations import full_hamiltonian
 from gwpdyn.observables import (classical_angular_momentum, loglog_fit,
                                 semiclassical_angular_momentum)
 from gwpdyn.packet import PacketState, make_packet_state
-from gwpdyn.potentials import cosine_1d, quadratic_linear, quartic_rotational_2d
+from gwpdyn.potentials import (cosine_1d, fd_cross_check, quadratic_linear,
+                               quartic_rotational_2d)
 
 
 # ---------------------------------------------------------------------------
@@ -741,3 +742,33 @@ def test_energy_defect_separates_zhou_from_the_order_hbar_flow(model, state, dt,
         rates[flavor] = loglog_fit(hbars, defects)[1]
     assert rates["semiclassical"] >= 1.8, rates
     assert rates["zhou"] <= 1.2, rates
+
+
+# ---------------------------------------------------------------------------
+# gauge covariance, without Monte Carlo
+
+
+@pytest.mark.parametrize("flavor", dynamics.FLAVORS)
+def test_quadratic_gauge_change_is_exact(flavor, quartic_model, bench_state_2d):
+    # chi = x1 x2 takes quartic2d's symmetric gauge A = (-x2, x1) to the
+    # Landau gauge A' = (0, 2 x1), with the same magnetic field.  A
+    # quadratic chi maps Gaussians to Gaussians, so from p' = p + grad chi(q)
+    # and A_w' = A_w + hess chi every flavor makes the same run, to
+    # round-off: 1.1e-15 in q, 3.4e-15 in p and 1.4e-12 in widths of up to
+    # 49 at t = 2
+    H = np.array([[0.0, 1.0], [1.0, 0.0]])
+    landau = gauged(quartic_model, H)
+    x = np.random.default_rng(8).uniform(-1.5, 1.5, (5, 2))
+    assert np.array_equal(landau.A(x), np.stack([np.zeros(5), 2.0 * x[:, 0]], axis=-1))
+    for point in x:
+        assert not fd_cross_check(landau, point, tol=1e-6).failed
+    st = bench_state_2d
+    moved = make_packet_state(st.q, st.p + H @ st.q, st.A_mat + H, st.B_mat)
+    a = simulate(quartic_model, flavor, st, 0.1, 0.01, 2.0)
+    b = simulate(landau, flavor, moved, 0.1, 0.01, 2.0)
+    assert a.completed and b.completed
+    assert np.max(np.abs(b.states.q - a.states.q)) <= 1e-14
+    assert np.max(np.abs(b.states.p - b.states.q @ H - a.states.p)) <= 1e-14
+    if flavor != "classical":
+        assert np.max(np.abs(b.states.A_mat - H - a.states.A_mat)) <= 1e-11
+        assert np.max(np.abs(b.states.B_mat - a.states.B_mat)) <= 1e-11

@@ -1,12 +1,17 @@
 import dataclasses
 import multiprocessing
 import multiprocessing.context
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import qmc
 
 from conftest import plane_wave_gauge_2d, stored_rows
@@ -144,6 +149,38 @@ def test_wigner_sample_validation():
         with pytest.raises(ValueError, match=f"^sample count {over} exceeds the "
                                              f"limit of {egorov.MAX_SAMPLES} samples$"):
             wigner_sample(state, 0.1, seed=0, N=over, sobol=sobol)
+
+
+def test_inverse_normal_cdf_is_cephes_ndtri():
+    # the numpy port against scipy's Cephes ndtri on about 10^6 points:
+    # uniform draws at the sampler's 2^-53 resolution, log-uniform points
+    # down to the 1e-300 clamp and up to 1 - 2^-53, and each branch edge
+    e2, e32 = egorov._EXP_M2, np.exp(-32.0)
+    rng = np.random.default_rng(2024)
+    edges = [1e-300, 2.0 ** -53, 0.5, 1 - 2.0 ** -52, 1 - 2.0 ** -53]
+    for edge in (e2, 1 - e2, e32, 1 - e32):
+        edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    u = np.concatenate([
+        rng.random(800_000),
+        np.exp(-rng.uniform(0.0, -np.log(1e-300), 100_000)),
+        1.0 - np.floor(np.exp(rng.uniform(0.0, 45.0 * np.log(2.0), 100_000))) * 2.0 ** -53,
+        edges])
+    u = np.unique(np.clip(u, 1e-300, None))     # sorted
+    x, ref = egorov._ndtri(u), ndtri(u)
+    central = (u > e2) & (u <= 1 - e2)
+    assert np.array_equal(x[central], ref[central])
+    ulps = np.abs(x - ref) / np.spacing(np.abs(ref))
+    assert np.all(ulps[~central] <= 4.0)
+    assert egorov._ndtri(np.array([0.5]))[0] == 0.0
+    # nondecreasing within each branch; at e^-2 Cephes itself, and so
+    # scipy, steps back one ulp where the branch switches
+    for branch in (u <= e2, central, u > 1 - e2):
+        assert np.all(np.diff(x[branch]) >= 0.0)
+    # any shape and memory layout, entry by entry
+    grid = u[:60_000].reshape(-1, 4)
+    for view in (np.asfortranarray(grid), grid[:, ::2], grid.T):
+        assert np.array_equal(egorov._ndtri(view), egorov._ndtri(view.copy()))
+        assert np.array_equal(egorov._ndtri(view).ravel(), egorov._ndtri(view.ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +796,30 @@ def test_transport_memory_does_not_grow_with_the_sample_count(
     assert large <= small + 256 * 1024, (small, large)
 
 
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="primes glibc's malloc thresholds")
+def test_transport_does_not_fault_the_heap_in_at_every_step():
+    # in a fresh interpreter, where glibc's malloc keeps its start-up
+    # thresholds, four 1D blocks of 50 steps took 620 minor page faults
+    # with the heap primed (egorov._HEAP_PRIMER) and 7 900 without
+    script = ("import resource\n"
+              "from gwpdyn import egorov\n"
+              "from gwpdyn.packet import make_packet_state\n"
+              "from gwpdyn.potentials import cosine_1d\n"
+              "egorov.MAX_WORKERS = 1\n"
+              "st = make_packet_state([0.5], [-1.0], [[0.0]], [[1.0]])\n"
+              "ens = egorov.wigner_sample(st, 0.1, seed=1, N=4 * egorov.DEFAULT_CHUNK,"
+              " sobol=True)\n"
+              "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+              "egorov.propagate_ensemble(ens, cosine_1d(), 0.01, 0.5)\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n")
+    src = os.path.dirname(os.path.dirname(egorov.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2000
 
 
 def test_replicate_standard_error_matches_the_spread_over_seeds(cos_model,
