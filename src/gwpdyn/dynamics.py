@@ -36,12 +36,14 @@ float or one value per packet, so converge integrates all its hbars'
 packets in one run; each packet gets the bits of its single-point
 call.  semiclassical_hamiltonian and the other monitors are batched the
 same way, so a trajectory's monitors are computed once from its stacked
-states.  semiclassical_rhs evaluates each field callback once per call
-and hands the values to the width coupling of DerivedSquares.  Where
-hessA, or grad_hess_trace_A, vanishes at every packet of a call (a
-linear A, as in a uniform magnetic field), the flow skips the terms it
-multiplies instead of forming them from zeros, which leaves every bit
-of the result; the energy, evaluated once per trajectory, forms them.
+states.  semiclassical_rhs reads each field set of the model once per
+call (flow_fields and curvature_fields, and at hbar != 0
+trace_gradients) and hands the values to the width coupling of
+DerivedSquares.  Where hessA, or grad_hess_trace_A, vanishes at every
+packet of a call (a linear A, as in a uniform magnetic field), the flow
+skips the terms it multiplies instead of forming them from zeros, which
+leaves every bit of the result; the energy, evaluated once per
+trajectory, forms them.
 The width matrices' lines are symmetric bit for bit, so a symmetric
 A_w and B stay exactly symmetric along a run.
 
@@ -113,7 +115,7 @@ def _h0(p, a, v, m):
 
 
 def _unless_zero(field_values):
-    """The values of a curvature callback, or None when they vanish at
+    """The values of a curvature entry, or None when they vanish at
     every point: terms with a vanishing hessA or grad_hess_trace_A are
     skipped, since adding a zero leaves a value unchanged."""
     return field_values if field_values.any() else None
@@ -129,17 +131,18 @@ def semiclassical_hamiltonian(state: PacketState, model: FieldModel, hbar: float
     """Order-hbar effective energy H_hbar (see module docstring).
 
     Batched: q, p carry leading axes (..., d) and A_mat, B_mat
-    (..., d, d); one value per state is returned.  Each field callback
-    is evaluated once.
+    (..., d, d); one value per state is returned.  Each of flow_fields,
+    curvature_fields and energy_fields is read once.
     """
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
     a, ja, _ = model.flow_fields(q)
+    hv, ha = (np.asarray(f, dtype=float) for f in model.curvature_fields(q))
     a = np.asarray(a, dtype=float)
     W = Aw - np.asarray(ja, dtype=float)
-    K = DerivedSquares().coupling(p - a, W, np.asarray(model.hessA(q), dtype=float))
+    K = DerivedSquares().coupling(p - a, W, ha)
     Binv = np.linalg.inv(B)
     tr_width = np.trace(Binv @ (B @ B + K), axis1=-2, axis2=-1)
-    tr_v = np.trace(Binv @ np.asarray(model.hessV(q), dtype=float), axis1=-2, axis2=-1)
+    tr_v = np.trace(Binv @ hv, axis1=-2, axis2=-1)
     h0 = _h0(p, a, model.energy_fields(q)[1], model.mass)
     return h0 + 0.25 * hbar * (tr_width / model.mass + tr_v)
 
@@ -190,13 +193,13 @@ def semiclassical_rhs(state: PacketState, model: FieldModel, hbar):
 
     The hbar^0 part is Zhou's flow: the classical center lines and the
     Riccati width lines, which do not depend on hbar.  When every hbar is
-    0 it is returned alone, so Zhou's flow costs no B^-1 and no
-    trace-gradient callbacks, and its center lines equal classical_rhs
+    0 it is returned alone, so Zhou's flow costs no B^-1 and does not
+    read trace_gradients, and its center lines equal classical_rhs
     bitwise.  The order-hbar terms are minus the gradients of the
     Laplace corrections (hbar/4m) Tr(B^-1 K) and (hbar/4) Tr(B^-1 hessV):
     the center velocity gains -(hbar/4m) Tr(B^-1 hessA_k), and the
-    momentum equation the q-gradients of both traces.  Each field
-    callback is evaluated at most once.
+    momentum equation the q-gradients of both traces.  Each field set
+    is read at most once.
 
     When hessA vanishes at every member (a linear A, as in the paper's
     uniform magnetic field), DerivedSquares skips its products: v_k
@@ -213,14 +216,15 @@ def semiclassical_rhs(state: PacketState, model: FieldModel, hbar):
     m = model.mass
     a, ja, grad_v = model.flow_fields(q)
     a, ja = np.asarray(a, dtype=float), np.asarray(ja, dtype=float)
-    ha = _unless_zero(np.asarray(model.hessA(q), dtype=float))
+    hv, ha = (np.asarray(f, dtype=float) for f in model.curvature_fields(q))
+    ha = _unless_zero(ha)
 
     # hbar^0: classical center lines and Riccati width lines
     v = p - a
     W = Aw - ja
     dq = v / m
     dp = np.einsum("...ji,...j->...i", ja, v) / m - grad_v
-    dA = (B @ B - ds.coupling(v, W, ha)) / m - np.asarray(model.hessV(q), dtype=float)
+    dA = (B @ B - ds.coupling(v, W, ha)) / m - hv
     dB = -(np.swapaxes(W, -1, -2) @ B + B @ W) / m
     if not np.count_nonzero(hbar):
         return dq, dp, dA, dB
@@ -231,8 +235,8 @@ def semiclassical_rhs(state: PacketState, model: FieldModel, hbar):
     # order hbar: minus the gradients of (hbar/4m) Tr(B^-1 K) and of
     # (hbar/4) Tr(B^-1 hessV)
     Binv = np.linalg.inv(B)
-    ght_a = _unless_zero(np.asarray(model.grad_hess_trace_A(q, Binv), dtype=float))
-    ght_v = np.asarray(model.grad_hess_trace_V(q, Binv), dtype=float)
+    ght_v, ght_a = (np.asarray(f, dtype=float) for f in model.trace_gradients(q, Binv))
+    ght_a = _unless_zero(ght_a)
     grad_p, grad_q = ds.coupling_gradients(Binv, v, W, ja, ha, ght_a)
     dq = dq + 0.25 * h / m * grad_p
     dp = dp - 0.25 * h * (grad_q / m + ght_v)

@@ -547,13 +547,13 @@ class _Totals:
             live = (counts > 0)[:, None, :]
             means = np.where(live, self.sums / np.maximum(counts, 1)[:, None, :], 0.0)
             sums, units, m2 = _moments(means, live)
-            # a replicate mean that overflowed leaves the spread unbounded:
-            # inf, not the nan of inf - inf
-            m2[~np.isfinite(means).all(axis=2)] = np.inf
         if np.any(units < 2):
             raise ValueError(f"fewer than two surviving {'samples' if one else 'replicates'}"
                              "; cannot form errors")
-        return sums / units, np.sqrt(m2 / (units - 1) / units), int(counts[-1].sum())
+        # a spread that overflowed is unbounded: inf, not the nan of inf - inf
+        se = np.sqrt(m2 / (units - 1) / units)
+        se[~np.isfinite(se)] = np.inf
+        return sums / units, se, int(counts[-1].sum())
 
 
 # The plan a forked pool worker serves; set only in the worker, by the

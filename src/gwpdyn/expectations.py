@@ -95,22 +95,26 @@ def full_hamiltonian(state: PacketState, model: FieldModel, hbar,
 
         <H> = <|p + A_w (x - q) - A(x)|^2> / 2m + (hbar/4m) Tr B + <V>,
 
-    with the brackets Gaussian averages over the position density on
-    gaussian_nodes.  Only model.energy_fields is read.  The kinetic
-    momentum is formed one component at a time, so a stacked state
-    gives each member the bits of its single call.
+    with the brackets Gaussian averages over the position density
+    (gaussian_expectation of the kinetic-plus-V integrand).  Only
+    model.energy_fields is read.  The kinetic momentum is formed one
+    component at a time, so a stacked state gives each member the bits
+    of its single call.
     """
     q, p, Aw, B = state.q, state.p, state.A_mat, state.B_mat
-    pts, w = gaussian_nodes(q, B, hbar, nodes)
-    a, v = model.energy_fields(pts)
-    a = np.asarray(a, dtype=float)
-    dx = pts - q[..., None, :]
-    vsq = 0.0
-    for k in range(state.d):
-        vk = p[..., None, k] - a[..., k]
-        for j in range(state.d):
-            vk = vk + Aw[..., None, k, j] * dx[..., j]
-        vsq = vsq + vk * vk
     m = model.mass
-    avg = ((vsq / (2.0 * m) + np.asarray(v, dtype=float)) * w).sum(axis=-1)
+
+    def integrand(pts):
+        a, v = model.energy_fields(pts)
+        a = np.asarray(a, dtype=float)
+        dx = pts - q[..., None, :]
+        vsq = 0.0
+        for k in range(state.d):
+            vk = p[..., None, k] - a[..., k]
+            for j in range(state.d):
+                vk = vk + Aw[..., None, k, j] * dx[..., j]
+            vsq = vsq + vk * vk
+        return vsq / (2.0 * m) + np.asarray(v, dtype=float)
+
+    avg = gaussian_expectation(integrand, q, B, hbar, nodes)
     return avg + 0.25 * np.asarray(hbar, dtype=float) * np.trace(B, axis1=-2, axis2=-1) / m

@@ -1,31 +1,32 @@
 """Scalar/vector potential models and their analytic derivatives.
 
 A FieldModel bundles the data of a charged-particle Hamiltonian
-(1/2m)|p - A(x)|^2 + V(x): the mass, the fields the classical flow and
-its energy read, as two sets
+(1/2m)|p - A(x)|^2 + V(x): the mass and four sets of fields,
 
-    flow_fields(x) = (A(x), jacA(x), gradV(x)),    energy_fields(x) = (A(x), V(x)),
+    flow_fields(x)        = (A(x), jacA(x), gradV(x)),
+    energy_fields(x)      = (A(x), V(x)),
+    curvature_fields(x)   = (hessV(x), hessA(x)),
+    trace_gradients(x, M) = (grad Tr(M hessV(x)), grad Tr(M hessA_k(x))),
 
-the Hessians of V and A, and the gradients of the Hessian traces
-
-    x -> grad Tr(M hessV(x)),    x -> grad Tr(M hessA_k(x))
-
-for a symmetric weight matrix M (these show up wherever an hbar-order
-Laplace correction is differentiated with respect to the center).  A
-model evaluates each set in one call, so its entries may reuse each
+for a symmetric weight matrix M.  The classical flow and its energy
+read the first two, the width lines the curvature fields, and the
+gradients of the order-hbar Laplace corrections the trace gradients.
+A model evaluates each set in one call, so its entries may reuse each
 other's work (cosine_1d's flow fields take one cos x and one sin x);
-the A of both sets must have the same bits, which fd_cross_check
-checks.  V, gradV, A and jacA are read-only methods that return one
-entry of a set (model.A(x) is model.flow_fields(x)[0]).  Conventions:
+the A of the first two sets must have the same bits, which
+fd_cross_check checks.  V, gradV, A, jacA, hessV, hessA,
+grad_hess_trace_V and grad_hess_trace_A are read-only methods that
+return one entry of a set (model.A(x) is model.flow_fields(x)[0]).
+Conventions:
 
   * jacA(x)[i, j] = dA_i/dx_j
   * hessA(x)[k, i, j] = d^2 A_k / dx_i dx_j
   * grad_hess_trace_A(x, M)[k, i] = d/dx_i Tr(M hessA_k(x))
 
-Every callback is batched: x has shape (..., d), M has shape
-(..., d, d) with the same leading axes, and the result carries those
-leading axes in front of the shapes above.  A single point is the case
-of no leading axes.
+Every set is batched: x has shape (..., d), M has shape (..., d, d)
+with the same leading axes, and each entry carries those leading axes
+in front of the shapes above.  A single point is the case of no leading
+axes.
 """
 
 from __future__ import annotations
@@ -54,12 +55,10 @@ class FieldModel:
     name: str
     dim: int
     mass: float
-    flow_fields: Callable        # x -> (A(x), jacA(x), gradV(x))
-    energy_fields: Callable      # x -> (A(x), V(x))
-    hessV: Callable              # x -> (..., d, d)
-    hessA: Callable              # x -> (..., d, d, d)
-    grad_hess_trace_V: Callable  # (x, M) -> (..., d)
-    grad_hess_trace_A: Callable  # (x, M) -> (..., d, d)
+    flow_fields: Callable       # x -> (A(x), jacA(x), gradV(x))
+    energy_fields: Callable     # x -> (A(x), V(x))
+    curvature_fields: Callable  # x -> (hessV(x), hessA(x))
+    trace_gradients: Callable   # (x, M) -> ((..., d), (..., d, d)), see above
 
     # one entry of a set each, so there is no second implementation of
     # a field; to change a field, replace the set
@@ -74,6 +73,18 @@ class FieldModel:
 
     def jacA(self, x):
         return self.flow_fields(x)[1]
+
+    def hessV(self, x):
+        return self.curvature_fields(x)[0]
+
+    def hessA(self, x):
+        return self.curvature_fields(x)[1]
+
+    def grad_hess_trace_V(self, x, M):
+        return self.trace_gradients(x, M)[0]
+
+    def grad_hess_trace_A(self, x, M):
+        return self.trace_gradients(x, M)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -99,30 +110,22 @@ def cosine_1d() -> FieldModel:
         c = np.cos(x)
         return c[..., None], 1.0 - 0.5 * (c * c)
 
-    def hessV(x):
+    def curvature_fields(x):
         x = np.asarray(x, dtype=float)[..., 0]
-        return np.asarray(np.cos(2.0 * x))[..., None, None]
+        return (np.asarray(np.cos(2.0 * x))[..., None, None],
+                (-np.cos(x))[..., None, None, None])
 
-    def hessA(x):
+    def trace_gradients(x, M):
+        # d/dx of M00 V''(x) = M00 cos(2x) and of M00 A''(x) = -M00 cos x
         x = np.asarray(x, dtype=float)[..., 0]
-        return (-np.cos(x))[..., None, None, None]
-
-    def ghtV(x, M):
-        # d/dx (M00 * V''(x)) with V'' = cos(2x)
-        x = np.asarray(x, dtype=float)[..., 0]
-        M = np.asarray(M, dtype=float)
-        return (M[..., 0, 0] * (-2.0 * np.sin(2.0 * x)))[..., None]
-
-    def ghtA(x, M):
-        x = np.asarray(x, dtype=float)[..., 0]
-        M = np.asarray(M, dtype=float)
-        return (M[..., 0, 0] * np.sin(x))[..., None, None]
+        m00 = np.asarray(M, dtype=float)[..., 0, 0]
+        return ((m00 * (-2.0 * np.sin(2.0 * x)))[..., None],
+                (m00 * np.sin(x))[..., None, None])
 
     return FieldModel(
         name="cosine1d", dim=1, mass=1.0,
         flow_fields=flow_fields, energy_fields=energy_fields,
-        hessV=hessV, hessA=hessA,
-        grad_hess_trace_V=ghtV, grad_hess_trace_A=ghtA,
+        curvature_fields=curvature_fields, trace_gradients=trace_gradients,
     )
 
 
@@ -144,10 +147,11 @@ def quartic_rotational_2d() -> FieldModel:
         r2 = np.einsum("...i,...i->...", x, x)
         return x * (1.0 + r2)[..., None]
 
-    def hessV(x):
+    def curvature_fields(x):
         x = np.asarray(x, dtype=float)
         r2 = np.einsum("...i,...i->...", x, x)
-        return (1.0 + r2)[..., None, None] * eye + 2.0 * x[..., :, None] * x[..., None, :]
+        return ((1.0 + r2)[..., None, None] * eye + 2.0 * x[..., :, None] * x[..., None, :],
+                np.zeros(x.shape[:-1] + (2, 2, 2)))
 
     def A(x):
         x = np.asarray(x, dtype=float)
@@ -160,26 +164,20 @@ def quartic_rotational_2d() -> FieldModel:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(J, x.shape[:-1] + (2, 2))
 
-    def hessA(x):
-        return np.zeros(np.shape(x)[:-1] + (2, 2, 2))
-
-    def ghtV(x, M):
+    def trace_gradients(x, M):
         # Tr(M hessV) = (1+|x|^2) Tr M + 2 x.Mx, so the gradient is
-        # 2 Tr(M) x + 4 M x.
+        # 2 Tr(M) x + 4 M x; hessA vanishes.
         x = np.asarray(x, dtype=float)
         M = np.asarray(M, dtype=float)
         tr = np.trace(M, axis1=-2, axis2=-1)[..., None]
-        return 2.0 * tr * x + 4.0 * (M @ x[..., None])[..., 0]
-
-    def ghtA(x, M):
-        return np.zeros(np.shape(x)[:-1] + (2, 2))
+        return (2.0 * tr * x + 4.0 * (M @ x[..., None])[..., 0],
+                np.zeros(x.shape[:-1] + (2, 2)))
 
     return FieldModel(
         name="quartic2d", dim=2, mass=1.0,
         flow_fields=lambda x: (A(x), jacA(x), gradV(x)),
         energy_fields=lambda x: (A(x), V(x)),
-        hessV=hessV, hessA=hessA,
-        grad_hess_trace_V=ghtV, grad_hess_trace_A=ghtA,
+        curvature_fields=curvature_fields, trace_gradients=trace_gradients,
     )
 
 
@@ -216,10 +214,6 @@ def quadratic_linear(K, b, c, M0, a0, mass: float = 1.0) -> FieldModel:
         x = np.asarray(x, dtype=float)
         return np.einsum("...j,ij->...i", x, K) + b
 
-    def hessV(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(K, x.shape[:-1] + (d, d))
-
     def A(x):
         x = np.asarray(x, dtype=float)
         return np.einsum("...j,ij->...i", x, M0) + a0
@@ -228,21 +222,19 @@ def quadratic_linear(K, b, c, M0, a0, mass: float = 1.0) -> FieldModel:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(M0, x.shape[:-1] + (d, d))
 
-    def hessA(x):
-        return np.zeros(np.shape(x)[:-1] + (d, d, d))
+    def curvature_fields(x):
+        lead = np.shape(x)[:-1]
+        return np.broadcast_to(K, lead + (d, d)), np.zeros(lead + (d, d, d))
 
-    def ghtV(x, M):
-        return np.zeros(np.shape(x)[:-1] + (d,))
-
-    def ghtA(x, M):
-        return np.zeros(np.shape(x)[:-1] + (d, d))
+    def trace_gradients(x, M):
+        lead = np.shape(x)[:-1]
+        return np.zeros(lead + (d,)), np.zeros(lead + (d, d))
 
     return FieldModel(
         name="quadratic", dim=d, mass=mass,
         flow_fields=lambda x: (A(x), jacA(x), gradV(x)),
         energy_fields=lambda x: (A(x), V(x)),
-        hessV=hessV, hessA=hessA,
-        grad_hess_trace_V=ghtV, grad_hess_trace_A=ghtA,
+        curvature_fields=curvature_fields, trace_gradients=trace_gradients,
     )
 
 
@@ -283,9 +275,9 @@ class DerivedSquares:
     momentum v = p - A(q) and W = A_w - DA(q) (A_w the real width
     matrix), through which the packet flow and its energy read A.
 
-    The methods take v, W and what the FieldModel callbacks returned at q
+    The methods take v, W and entries of the FieldModel's sets at q
     (ja = jacA(q), ha = hessA(q), ght_a = grad_hess_trace_A(q, M)), so a
-    right-hand side evaluates each callback once.  Both are batched over
+    right-hand side evaluates each set once.  Both are batched over
     leading axes, each member with the bits of its single-point call; the
     class holds no state.  A caller that knows hessA (or
     grad_hess_trace_A) to vanish at every point passes ha (or ght_a) as
@@ -330,7 +322,7 @@ class DerivedSquares:
 
 @dataclass(frozen=True)
 class FdReport:
-    """Outcome of fd_cross_check: worst relative deviation per callback."""
+    """Outcome of fd_cross_check: worst relative deviation per field."""
 
     deviations: dict = field(default_factory=dict)
     failed: tuple = ()
@@ -348,7 +340,7 @@ def _rel_dev(fd, analytic) -> float:
 
 
 def fd_cross_check(model: FieldModel, x, tol: float = 1e-6, M=None) -> FdReport:
-    """Check every analytic derivative callback by central differences.
+    """Check every analytic derivative field by central differences.
 
     Each level is differenced against the level below it (gradV against V,
     hessV against gradV, and so on), which keeps all checks first-order

@@ -94,7 +94,7 @@ def gauged(model: FieldModel, H) -> FieldModel:
     """The model in the gauge A' = A + grad chi of the quadratic
     chi(x) = x.Hx/2, H symmetric: the same magnetic field, with
     grad chi = Hx and jacA' = jacA + H.  chi's third derivatives vanish,
-    so hessA and grad_hess_trace_A are unchanged."""
+    so the curvature fields and trace gradients are unchanged."""
     H = np.asarray(H, dtype=float)
 
     def flow_fields(x):
@@ -128,14 +128,6 @@ def plane_wave_gauge_2d(mass: float = 1.3) -> FieldModel:
         return np.stack([-np.sin(x1) * np.cos(x2),
                          -np.cos(x1) * np.sin(x2)], axis=-1)
 
-    def hessV(x):
-        x = np.asarray(x, dtype=float)
-        x1, x2 = x[..., 0], x[..., 1]
-        vv = np.cos(x1) * np.cos(x2)
-        ss = np.sin(x1) * np.sin(x2)
-        return np.stack([np.stack([-vv, ss], axis=-1),
-                         np.stack([ss, -vv], axis=-1)], axis=-2)
-
     def A(x):
         x = np.asarray(x, dtype=float)
         return np.stack([np.sin(x @ ck) for ck in c], axis=-1)
@@ -144,33 +136,33 @@ def plane_wave_gauge_2d(mass: float = 1.3) -> FieldModel:
         x = np.asarray(x, dtype=float)
         return np.stack([np.cos(x @ ck)[..., None] * ck for ck in c], axis=-2)
 
-    def hessA(x):
+    def curvature_fields(x):
         x = np.asarray(x, dtype=float)
-        return np.stack([-np.sin(x @ ck)[..., None, None] * np.outer(ck, ck)
-                         for ck in c], axis=-3)
+        x1, x2 = x[..., 0], x[..., 1]
+        vv = np.cos(x1) * np.cos(x2)
+        ss = np.sin(x1) * np.sin(x2)
+        return (np.stack([np.stack([-vv, ss], axis=-1),
+                          np.stack([ss, -vv], axis=-1)], axis=-2),
+                np.stack([-np.sin(x @ ck)[..., None, None] * np.outer(ck, ck)
+                          for ck in c], axis=-3))
 
-    def ghtV(x, M):
+    def trace_gradients(x, M):
         x = np.asarray(x, dtype=float)
         M = np.asarray(M, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
         tr = M[..., 0, 0] + M[..., 1, 1]
         off = 2.0 * M[..., 0, 1]
-        return np.stack([tr * np.sin(x1) * np.cos(x2) + off * np.cos(x1) * np.sin(x2),
-                         tr * np.cos(x1) * np.sin(x2) + off * np.sin(x1) * np.cos(x2)],
-                        axis=-1)
-
-    def ghtA(x, M):
-        x = np.asarray(x, dtype=float)
-        M = np.asarray(M, dtype=float)
-        return np.stack([(-np.cos(x @ ck) * (ck @ M @ ck))[..., None] * ck for ck in c],
-                        axis=-2)
+        return (np.stack([tr * np.sin(x1) * np.cos(x2) + off * np.cos(x1) * np.sin(x2),
+                          tr * np.cos(x1) * np.sin(x2) + off * np.sin(x1) * np.cos(x2)],
+                         axis=-1),
+                np.stack([(-np.cos(x @ ck) * (ck @ M @ ck))[..., None] * ck for ck in c],
+                         axis=-2))
 
     return FieldModel(
         name="planewave2d", dim=2, mass=mass,
         flow_fields=lambda x: (A(x), jacA(x), gradV(x)),
         energy_fields=lambda x: (A(x), V(x)),
-        hessV=hessV, hessA=hessA,
-        grad_hess_trace_V=ghtV, grad_hess_trace_A=ghtA,
+        curvature_fields=curvature_fields, trace_gradients=trace_gradients,
     )
 
 
@@ -192,9 +184,6 @@ def cubic_gauge_2d(mass: float = 0.7) -> FieldModel:
     def gradV(x):
         return np.array(x, dtype=float)
 
-    def hessV(x):
-        return np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2))
-
     def A(x):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
@@ -207,30 +196,26 @@ def cubic_gauge_2d(mass: float = 0.7) -> FieldModel:
         return np.stack([np.stack([0.5 * x2 * x2, x1 * x2 - 0.5], axis=-1),
                          np.stack([half, np.zeros_like(x1)], axis=-1)], axis=-2)
 
-    def hessA(x):
+    def curvature_fields(x):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
-        out = np.zeros(x.shape[:-1] + (2, 2, 2))
-        out[..., 0, 0, 1] = out[..., 0, 1, 0] = x2
-        out[..., 0, 1, 1] = x1
-        return out
+        ha = np.zeros(x.shape[:-1] + (2, 2, 2))
+        ha[..., 0, 0, 1] = ha[..., 0, 1, 0] = x2
+        ha[..., 0, 1, 1] = x1
+        return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)), ha
 
-    def ghtV(x, M):
-        return np.zeros(np.shape(x))
-
-    def ghtA(x, M):
+    def trace_gradients(x, M):
         M = np.asarray(M, dtype=float)
-        out = np.zeros(M.shape[:-2] + (2, 2))
-        out[..., 0, 0] = M[..., 1, 1]
-        out[..., 0, 1] = 2.0 * M[..., 0, 1]
-        return out
+        ght_a = np.zeros(M.shape[:-2] + (2, 2))
+        ght_a[..., 0, 0] = M[..., 1, 1]
+        ght_a[..., 0, 1] = 2.0 * M[..., 0, 1]
+        return np.zeros(np.shape(x)), ght_a
 
     return FieldModel(
         name="cubic2d", dim=2, mass=mass,
         flow_fields=lambda x: (A(x), jacA(x), gradV(x)),
         energy_fields=lambda x: (A(x), V(x)),
-        hessV=hessV, hessA=hessA,
-        grad_hess_trace_V=ghtV, grad_hess_trace_A=ghtA,
+        curvature_fields=curvature_fields, trace_gradients=trace_gradients,
     )
 
 

@@ -772,3 +772,46 @@ def test_quadratic_gauge_change_is_exact(flavor, quartic_model, bench_state_2d):
     if flavor != "classical":
         assert np.max(np.abs(b.states.A_mat - H - a.states.A_mat)) <= 1e-11
         assert np.max(np.abs(b.states.B_mat - a.states.B_mat)) <= 1e-11
+
+
+def test_cosine1d_gauge_change_holds_to_order_hbar_squared(cos_model):
+    # cosine1d's A = cos x is the gauge chi = sin x of a twin with A = 0
+    # and the same V.  A chi with third derivatives maps Gaussians to
+    # Gaussians only up to order hbar^2: the twin started at
+    # p' = p - A(q) - (hbar/4) B^-1 A''(q), A_w' = A_w - A'(q) runs
+    # cosine1d's center to that order.  Errors 2.43e-3 .. 2.43e-5 at
+    # hbar 0.1 .. 0.01, a rate of 2.000; without the (hbar/4) shift the
+    # rate is 0.987.
+    def without(fields, *zero):
+        """The set with its entries at the indices zero made zeros."""
+        def call(*args):
+            return tuple(np.zeros_like(f) if k in zero else f
+                         for k, f in enumerate(fields(*args)))
+        return call
+
+    twin = dataclasses.replace(
+        cos_model, name="cosine1d-twin",
+        flow_fields=without(cos_model.flow_fields, 0, 1),
+        energy_fields=without(cos_model.energy_fields, 0),
+        curvature_fields=without(cos_model.curvature_fields, 1),
+        trace_gradients=without(cos_model.trace_gradients, 1))
+    assert not fd_cross_check(twin, [0.5]).failed
+    assert not twin.A(np.linspace(-3.0, 3.0, 7)[:, None]).any()
+
+    def shift(q, B):
+        """p - p' at the twin's q and B: A(q) + (hbar/4) B^-1 A''(q)."""
+        curvature = cos_model.hessA(q)[:, 0, 0] / B[:, 0]
+        return cos_model.A(q) + 0.25 * hbars[:, None] * curvature
+
+    hbars = np.array([0.1, 0.05, 0.03, 0.01])
+    ones = np.ones((4, 1, 1))
+    start = PacketState(np.full((4, 1), 0.5), np.full((4, 1), -1.0), 0.0 * ones, ones)
+    moved = PacketState(start.q, start.p - shift(start.q, start.B_mat),
+                        start.A_mat - cos_model.jacA(start.q), start.B_mat)
+    a, b = (rk4_integrate(lambda s: semiclassical_rhs(s, model, hbars), st, 0.01, 1.6)
+            for model, st in ((cos_model, start), (twin, moved)))
+    assert a.completed and b.completed
+    q, p = a.states.q[-1], a.states.p[-1]
+    q0, p0, B0 = b.states.q[-1], b.states.p[-1], b.states.B_mat[-1]
+    errors = np.hypot(q - q0, p - p0 - shift(q0, B0))[:, 0]
+    assert loglog_fit(hbars, errors)[1] >= 1.8, errors

@@ -230,8 +230,7 @@ def test_full_hamiltonian_reads_only_energy_fields():
     rng = np.random.default_rng(32)
     for model in _test_models():
         energy_only = dataclasses.replace(
-            model, flow_fields=unread, hessV=unread, hessA=unread,
-            grad_hess_trace_V=unread, grad_hess_trace_A=unread)
+            model, flow_fields=unread, curvature_fields=unread, trace_gradients=unread)
         st = random_state(rng, model.dim)
         assert full_hamiltonian(st, energy_only, 0.3) == full_hamiltonian(st, model, 0.3)
 

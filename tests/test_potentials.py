@@ -5,9 +5,9 @@ import pytest
 
 from conftest import cubic_gauge_2d, plane_wave_gauge_2d, tilted
 from gwpdyn.dynamics import (ClassicalPhasePoint, classical_hamiltonian, classical_rhs,
-                             semiclassical_rhs)
+                             semiclassical_hamiltonian, semiclassical_rhs)
 from gwpdyn.egorov import propagate_ensemble, wigner_sample
-from gwpdyn.packet import make_packet_state
+from gwpdyn.packet import PacketState, make_packet_state
 from gwpdyn.potentials import (DerivedSquares, cosine_1d, fd_cross_check,
                                free_model, model_by_name, quadratic_linear,
                                quartic_rotational_2d, rotational_symmetry_check)
@@ -57,30 +57,48 @@ def test_fd_cross_check_flags_shared_fields_that_disagree(cos_model):
 
 
 def test_replaced_callback_is_what_the_flow_and_energy_call(cos_model):
+    # every consumer reads whole sets, each exactly once per call
+    sets = ("flow_fields", "energy_fields", "curvature_fields", "trace_gradients")
+    assert [f.name for f in dataclasses.fields(cos_model)] == ["name", "dim", "mass", *sets]
     calls = []
 
     def counted(name, fn):
-        def call(x):
+        def call(x, *M):
             calls.append((name, np.shape(x)))
-            return fn(x)
+            return fn(x, *M)
         return call
 
-    model = dataclasses.replace(
-        cos_model, flow_fields=counted("flow", cos_model.flow_fields),
-        energy_fields=counted("energy", cos_model.energy_fields))
+    def read(*names, shape):
+        assert sorted(calls) == sorted((name, shape) for name in names)
+        calls.clear()
+
+    model = dataclasses.replace(cos_model, **{name: counted(name, getattr(cos_model, name))
+                                              for name in sets})
     z = ClassicalPhasePoint(np.array([[0.3], [-1.2]]), np.array([[1.0], [0.5]]))
     assert np.array_equal(classical_rhs(z, model)[1], classical_rhs(z, cos_model)[1])
-    assert calls == [("flow", (2, 1))]
-    st = make_packet_state([0.3], [1.0], [[0.2]], [[1.5]])
-    for hbar in (0.0, 0.1):
-        assert all(np.array_equal(a, b) for a, b in zip(
-            semiclassical_rhs(st, model, hbar), semiclassical_rhs(st, cos_model, hbar)))
-    assert calls == [("flow", (2, 1)), ("flow", (1,)), ("flow", (1,))]
+    read("flow_fields", shape=(2, 1))
     assert np.array_equal(classical_hamiltonian(z, model),
                           classical_hamiltonian(z, cos_model))
-    assert calls[3:] == [("energy", (2, 1))]
+    read("energy_fields", shape=(2, 1))
+    single = make_packet_state([0.3], [1.0], [[0.2]], [[1.5]])
+    stack = PacketState(np.array([[0.3], [-0.4]]), np.array([[1.0], [0.2]]),
+                        np.array([[[0.2]], [[-0.1]]]), np.array([[[1.5]], [[0.7]]]))
+    for st, hbar in ((single, 0.1), (stack, np.array([0.1, 0.05]))):
+        shape = st.q.shape
+        for h in (0.0 * hbar, hbar):
+            assert all(np.array_equal(a, b) for a, b in zip(
+                semiclassical_rhs(st, model, h), semiclassical_rhs(st, cos_model, h)))
+            if np.any(h):
+                read("flow_fields", "curvature_fields", "trace_gradients", shape=shape)
+            else:
+                # Zhou's flow reads no trace gradients
+                read("flow_fields", "curvature_fields", shape=shape)
+        assert np.array_equal(semiclassical_hamiltonian(st, model, 0.1),
+                              semiclassical_hamiltonian(st, cos_model, 0.1))
+        read("flow_fields", "curvature_fields", "energy_fields", shape=shape)
     # the single-field methods read the sets; they are not fields to replace
-    for name in ("V", "gradV", "A", "jacA"):
+    for name in ("V", "gradV", "A", "jacA", "hessV", "hessA", "grad_hess_trace_V",
+                 "grad_hess_trace_A"):
         with pytest.raises(TypeError):
             dataclasses.replace(cos_model, **{name: lambda x: x})
 
