@@ -334,6 +334,12 @@ def cmd_egorov(s: argparse.Namespace) -> int:
         parts += [est.means[name], est.ses[name]]
     _write_csv(s.out, cols, np.column_stack(parts),
                f"# excluded_samples,{est.excluded}\n")
+    for name in obs:
+        bad = ~np.isfinite(est.means[name].reshape(len(est.times), -1)).all(axis=1)
+        if bad.any():
+            print(f"warning: the mean of {name} is not finite at {bad.sum()} of "
+                  f"{len(est.times)} times, first at t = {est.times[bad][0]:.6g}: "
+                  "surviving samples overflowed", file=sys.stderr)
     return 0
 
 

@@ -164,7 +164,8 @@ def classical_rhs(z, model: FieldModel):
     bits either way.  The fields come from one model.flow_fields call;
     v and dp are allocated before it, and A(q) is freed before the sums:
     in other orders glibc trims and refaults the heap on many steps of a
-    2D transport block.
+    2D transport block.  At unit mass the two divisions by m are skipped,
+    which leaves every bit.
     """
     v = np.empty_like(z.p, dtype=float)
     dp = np.zeros_like(v)
@@ -177,9 +178,10 @@ def classical_rhs(z, model: FieldModel):
     for i in range(d):
         for j in range(d):
             dp[..., i] += ja[..., j, i] * v[..., j]
-    dp /= model.mass
+    if model.mass != 1.0:       # x / 1.0 is x, NaN and inf included
+        dp /= model.mass
+        v /= model.mass
     dp -= grad_v
-    v /= model.mass
     return v, dp
 
 
@@ -388,17 +390,37 @@ def rk4_step(rhs, ys: tuple, dt: float) -> tuple:
     """One classic Runge-Kutta step of dy/dt = rhs(y) for a tuple of arrays.
 
     rhs maps the tuple to a tuple of derivatives of the same shapes;
-    every array may carry leading batch axes.
+    every array may carry leading batch axes.  The result has the bits
+    of the textbook y + dt/6 (k1 + 2 k2 + 2 k3 + k4) with shifted states
+    y + h k (IEEE + and * commute), from fewer live arrays: the shifted
+    states h k + y and the result (dt/6) S + y are each built in place,
+    and S = 2 k2 + k1 + 2 k3 + k4 is summed as the stages arrive.  ys
+    and what rhs returns (its own inputs, or read-only views) are never
+    written, and each output keeps the memory layout of the rhs output.
     """
     def shifted(ks, h):
-        return tuple(y + h * k for y, k in zip(ys, ks))
+        zs = [h * k for k in ks]
+        for i, y in enumerate(ys):
+            zs[i] += y      # item assignment, so a 0-d k's scalar is kept
+        return tuple(zs)
 
     k1 = rhs(ys)
     k2 = rhs(shifted(k1, 0.5 * dt))
+    acc = [2.0 * b for b in k2]
+    for i, a in enumerate(k1):
+        acc[i] += a
+    del k1
     k3 = rhs(shifted(k2, 0.5 * dt))
+    del k2
+    for i, c in enumerate(k3):
+        acc[i] += 2.0 * c
     k4 = rhs(shifted(k3, dt))
-    return tuple(y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                 for y, a, b, c, d in zip(ys, k1, k2, k3, k4))
+    del k3
+    for i, (d, y) in enumerate(zip(k4, ys)):
+        acc[i] += d
+        acc[i] *= dt / 6.0
+        acc[i] += y
+    return tuple(acc)
 
 
 def _monitor_values(name, fn, states) -> np.ndarray:

@@ -96,10 +96,10 @@ __all__ = [
 ]
 
 OBSERVABLES = ("q", "p", "H0", "Lz")
-# Samples per transport block.  A block's state and RK4 stage arrays
-# then take about 2 MiB in d = 2, the size of the L2 cache; on the 2D
-# rate sweep 4096 and 16384 both measured slower, from call overhead
-# and from cache misses respectively.
+# Samples per transport block.  One RK4 step of a block then allocates
+# at most about 1.5 MiB beside its 0.25 MiB state in d = 2, inside the
+# 2 MiB L2 cache; per sample-step 4096 rows measured slower (call
+# overhead) and 16384 no faster (tools/transport_block.py).
 DEFAULT_CHUNK = 8192
 # Most transport worker processes one propagate_ensembles call forks, in
 # its one pool for the blocks of all its ensembles; the usable CPUs and

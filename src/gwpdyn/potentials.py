@@ -32,6 +32,7 @@ axes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -160,9 +161,8 @@ def quartic_rotational_2d() -> FieldModel:
         out[..., 1] = x[..., 0]
         return out
 
-    def jacA(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(J, x.shape[:-1] + (2, 2))
+    # one read-only view per leading shape: broadcast_to costs 3-8 us a call
+    jacobian = lru_cache(lambda lead: np.broadcast_to(J, lead + (2, 2)))
 
     def trace_gradients(x, M):
         # Tr(M hessV) = (1+|x|^2) Tr M + 2 x.Mx, so the gradient is
@@ -175,7 +175,7 @@ def quartic_rotational_2d() -> FieldModel:
 
     return FieldModel(
         name="quartic2d", dim=2, mass=1.0,
-        flow_fields=lambda x: (A(x), jacA(x), gradV(x)),
+        flow_fields=lambda x: (A(x), jacobian(np.shape(x)[:-1]), gradV(x)),
         energy_fields=lambda x: (A(x), V(x)),
         curvature_fields=curvature_fields, trace_gradients=trace_gradients,
     )
@@ -218,9 +218,8 @@ def quadratic_linear(K, b, c, M0, a0, mass: float = 1.0) -> FieldModel:
         x = np.asarray(x, dtype=float)
         return np.einsum("...j,ij->...i", x, M0) + a0
 
-    def jacA(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(M0, x.shape[:-1] + (d, d))
+    # one read-only view per leading shape, as in quartic2d
+    jacobian = lru_cache(lambda lead: np.broadcast_to(M0, lead + (d, d)))
 
     def curvature_fields(x):
         lead = np.shape(x)[:-1]
@@ -232,7 +231,7 @@ def quadratic_linear(K, b, c, M0, a0, mass: float = 1.0) -> FieldModel:
 
     return FieldModel(
         name="quadratic", dim=d, mass=mass,
-        flow_fields=lambda x: (A(x), jacA(x), gradV(x)),
+        flow_fields=lambda x: (A(x), jacobian(np.shape(x)[:-1]), gradV(x)),
         energy_fields=lambda x: (A(x), V(x)),
         curvature_fields=curvature_fields, trace_gradients=trace_gradients,
     )

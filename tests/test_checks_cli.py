@@ -523,6 +523,26 @@ def test_egorov_with_no_survivors_exits_2_without_warnings(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_egorov_names_a_mean_that_is_not_finite(tmp_path, capsys):
+    # an inverted oscillator: once a survivor's |p| passes about 1e154 its
+    # H0 = p^2/2 - 450 q^2 is inf - inf, so the H0 mean is NaN at half the
+    # grid while the q and p means stay finite.  The CSV keeps the NaNs and
+    # the exit code stays 0; stderr names the mean, how often and from when
+    cfg = tmp_path / "inverted.cfg"
+    cfg.write_text("potential = quadratic\nK = -900\nb = 0\nc = 0\nM0 = 0\na0 = 0\n")
+    out = tmp_path / "e.csv"
+    assert cli.main(["egorov", "--config", str(cfg), "--q", "0", "--p", "0", "--A", "0",
+                     "--B", "1", "--hbar", "0.5", "--dt", "0.01", "--t-final", "23.43",
+                     "--samples", "2048", "--seed", "5", "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", (
+        "warning: the mean of H0 is not finite at 1172 of 2344 times, first at "
+        "t = 11.72: surviving samples overflowed\n"))
+    header, rows, _ = _read_csv(out)
+    h0 = rows[:, header.index("mean_H0")]
+    assert np.isnan(h0).sum() == 1172 and np.isnan(h0[-1])
+    assert np.isfinite(rows[:, 1:3]).all()
+
+
 def test_converge_classical_abort(tmp_path, capsys):
     # RK4 at omega dt = 10 grows the harmonic orbit about 400-fold a step
     cfg = tmp_path / "steep.cfg"

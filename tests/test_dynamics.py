@@ -344,9 +344,10 @@ def test_simulate_validates_scalar_arguments(cos_model, bench_state_1d):
     quadratic_linear(np.diag([1.0, 2.0, 3.0]), [0.1, 0.2, 0.3], 0.0,
                      [[0.3, -0.8, 0.1], [0.5, 0.2, -0.4], [-0.6, 0.7, 0.9]],
                      [0.0, 0.4, -0.2], mass=1.3),
-    plane_wave_gauge_2d()], ids=["quadratic1d", "quadratic2d", "quadratic3d",
-                                 "planewave2d"])
+    plane_wave_gauge_2d(), quartic_rotational_2d()],
+    ids=["quadratic1d", "quadratic2d", "quadratic3d", "planewave2d", "quartic2d"])
 def test_classical_rhs_matches_einsum_form_in_either_layout(model):
+    # quartic2d has unit mass, for which classical_rhs skips its divisions
     # DA^T v is summed by an explicit component loop; it must give the
     # bits of the einsum form, for a single point and for row-major and
     # component-major batches, and hand back the layout it was given
@@ -376,6 +377,45 @@ def test_rk4_step_on_linear_flow():
     for y, o in zip(ys, out):
         assert o.shape == y.shape
         assert np.allclose(o, factor * y, rtol=0, atol=1e-15)
+
+
+def _textbook_rk4_step(rhs, ys, dt):
+    k1 = rhs(ys)
+    k2 = rhs(tuple(y + 0.5 * dt * k for y, k in zip(ys, k1)))
+    k3 = rhs(tuple(y + 0.5 * dt * k for y, k in zip(ys, k2)))
+    k4 = rhs(tuple(y + dt * k for y, k in zip(ys, k3)))
+    return tuple(y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                 for y, a, b, c, d in zip(ys, k1, k2, k3, k4))
+
+
+def test_rk4_step_has_the_textbook_bits():
+    # rk4_step sums its stages as they arrive and builds its shifted
+    # states in place; every result must have the textbook's bits, ys
+    # must not change, and each output keeps the layout of the rhs output
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((7, 3))
+    xi = np.ascontiguousarray(rng.standard_normal((3, 7))).T    # component-major
+    w = rng.standard_normal((2, 7, 3, 3))
+    s = np.array(0.7)
+    ys = (x, xi, w, s)
+    before = tuple(y.copy() for y in ys)
+    consts = tuple(rng.standard_normal(y.shape[-1:]) for y in ys[:3]) + (np.array(-0.2),)
+    rhs_cases = {
+        "nonlinear": lambda y: tuple(np.sin(v) * v - 0.3 * v for v in y),
+        "own inputs": lambda y: (y[1], -y[0], y[2], y[3]),
+        "broadcast views": lambda y: tuple(np.broadcast_to(c, v.shape)
+                                           for c, v in zip(consts, y)),
+    }
+    for name, rhs in rhs_cases.items():
+        for dt in (0.01, 0.3, -1.7):
+            out = rk4_step(rhs, ys, dt)
+            ref = _textbook_rk4_step(rhs, ys, dt)
+            for y, y0, o, r in zip(ys, before, out, ref):
+                assert np.shape(o) == np.shape(y), name
+                assert np.asarray(o).tobytes() == np.asarray(r).tobytes(), (name, dt)
+                assert y.tobytes() == y0.tobytes(), name
+            if name == "nonlinear":
+                assert [o.strides for o in out[:3]] == [y.strides for y in ys[:3]]
 
 
 def test_classical_flavor_drops_widths(cos_model, bench_state_1d):

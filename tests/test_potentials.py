@@ -179,6 +179,27 @@ def test_quartic_model_batched_shapes(quartic_model):
     assert quartic_model.jacA(pts).shape == (9, 2, 2)
 
 
+@pytest.mark.parametrize("builder, jac", [
+    (quartic_rotational_2d, [[0.0, -1.0], [1.0, 0.0]]),
+    (lambda: quadratic_linear(np.eye(3), np.zeros(3), 0.0,
+                              [[0.3, -0.8, 0.1], [0.5, 0.2, -0.4], [-0.6, 0.7, 0.9]],
+                              np.zeros(3)),
+     [[0.3, -0.8, 0.1], [0.5, 0.2, -0.4], [-0.6, 0.7, 0.9]])],
+    ids=["quartic2d", "quadratic3d"])
+def test_constant_jacobian_is_one_read_only_view_per_leading_shape(builder, jac):
+    model = builder()
+    d = model.dim
+    rng = np.random.default_rng(3)
+    for lead in [(), (5,), (3, 4)]:
+        ja = model.jacA(rng.standard_normal(lead + (d,)))
+        assert ja.shape == lead + (d, d)
+        assert not ja.flags.writeable
+        assert np.array_equal(ja, np.broadcast_to(jac, lead + (d, d)))
+        assert model.jacA(rng.standard_normal(lead + (d,))) is ja
+        assert model.flow_fields(np.zeros(lead + (d,)))[1] is ja
+    assert fd_cross_check(model, rng.uniform(-2.0, 2.0, size=d)).ok
+
+
 def test_quadratic_linear_matches_manual_formulas():
     rng = np.random.default_rng(8)
     d = 3
